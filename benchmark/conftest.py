@@ -1,0 +1,9 @@
+"""Makes the benchmark's modules and the package under src/ importable for its tests."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
