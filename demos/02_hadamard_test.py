@@ -12,7 +12,7 @@ from holcus import (
     EstimatorConfig,
     QaoaParams,
     build_ansatz,
-    estimate_hadamard,
+    estimate,
     exact_expectation,
     hadamard_test_circuit,
     from_ising,
@@ -43,10 +43,10 @@ print("summed estimate:   ", total)
 print("exact expectation: ", exact_expectation(model, params))
 
 # The packaged estimator does the same bookkeeping, plus resource accounting:
-res = estimate_hadamard(prep, model, EstimatorConfig(method="hadamard"))
+res = estimate(prep, model, EstimatorConfig(method="hadamard"))
 print(f"estimator value {res.value:.10f} using {res.circuits_used} circuits "
       f"on up to {res.max_qubits} qubits")
 
 # Finite shots: every circuit is sampled with its own derived seed.
-noisy = estimate_hadamard(prep, model, EstimatorConfig(method="hadamard", shots=2000, seed=3))
+noisy = estimate(prep, model, EstimatorConfig(method="hadamard", shots=2000, seed=3))
 print(f"2000-shot estimate {noisy.value:.4f} +/- {noisy.std_error:.4f}")

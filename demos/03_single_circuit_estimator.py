@@ -18,8 +18,7 @@ from holcus import (
     EstimatorConfig,
     QaoaParams,
     build_ansatz,
-    estimate_hadamard,
-    estimate_holcus,
+    estimate,
     exact_expectation,
     from_ising,
     holcus_circuit,
@@ -47,8 +46,8 @@ print(f"P(0) = {p0:.6f}  ->  estimate {value:.10f}")
 print(f"exact expectation  {exact_expectation(model, params):.10f}")
 
 # Resource comparison against the per-term approach on the same instance.
-single = estimate_holcus(prep, model, EstimatorConfig(method="holcus"))
-per_term = estimate_hadamard(prep, model, EstimatorConfig(method="hadamard"))
+single = estimate(prep, model, EstimatorConfig(method="holcus"))
+per_term = estimate(prep, model, EstimatorConfig(method="hadamard"))
 print("\n                circuits   max qubits   total gates")
 for name, res in (("combined", single), ("per-term", per_term)):
     gates = sum(r.gate_count for r in res.resources)
@@ -62,7 +61,7 @@ print(f"\ncombined circuit: {r.gate_count} gates, depth {r.logical_depth}, "
 # At a fixed shot budget per circuit, both estimators are unbiased; the
 # combined one spends the budget once instead of M times.
 for shots in (1000, 10_000):
-    a = estimate_holcus(prep, model, EstimatorConfig(method="holcus", shots=shots, seed=1))
-    b = estimate_hadamard(prep, model, EstimatorConfig(method="hadamard", shots=shots, seed=1))
+    a = estimate(prep, model, EstimatorConfig(method="holcus", shots=shots, seed=1))
+    b = estimate(prep, model, EstimatorConfig(method="hadamard", shots=shots, seed=1))
     print(f"shots {shots:6d}: combined {a.value:+.4f} ({a.shots_used} total shots), "
           f"per-term {b.value:+.4f} ({b.shots_used} total shots)")

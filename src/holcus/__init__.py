@@ -25,13 +25,12 @@ from .estimators import (
     REAL,
     EstimateResult,
     EstimatorConfig,
+    EstimatorPlan,
+    compile_plan,
     estimate,
-    estimate_hadamard,
-    estimate_holcus,
-    estimate_holcus_div,
-    estimate_raw,
     hadamard_test_circuit,
     holcus_circuit,
+    run_plan,
 )
 from .optimize import OptimizerConfig, TrainingTrace, nelder_mead, train_qaoa
 from .pauli_lcu import (

@@ -14,15 +14,14 @@ counter splitting, independent of scheduling.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .estimators import EXACT, EstimatorConfig
+from .estimators import EstimatorConfig
 from .optimize import OptimizerConfig, train_qaoa
-from .qaoa import QaoaParams, exact_expectation
+from .qaoa import exact_expectation
 from .qubo_ising import brute_force_min, qubo_to_ising, random_qubo
-from .statevector import CapacityError, derive_seed
+from .statevector import derive_seed
 
 BENCH_CSV_HEADER = (
     "n,p,instance_seed,method,wall_time_seconds,best_value,"
@@ -43,7 +42,6 @@ class ExperimentConfig:
     master_seed: int = 0
     output_path: str = "bench.csv"
     max_evals: int = 60
-    threads: int = 1
 
     def __post_init__(self):
         if self.instances_per_n < 1:
@@ -161,22 +159,10 @@ def _run_one(cfg: ExperimentConfig, n: int, p: int, instance: int, method: str) 
         rec.exact_value_of_best_params = exact_expectation(model, trace.best_params)
         rec.circuits_total = trace.total_circuits
         rec.shots_total = trace.total_shots
-        rec.max_qubits = _max_qubits_of(method, model)
-    except CapacityError as exc:
-        rec.error = f"capacity: {exc}"
+        rec.max_qubits = trace.max_qubits
+    except Exception as exc:  # one failed cell is kept as an error row, not the end of the sweep
+        rec.error = f"{type(exc).__name__}: {exc}"
     return rec
-
-
-def _max_qubits_of(method: str, model) -> int:
-    from .estimators import estimate
-    from .qaoa import build_ansatz
-
-    probe = estimate(
-        build_ansatz(model, QaoaParams((0.0,), (0.0,))),
-        model,
-        EstimatorConfig(method=method, shots=EXACT),
-    )
-    return probe.max_qubits
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> list[BenchmarkRecord]:
@@ -195,24 +181,13 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[BenchmarkRecord
         if fresh:
             fh.write(BENCH_CSV_HEADER + "\n")
             fh.flush()
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                futures = [pool.submit(_run_one, cfg, *task) for task in tasks]
-                for fut in futures:
-                    rec = fut.result()
-                    records.append(rec)
-                    fh.write(record_to_csv_row(rec) + "\n")
-                    fh.flush()
-                    if progress:
-                        progress(rec)
-        else:
-            for task in tasks:
-                rec = _run_one(cfg, *task)
-                records.append(rec)
-                fh.write(record_to_csv_row(rec) + "\n")
-                fh.flush()
-                if progress:
-                    progress(rec)
+        for task in tasks:
+            rec = _run_one(cfg, *task)
+            records.append(rec)
+            fh.write(record_to_csv_row(rec) + "\n")
+            fh.flush()
+            if progress:
+                progress(rec)
     return records
 
 

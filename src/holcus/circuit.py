@@ -2,8 +2,10 @@
 
 Gates are named kinds with radian parameters plus a DENSE escape hatch for
 explicit unitaries. Every gate may carry multi-controls with open/closed
-polarity. Circuits are immutable once built (append returns a new one) and
-carry an optional register map naming contiguous qubit spans.
+polarity. Circuits are immutable and carry an optional register map naming
+contiguous qubit spans. Builders collect a gate list and construct the
+Circuit once, which checks every gate's qubits in one pass; append copies
+the whole gate tuple, so chaining it costs O(G^2) for G gates.
 
 Rotation conventions: EXP_Z(phi) = e^{i phi Z}, EXP_X(phi) = e^{i phi X},
 EXP_ZZ(phi) = e^{i phi Z (x) Z}. These are the evolution operators directly,
@@ -167,13 +169,6 @@ def append(circuit: Circuit, gate: Gate) -> Circuit:
     """New circuit with the gate appended."""
     _check_gate_range(gate, circuit.num_qubits)
     return replace(circuit, gates=circuit.gates + (gate,))
-
-
-def extend(circuit: Circuit, gates) -> Circuit:
-    out = circuit
-    for g in gates:
-        out = append(out, g)
-    return out
 
 
 def add_control(circuit: Circuit, control_qubit: int, polarity: int = CLOSED) -> Circuit:

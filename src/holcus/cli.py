@@ -33,7 +33,6 @@ def _add_run_flags(sub):
     sub.add_argument("--methods", nargs="+", default=None, choices=["raw", "hadamard", "holcus", "holcus_div"])
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", default=None)
-    sub.add_argument("--threads", type=int, default=None)
     sub.add_argument("--max-evals", type=int, default=None)
     sub.add_argument("--config", default=None, help="key = value file; flags override it")
 
@@ -45,7 +44,6 @@ _CONFIG_KEYS = {
     "shots": int,
     "restarts": int,
     "seed": int,
-    "threads": int,
     "max_evals": int,
     "out": str,
     "exact": lambda v: v.lower() in ("1", "true", "yes"),
@@ -85,8 +83,6 @@ def _collect_overrides(args) -> dict:
         over["master_seed"] = args.seed
     if args.out is not None:
         over["output_path"] = args.out
-    if args.threads is not None:
-        over["threads"] = args.threads
     if args.max_evals is not None:
         over["max_evals"] = args.max_evals
     return over

@@ -10,6 +10,16 @@ and return an EstimateResult:
   holcus_div - one combined circuit per coefficient group, uniform ancilla
                preparation inside each group.
 
+Every method is first compiled, once per model, to an EstimatorPlan
+(compile_plan): the constant offset plus one Measurement per circuit, which
+holds the gates before and after the state preparation, the register, the
+measured qubit and its scale. The LCU decomposition, coefficient groups,
+prepare unitaries and select stage are built there. One executor (run_plan)
+then splices each new state preparation into every measurement, runs it and
+reads P(0); estimate() is the two in sequence. The public circuit builders
+use the same measurement builders, so they return exactly the executed
+circuits.
+
 Exact mode (shots=EXACT) reads marginal probabilities analytically, which
 separates method error from shot noise; finite mode draws seeded multinomial
 samples of the measured qubit. Imaginary-part estimates (the S-dagger
@@ -28,7 +38,6 @@ from .circuit import (
     Circuit,
     Gate,
     ResourceReport,
-    append,
     dense,
     h,
     make_register_map,
@@ -37,6 +46,7 @@ from .circuit import (
     s_dagger,
 )
 from .pauli_lcu import (
+    CoefficientGroup,
     LcuDecomposition,
     LcuTerm,
     PauliString,
@@ -88,24 +98,55 @@ class EstimateResult:
     resources: tuple[ResourceReport, ...]
 
 
+@dataclass(frozen=True)
+class Measurement:
+    """One circuit of a plan: head + prep gates + tail on `width` qubits, read
+    out as scale * (2 P(0) - 1) on `qubit` (None: the full register, raw)."""
+
+    head: tuple[Gate, ...]
+    tail: tuple[Gate, ...]
+    width: int
+    register_map: dict[str, range]
+    qubit: int | None
+    scale: float
+
+
+@dataclass(frozen=True)
+class EstimatorPlan:
+    """The model-only part of an estimate; built by compile_plan."""
+
+    num_state_qubits: int
+    offset: float
+    measurements: tuple[Measurement, ...]
+    energies: np.ndarray | None  # raw only: the spin energy of every basis state
+
+    @property
+    def max_qubits(self) -> int:
+        return max(m.width for m in self.measurements)
+
+
+def _assemble(meas: Measurement, prep: Circuit) -> Circuit:
+    return Circuit(meas.width, meas.head + prep.gates + meas.tail, dict(meas.register_map))
+
+
+def _hadamard_measurement(n: int, unitary: PauliString, part: str, scale: float) -> Measurement:
+    anc = n
+    tail = [h(anc)]
+    if part == IMAGINARY:
+        tail.append(s_dagger(anc))
+    if unitary.ops:
+        tail.append(dense(unitary.local_matrix(), unitary.support, [(anc, CLOSED)]))
+    tail.append(h(anc))
+    return Measurement((), tuple(tail), n + 1, make_register_map(n, 0, hadamard=True), anc, scale)
+
+
 def hadamard_test_circuit(prep: Circuit, unitary: PauliString, part: str = REAL) -> Circuit:
     """Interference circuit for Re or Im of <psi|U|psi> on one extra qubit.
 
     Re[<U>] = 2 P(0) - 1 on the ancilla; with the S-dagger inserted the same
     statistic yields Im[<U>].
     """
-    n = prep.num_qubits
-    anc = n
-    circ = Circuit(n + 1, (), make_register_map(n, 0, hadamard=True))
-    for g in prep.gates:
-        circ = append(circ, g)
-    circ = append(circ, h(anc))
-    if part == IMAGINARY:
-        circ = append(circ, s_dagger(anc))
-    if unitary.ops:
-        circ = append(circ, dense(unitary.local_matrix(), unitary.support, [(anc, CLOSED)]))
-    circ = append(circ, h(anc))
-    return circ
+    return _assemble(_hadamard_measurement(prep.num_qubits, unitary, part, 1.0), prep)
 
 
 def _remap(gate: Gate, mapping: dict[int, int]) -> Gate:
@@ -116,6 +157,32 @@ def _remap(gate: Gate, mapping: dict[int, int]) -> Gate:
         tuple((mapping[q], v) for q, v in gate.controls),
         gate.matrix,
     )
+
+
+def _holcus_measurement(
+    n: int, dec: LcuDecomposition, part: str, uniform: bool, scale: float
+) -> Measurement:
+    m = dec.num_ancillas
+    reg = make_register_map(n, m, hadamard=True)
+    hq = reg["hadamard"][0]
+    anc = reg["lcu_ancilla"]
+    head = [h(hq)]
+    if part == IMAGINARY:
+        head.append(s_dagger(hq))
+    if uniform:
+        if dec.layout != "dense" or dec.num_terms != 1 << m:
+            raise ValueError("uniform prep needs a dense layout filling every slot")
+        ladder = build_uniform_prep_circuit(m)
+        mapping = {j: anc[j] for j in range(m)}
+        mapping[m] = hq
+        head += [_remap(g, mapping) for g in ladder.gates]
+        unprep = [_remap(g, mapping) for g in inverted(ladder).gates]
+    else:
+        v, v_hat = build_prep_unitaries(dec)
+        head.append(dense(v, anc, [(hq, CLOSED)]))
+        unprep = [dense(v_hat.conj().T, anc, [(hq, CLOSED)])]
+    tail = [*build_select_circuit(dec, reg).gates, *unprep, h(hq)]
+    return Measurement(tuple(head), tuple(tail), n + m + 1, reg, hq, scale)
 
 
 def holcus_circuit(
@@ -131,72 +198,77 @@ def holcus_circuit(
     ladder (valid when the decomposition is dense with every slot weighted
     equally, e.g. an equal-coefficient group of power-of-two size).
     """
-    n = prep.num_qubits
-    m = dec.num_ancillas
-    reg = make_register_map(n, m, hadamard=True)
-    hq = reg["hadamard"][0]
-    anc = reg["lcu_ancilla"]
-    circ = Circuit(n + m + 1, (), reg)
-    circ = append(circ, h(hq))
-    if part == IMAGINARY:
-        circ = append(circ, s_dagger(hq))
-    if uniform:
-        if dec.layout != "dense" or dec.num_terms != 1 << m:
-            raise ValueError("uniform prep needs a dense layout filling every slot")
-        ladder = build_uniform_prep_circuit(m)
-        mapping = {j: anc[j] for j in range(m)}
-        mapping[m] = hq
-        prep_gates = tuple(_remap(g, mapping) for g in ladder.gates)
-        unprep_gates = tuple(_remap(g, mapping) for g in inverted(ladder).gates)
+    return _assemble(_holcus_measurement(prep.num_qubits, dec, part, uniform, dec.normalization), prep)
+
+
+def _group_measurement(
+    n: int, dec: LcuDecomposition, group: CoefficientGroup, part: str
+) -> Measurement:
+    """One coefficient group with its phase factored out front, so the
+    in-circuit preparation is real and uniform: scale N_g = |group| * alpha_g
+    * sign_g. A single term is a plain Hadamard test; a power-of-two group
+    fills a dense layout and takes the controlled-H ladder."""
+    size = len(group.term_indices)
+    scale = size * group.common_alpha * float(np.cos(group.common_theta))
+    members = [dec.terms[k] for k in group.term_indices]
+    if size == 1:
+        return _hadamard_measurement(n, members[0].unitary, part, scale)
+    layout = "dense" if size & (size - 1) == 0 else "shifted"
+    sub = decomposition_from_terms([LcuTerm(t.alpha, 0.0, t.unitary) for t in members], layout)
+    return _holcus_measurement(n, sub, part, layout == "dense", scale)
+
+
+def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
+    """Everything cfg.method needs that depends only on the model: the LCU
+    decomposition, coefficient groups, prepare unitaries, select stage, and
+    raw's basis-state energies. The plan depends on the model, method, part
+    and grouping tolerance, never on shots or seed."""
+    n = model.n
+    if cfg.method == "raw":
+        idx = np.arange(1 << n)
+        spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1)
+        energies = model.offset + spins @ model.h
+        for (i, j), c in model.J.items():
+            energies = energies + c * spins[:, i] * spins[:, j]
+        meas = Measurement((), (), n, make_register_map(n, 0, hadamard=False), None, 1.0)
+        return EstimatorPlan(n, 0.0, (meas,), energies)
+    dec = from_ising(model)
+    if cfg.method == "hadamard":
+        measurements = [
+            _hadamard_measurement(n, t.unitary, cfg.part, float(t.signed_coefficient.real))
+            for t in dec.terms
+        ]
+    elif cfg.method == "holcus":
+        measurements = [_holcus_measurement(n, dec, cfg.part, False, dec.normalization)]
     else:
-        v, v_hat = build_prep_unitaries(dec)
-        prep_gates = (dense(v, anc, [(hq, CLOSED)]),)
-        unprep_gates = (dense(v_hat.conj().T, anc, [(hq, CLOSED)]),)
-    for g in prep_gates:
-        circ = append(circ, g)
-    for g in prep.gates:
-        circ = append(circ, g)
-    for g in build_select_circuit(dec, reg).gates:
-        circ = append(circ, g)
-    for g in unprep_gates:
-        circ = append(circ, g)
-    circ = append(circ, h(hq))
-    return circ
+        groups = group_by_coefficient(dec, cfg.grouping_tol)
+        measurements = [_group_measurement(n, dec, g, cfg.part) for g in groups]
+    offset = model.offset if cfg.part == REAL else 0.0
+    return EstimatorPlan(n, offset, tuple(measurements), None)
 
 
-def _p0(state: StateVector, qubit: int, cfg: EstimatorConfig, *path: int) -> float:
-    """P(measuring 0) on one qubit: analytic in exact mode, sampled otherwise."""
-    dist = marginal_probabilities(state, [qubit])
+def _p0_readout(
+    state: StateVector, meas: Measurement, cfg: EstimatorConfig, k: int
+) -> tuple[float, float]:
+    """scale * (2 P(0) - 1) on the measured qubit, and its variance. P(0) is
+    analytic in exact mode and sampled with derive_seed(cfg.seed, k) otherwise."""
+    dist = marginal_probabilities(state, [meas.qubit])
     p0 = dist.probabilities.get("0", 0.0)
     if cfg.exact:
-        return p0
-    counts = sample_counts(dist, cfg.shots, derive_seed(cfg.seed, *path))
-    return counts.counts.get("0", 0) / cfg.shots
+        return meas.scale * (2.0 * p0 - 1.0), 0.0
+    counts = sample_counts(dist, cfg.shots, derive_seed(cfg.seed, k))
+    p0 = counts.counts.get("0", 0) / cfg.shots
+    return meas.scale * (2.0 * p0 - 1.0), (2.0 * meas.scale) ** 2 * p0 * (1.0 - p0) / cfg.shots
 
 
-def _finalize(cfg, value, variance, circuits, reports, max_qubits) -> EstimateResult:
+def _energy_readout(
+    state: StateVector, energies: np.ndarray, cfg: EstimatorConfig, k: int
+) -> tuple[float, float]:
+    """raw's statistic: the mean spin energy over the full register, and the
+    variance of that mean."""
     if cfg.exact:
-        return EstimateResult(float(value), 0.0, circuits, 0, max_qubits, tuple(reports))
-    return EstimateResult(
-        float(value), math.sqrt(variance), circuits, circuits * cfg.shots, max_qubits, tuple(reports)
-    )
-
-
-def estimate_raw(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> EstimateResult:
-    """Direct sampling of the state register; each sample scores its spin energy."""
-    n = prep.num_qubits
-    state = run(prep)
-    probs = np.abs(state.amplitudes) ** 2
-    idx = np.arange(1 << n)
-    spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1)
-    energies = model.offset + spins @ model.h
-    for (i, j), c in model.J.items():
-        energies = energies + c * spins[:, i] * spins[:, j]
-    report = resource_report(prep)
-    if cfg.exact:
-        return _finalize(cfg, probs @ energies, 0.0, 1, [report], n)
-    dist = marginal_probabilities(state)
-    counts = sample_counts(dist, cfg.shots, derive_seed(cfg.seed, 0))
+        return np.abs(state.amplitudes) ** 2 @ energies, 0.0
+    counts = sample_counts(marginal_probabilities(state), cfg.shots, derive_seed(cfg.seed, k))
     total = 0.0
     total_sq = 0.0
     for key, c in counts.counts.items():
@@ -204,94 +276,39 @@ def estimate_raw(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> Esti
         total += c * e
         total_sq += c * e * e
     mean = total / cfg.shots
-    var = max(total_sq / cfg.shots - mean * mean, 0.0) / cfg.shots
-    return _finalize(cfg, mean, var, 1, [report], n)
+    return mean, max(total_sq / cfg.shots - mean * mean, 0.0) / cfg.shots
 
 
-def estimate_hadamard(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> EstimateResult:
-    """Per-term Hadamard tests: value = offset + sum_k c_k (2 P_k(0) - 1)."""
-    dec = from_ising(model)
-    value = model.offset if cfg.part == REAL else 0.0
+def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> EstimateResult:
+    """Run every measurement of the plan with prep spliced in:
+    value = offset + sum_k scale_k (2 P_k(0) - 1). In finite mode circuit k
+    samples with derive_seed(cfg.seed, k)."""
+    if prep.num_qubits != plan.num_state_qubits:
+        raise ValueError(
+            f"prep has {prep.num_qubits} qubits, the plan's model has {plan.num_state_qubits}"
+        )
+    value = plan.offset
     variance = 0.0
     reports = []
-    for k, term in enumerate(dec.terms):
-        circ = hadamard_test_circuit(prep, term.unitary, cfg.part)
+    for k, meas in enumerate(plan.measurements):
+        circ = _assemble(meas, prep)
         reports.append(resource_report(circ))
-        p0 = _p0(run(circ), prep.num_qubits, cfg, k)
-        c_k = float(term.signed_coefficient.real)
-        value += c_k * (2.0 * p0 - 1.0)
-        if not cfg.exact:
-            variance += (2.0 * c_k) ** 2 * p0 * (1.0 - p0) / cfg.shots
-    return _finalize(cfg, value, variance, dec.num_terms, reports, prep.num_qubits + 1)
-
-
-def estimate_holcus(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> EstimateResult:
-    """Single-circuit estimate: value = offset + N * (2 P(0) - 1)."""
-    dec = from_ising(model)
-    circ = holcus_circuit(prep, dec, cfg.part)
-    p0 = _p0(run(circ), prep.num_qubits + dec.num_ancillas, cfg, 0)
-    norm = dec.normalization
-    value = (model.offset if cfg.part == REAL else 0.0) + norm * (2.0 * p0 - 1.0)
-    variance = 0.0 if cfg.exact else (2.0 * norm) ** 2 * p0 * (1.0 - p0) / cfg.shots
-    return _finalize(
-        cfg, value, variance, 1, [resource_report(circ)], prep.num_qubits + dec.num_ancillas + 1
+        if plan.energies is None:
+            term, var = _p0_readout(run(circ), meas, cfg, k)
+        else:
+            term, var = _energy_readout(run(circ), plan.energies, cfg, k)
+        value += term
+        variance += var
+    circuits = len(plan.measurements)
+    shots = 0 if cfg.exact else circuits * cfg.shots
+    return EstimateResult(
+        float(value), math.sqrt(variance), circuits, shots, plan.max_qubits, tuple(reports)
     )
 
 
-def _group_layout(group_size: int) -> tuple[str, int]:
-    """(layout, ancilla count) for one coefficient group; 0 means plain
-    Hadamard test, dense powers of two admit the uniform ladder."""
-    if group_size == 1:
-        return "hadamard", 0
-    if group_size & (group_size - 1) == 0:
-        return "dense", group_size.bit_length() - 1
-    return "shifted", math.ceil(math.log2(group_size + 1))
-
-
-def estimate_holcus_div(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> EstimateResult:
-    """Grouped estimate: one combined circuit per coefficient group.
-
-    The group phase is factored out front, so the in-circuit preparation is
-    real and uniform: value = offset + sum_g N_g (2 P_g(0) - 1) with
-    N_g = |group| * alpha_g * sign_g.
-    """
-    dec = from_ising(model)
-    groups = group_by_coefficient(dec, cfg.grouping_tol)
-    value = model.offset if cfg.part == REAL else 0.0
-    variance = 0.0
-    reports = []
-    max_anc = 0
-    for g_idx, group in enumerate(groups):
-        sign = float(np.cos(group.common_theta))
-        size = len(group.term_indices)
-        scale = size * group.common_alpha * sign
-        layout, anc = _group_layout(size)
-        max_anc = max(max_anc, anc)
-        members = [dec.terms[k] for k in group.term_indices]
-        if layout == "hadamard":
-            circ = hadamard_test_circuit(prep, members[0].unitary, cfg.part)
-        else:
-            flat = [LcuTerm(t.alpha, 0.0, t.unitary) for t in members]
-            sub = decomposition_from_terms(flat, layout)
-            circ = holcus_circuit(prep, sub, cfg.part, uniform=(layout == "dense"))
-        reports.append(resource_report(circ))
-        p0 = _p0(run(circ), prep.num_qubits + anc, cfg, g_idx)
-        value += scale * (2.0 * p0 - 1.0)
-        if not cfg.exact:
-            variance += (2.0 * scale) ** 2 * p0 * (1.0 - p0) / cfg.shots
-    return _finalize(cfg, value, variance, len(groups), reports, prep.num_qubits + max_anc + 1)
-
-
-_DISPATCH = {
-    "raw": estimate_raw,
-    "hadamard": estimate_hadamard,
-    "holcus": estimate_holcus,
-    "holcus_div": estimate_holcus_div,
-}
-
-
 def estimate(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> EstimateResult:
-    return _DISPATCH[cfg.method](prep, model, cfg)
+    """One estimate: the model's plan, compiled and run once."""
+    return run_plan(compile_plan(model, cfg), prep, cfg)
 
 
 ESTIMATE_CSV_HEADER = (

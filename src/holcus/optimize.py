@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .estimators import EstimatorConfig, estimate
+from .estimators import EstimatorConfig, compile_plan, run_plan
 from .qaoa import QaoaParams, build_ansatz
 from .qubo_ising import IsingModel
 from .statevector import derive_seed
@@ -43,6 +43,7 @@ class TrainingTrace:
     best_value: float
     total_circuits: int
     total_shots: int
+    max_qubits: int
 
 
 def nelder_mead(objective, x0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]:
@@ -72,10 +73,14 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]
             best_f, best_x = val, np.array(x, dtype=float)
         return val
 
+    # Vertex i steps coordinate i by a full step and every other coordinate by
+    # half of it. An axis-aligned simplex can stall at once: around
+    # gamma = beta = 0 every single-coordinate step keeps the uniform-state value.
     simplex = [x0.copy()]
     for i in range(dim):
-        step = np.zeros(dim)
-        step[i] = cfg.initial_simplex_scale * (1.0 + 0.25 * rng.uniform(-1.0, 1.0))
+        size = cfg.initial_simplex_scale * (1.0 + 0.25 * rng.uniform(-1.0, 1.0))
+        step = np.full(dim, 0.5 * size)
+        step[i] = size
         simplex.append(x0 + step)
     values = []
     for x in simplex:
@@ -133,10 +138,12 @@ def train_qaoa(
     always among the evaluated points); further restarts draw gamma in
     [0, 2pi) and beta in [0, pi). The returned trace holds the winning
     restart's evaluations while the circuit/shot totals aggregate every
-    restart. Deterministic for fixed seeds.
+    restart. Deterministic for fixed seeds. The estimator's plan is compiled
+    once and reused by every evaluation of every restart.
     """
     if p < 1:
         raise ValueError("training needs p >= 1")
+    plan = compile_plan(model, estimator_cfg)
     dim = 2 * p
     best_trace = None
     best_value = np.inf
@@ -153,7 +160,7 @@ def train_qaoa(
             if not cfg.exact:
                 cfg = replace(cfg, seed=derive_seed(estimator_cfg.seed, r, counter))
             t0 = time.perf_counter()
-            result = estimate(build_ansatz(model, params), model, cfg)
+            result = run_plan(plan, build_ansatz(model, params), cfg)
             elapsed = time.perf_counter() - t0
             evals.append((np.array(vec, dtype=float), result.value, elapsed))
             counter += 1
@@ -174,7 +181,9 @@ def train_qaoa(
             best_value = f_best
             best_trace = (evals, QaoaParams.from_vector(x_best))
     evaluations, best_params = best_trace
-    return TrainingTrace(evaluations, best_params, float(best_value), total_circuits, total_shots)
+    return TrainingTrace(
+        evaluations, best_params, float(best_value), total_circuits, total_shots, plan.max_qubits
+    )
 
 
 TRACE_CSV_HEADER = "eval_index,value,wall_time_seconds,params"

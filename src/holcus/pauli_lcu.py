@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CLOSED, Circuit, Gate, append, dense, h, make_register_map, swap
+from .circuit import CLOSED, Circuit, Gate, dense, h, make_register_map, swap
 
 _PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -180,7 +180,7 @@ def build_select_circuit(dec: LcuDecomposition, register_map: dict[str, range]) 
     if len(anc) < dec.num_ancillas:
         raise ValueError(f"need {dec.num_ancillas} ancillas, register has {len(anc)}")
     num_qubits = max(r.stop for r in register_map.values())
-    circ = Circuit(num_qubits, (), dict(register_map))
+    gates = []
     for k, term in enumerate(dec.terms):
         pauli = term.unitary
         if not pauli.ops:
@@ -194,8 +194,8 @@ def build_select_circuit(dec: LcuDecomposition, register_map: dict[str, range]) 
         targets = [state[q] for q in pauli.support]
         if max(pauli.support) >= len(state):
             raise ValueError(f"state register too small for {pauli}")
-        circ = append(circ, dense(pauli.local_matrix(), targets, controls))
-    return circ
+        gates.append(dense(pauli.local_matrix(), targets, controls))
+    return Circuit(num_qubits, tuple(gates), dict(register_map))
 
 
 @dataclass(frozen=True)
@@ -237,18 +237,15 @@ def build_uniform_prep_circuit(m: int, nearest_neighbor: bool = False) -> Circui
         raise ValueError(f"need at least one ancilla, got {m}")
     reg = make_register_map(0, m, hadamard=True)
     reg = {"lcu_ancilla": reg["lcu_ancilla"], "hadamard": reg["hadamard"]}
-    circ = Circuit(m + 1, (), reg)
     hq = m
     if not nearest_neighbor:
-        for j in range(m):
-            circ = append(circ, h(j, controls=[(hq, CLOSED)]))
-        return circ
+        return Circuit(m + 1, tuple(h(j, controls=[(hq, CLOSED)]) for j in range(m)), reg)
     top = m - 1
+    gates = []
     for k in range(m):
-        circ = append(circ, h(top, controls=[(hq, CLOSED)]))
-        for j in range(top, k, -1):
-            circ = append(circ, swap(j, j - 1))
-    return circ
+        gates.append(h(top, controls=[(hq, CLOSED)]))
+        gates += [swap(j, j - 1) for j in range(top, k, -1)]
+    return Circuit(m + 1, tuple(gates), reg)
 
 
 def inverted(circ: Circuit) -> Circuit:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, append, exp_x, exp_z, exp_zz, h, run
+from .circuit import Circuit, exp_x, exp_z, exp_zz, h, run
 from .qubo_ising import IsingModel
 from .statevector import MAX_QUBITS, CapacityError, pauli_expectation
 
@@ -45,21 +45,18 @@ def build_ansatz(model: IsingModel, params: QaoaParams) -> Circuit:
     """
     if model.n < 1:
         raise ValueError("model needs at least one spin")
-    circ = Circuit(model.n)
-    for q in range(model.n):
-        circ = append(circ, h(q))
+    gates = [h(q) for q in range(model.n)]
     for layer in range(params.p):
         gamma = params.gammas[layer]
         beta = params.betas[layer]
         for i in range(model.n):
             if model.h[i] != 0.0:
-                circ = append(circ, exp_z(gamma * model.h[i], i))
+                gates.append(exp_z(gamma * model.h[i], i))
         for (i, j), c in sorted(model.J.items()):
             if c != 0.0:
-                circ = append(circ, exp_zz(gamma * c, i, j))
-        for q in range(model.n):
-            circ = append(circ, exp_x(beta, q))
-    return circ
+                gates.append(exp_zz(gamma * c, i, j))
+        gates += [exp_x(beta, q) for q in range(model.n)]
+    return Circuit(model.n, tuple(gates))
 
 
 def exact_expectation(model: IsingModel, params: QaoaParams) -> float:

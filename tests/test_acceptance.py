@@ -16,9 +16,6 @@ from holcus.estimators import (
     IMAGINARY,
     EstimatorConfig,
     estimate,
-    estimate_hadamard,
-    estimate_holcus,
-    estimate_holcus_div,
     holcus_circuit,
 )
 from holcus.optimize import OptimizerConfig, train_qaoa
@@ -235,7 +232,7 @@ def test_criterion_09_degenerate_coefficient_advantage():
     )
     params = QaoaParams((0.4, 1.1), (0.7, 0.3))
     prep = build_ansatz(model, params)
-    res = estimate_holcus_div(prep, model, EstimatorConfig(method="holcus_div"))
+    res = estimate(prep, model, EstimatorConfig(method="holcus_div"))
     want = exact_expectation(model, params)
     assert res.circuits_used == 2, f"used {res.circuits_used} circuits"
     assert abs(res.value - want) <= 1e-9

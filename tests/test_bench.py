@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import holcus.bench
 from holcus.bench import (
     BENCH_CSV_HEADER,
     BenchmarkRecord,
@@ -16,6 +17,7 @@ from holcus.bench import (
     run_experiment,
 )
 from holcus.cli import main
+from holcus.optimize import OptimizationError
 
 
 def tiny_config(tmp_path, **overrides):
@@ -71,10 +73,22 @@ class TestRunExperiment:
             assert rec.best_value >= rec.brute_force_optimum - 1e-9
             assert rec.exact_value_of_best_params == pytest.approx(rec.best_value, abs=1e-9)
 
-    def test_threaded_run_same_records(self, tmp_path):
-        seq = run_experiment(tiny_config(tmp_path, output_path=str(tmp_path / "s.csv")))
-        par = run_experiment(tiny_config(tmp_path, output_path=str(tmp_path / "p.csv"), threads=2))
-        assert [(r.method, r.best_value) for r in seq] == [(r.method, r.best_value) for r in par]
+    def test_failed_cell_kept_as_error_row(self, tmp_path, monkeypatch):
+        real = holcus.bench.train_qaoa
+
+        def fails_in_one_cell(model, p, est, opt):
+            if p == 2 and est.method == "holcus":
+                raise OptimizationError("objective returned nan", np.zeros(2 * p))
+            return real(model, p, est, opt)
+
+        monkeypatch.setattr(holcus.bench, "train_qaoa", fails_in_one_cell)
+        cfg = tiny_config(tmp_path, p_values=(1, 2))
+        records = run_experiment(cfg)
+        errors = {(r.p, r.method): r.error for r in records}
+        assert len(errors) == 4
+        assert errors.pop((2, "holcus")) == "OptimizationError: objective returned nan"
+        assert set(errors.values()) == {""}
+        assert read_records(cfg.output_path) == records
 
 
 class TestRecordCsv:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import holcus.circuit
 from conftest import circuit_full_matrix, random_prep_circuit
 from holcus.circuit import (
     CLOSED,
@@ -23,7 +24,10 @@ from holcus.circuit import (
     swap,
     x,
 )
-from holcus.pauli_lcu import build_uniform_prep_circuit
+from holcus.estimators import holcus_circuit
+from holcus.pauli_lcu import build_uniform_prep_circuit, from_ising
+from holcus.qaoa import QaoaParams, build_ansatz
+from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import new_basis_state
 
 
@@ -44,6 +48,23 @@ class TestAppend:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             append(Circuit(2), h(2))
+
+
+class TestBuildCost:
+    def test_builders_check_each_gate_at_most_twice(self, monkeypatch):
+        # A builder that appends gate by gate re-checks the whole prefix each time.
+        calls = []
+        real = holcus.circuit._check_gate_range
+
+        def counted(gate, num_qubits):
+            calls.append(gate)
+            return real(gate, num_qubits)
+
+        monkeypatch.setattr(holcus.circuit, "_check_gate_range", counted)
+        model = qubo_to_ising(random_qubo(8, 0))
+        prep = build_ansatz(model, QaoaParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
+        circ = holcus_circuit(prep, from_ising(model))
+        assert len(calls) <= 2 * len(circ.gates)
 
 
 class TestAddControl:

@@ -11,13 +11,11 @@ from holcus.estimators import (
     EXACT,
     IMAGINARY,
     EstimatorConfig,
+    compile_plan,
     estimate,
-    estimate_hadamard,
-    estimate_holcus,
-    estimate_holcus_div,
-    estimate_raw,
     hadamard_test_circuit,
     holcus_circuit,
+    run_plan,
 )
 from holcus.pauli_lcu import PauliString, from_ising, group_by_coefficient
 from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
@@ -122,8 +120,8 @@ class TestExactModeAgreement:
     def test_single_term_holcus_equals_hadamard(self):
         model = model_of(1, [0.8], {})
         prep = build_ansatz(model, QaoaParams((0.4,), (0.3,)))
-        a = estimate_hadamard(prep, model, EstimatorConfig(method="hadamard")).value
-        b = estimate_holcus(prep, model, EstimatorConfig(method="holcus")).value
+        a = estimate(prep, model, EstimatorConfig(method="hadamard")).value
+        b = estimate(prep, model, EstimatorConfig(method="holcus")).value
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_raw_on_basis_state_has_energy_of_that_state(self):
@@ -131,15 +129,22 @@ class TestExactModeAgreement:
 
         model = model_of(2, [0.5, -0.25], {(0, 1): 1.5}, offset=0.3)
         prep = append(Circuit(2), x(0))  # |01> -> z = (-1, +1)
-        res = estimate_raw(prep, model, EstimatorConfig(method="raw"))
+        res = estimate(prep, model, EstimatorConfig(method="raw"))
         expected = 0.3 + 0.5 * (-1) + (-0.25) * (+1) + 1.5 * (-1) * (+1)
         assert res.value == pytest.approx(expected, abs=1e-12)
 
     def test_raw_uniform_state_gives_offset(self):
         model = model_of(2, [1.0, -1.0], {}, offset=0.7)
         prep = build_ansatz(model, QaoaParams((), ()))
-        res = estimate_raw(prep, model, EstimatorConfig(method="raw"))
+        res = estimate(prep, model, EstimatorConfig(method="raw"))
         assert res.value == pytest.approx(0.7, abs=1e-12)
+
+    def test_prep_width_must_match_model(self):
+        model = model_of(2, [0.5, -0.25], {(0, 1): 1.5})
+        for method in ("raw", "hadamard", "holcus", "holcus_div"):
+            cfg = EstimatorConfig(method=method)
+            with pytest.raises(ValueError):
+                run_plan(compile_plan(model, cfg), Circuit(3), cfg)
 
 
 class TestResourceAccounting:
@@ -183,14 +188,14 @@ class TestHolcusDiv:
         model = model_of(3, [0.5, 0.5, 0.5], {(0, 1): 0.5, (1, 2): 0.5})
         params = QaoaParams((0.6,), (0.2,))
         prep = build_ansatz(model, params)
-        res = estimate_holcus_div(prep, model, EstimatorConfig(method="holcus_div"))
+        res = estimate(prep, model, EstimatorConfig(method="holcus_div"))
         assert res.circuits_used == 1
         assert res.value == pytest.approx(exact_expectation(model, params), abs=1e-9)
 
     def test_distinct_coefficients_degenerate_to_per_term(self):
         model, prep, _ = random_case(903)
         M = from_ising(model).num_terms
-        res = estimate_holcus_div(prep, model, EstimatorConfig(method="holcus_div"))
+        res = estimate(prep, model, EstimatorConfig(method="holcus_div"))
         assert res.circuits_used == M
         assert res.max_qubits == model.n + 1  # singleton groups run as plain tests
 
@@ -198,7 +203,7 @@ class TestHolcusDiv:
         model = model_of(5, [0.7, 0.7, 0.7, 0.7, 0.0], {(0, 1): -0.4, (2, 3): -0.4}, offset=0.1)
         params = QaoaParams((0.4,), (0.7,))
         prep = build_ansatz(model, params)
-        res = estimate_holcus_div(prep, model, EstimatorConfig(method="holcus_div"))
+        res = estimate(prep, model, EstimatorConfig(method="holcus_div"))
         assert res.circuits_used == 2
         assert res.value == pytest.approx(exact_expectation(model, params), abs=1e-9)
 
@@ -206,7 +211,7 @@ class TestHolcusDiv:
         model = model_of(3, [0.5, 0.5, 0.5], {})  # one group of size 3
         params = QaoaParams((0.3,), (0.9,))
         prep = build_ansatz(model, params)
-        res = estimate_holcus_div(prep, model, EstimatorConfig(method="holcus_div"))
+        res = estimate(prep, model, EstimatorConfig(method="holcus_div"))
         assert res.circuits_used == 1
         assert res.max_qubits == 3 + 2 + 1  # shifted layout for 3 slots
         assert res.value == pytest.approx(exact_expectation(model, params), abs=1e-9)

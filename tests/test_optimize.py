@@ -1,10 +1,15 @@
 """Nelder-Mead and the QAOA training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import holcus.estimators
 from conftest import ising_dense_matrix
-from holcus.estimators import EstimatorConfig
+from holcus.estimators import EXACT, METHODS, EstimatorConfig, estimate
 from holcus.optimize import (
     OptimizationError,
     OptimizerConfig,
@@ -13,7 +18,9 @@ from holcus.optimize import (
     trace_to_csv,
     train_qaoa,
 )
+from holcus.qaoa import QaoaParams, build_ansatz
 from holcus.qubo_ising import qubo_to_ising, random_qubo
+from holcus.statevector import derive_seed
 
 
 class TestNelderMead:
@@ -108,6 +115,45 @@ class TestTrainQaoa:
         assert t_holcus.total_circuits <= 12 * 2
         assert t_had.total_circuits == M * (t_had.total_circuits // M)
         assert t_had.total_circuits > t_holcus.total_circuits
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_restart_zero_trains(self, p):
+        # Every vertex of an axis-aligned simplex around zero angles has the
+        # uniform-state value, which would stop training after 2p + 1 evaluations.
+        model = qubo_to_ising(random_qubo(4, 3))
+        trace = train_qaoa(model, p, self.est, OptimizerConfig(max_evals=40, restarts=1))
+        assert len(trace.evaluations) > 2 * p + 1
+        assert trace.best_value < model.offset
+        assert np.array_equal(trace.evaluations[0][0], np.zeros(2 * p))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        shots=st.sampled_from([EXACT, 64]),
+        n=st.integers(2, 4),
+        p=st.integers(1, 2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_trace_values_equal_fresh_estimates(self, method, shots, n, p, seed):
+        model = qubo_to_ising(random_qubo(n, seed))
+        est = EstimatorConfig(method=method, shots=shots, seed=seed)
+        trace = train_qaoa(model, p, est, OptimizerConfig(max_evals=6, restarts=1, seed=seed))
+        for k, (vec, value, _) in enumerate(trace.evaluations):
+            cfg = est if shots is EXACT else replace(est, seed=derive_seed(seed, 0, k))
+            assert estimate(build_ansatz(model, QaoaParams.from_vector(vec)), model, cfg).value == value
+
+    def test_model_work_runs_once_per_call(self, monkeypatch):
+        calls = {"from_ising": 0, "build_prep_unitaries": 0}
+        for name in calls:
+
+            def counted(*args, _real=getattr(holcus.estimators, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(holcus.estimators, name, counted)
+        trace = train_qaoa(self.model, 1, self.est, OptimizerConfig(max_evals=10, restarts=2))
+        assert len(trace.evaluations) > 1
+        assert calls == {"from_ising": 1, "build_prep_unitaries": 1}
 
     def test_best_value_is_min_of_trace(self):
         trace = train_qaoa(self.model, 1, self.est, OptimizerConfig(max_evals=25, restarts=1))
