@@ -71,9 +71,10 @@ def _collect_overrides(args) -> dict:
         over["p_values"] = tuple(args.p)
     if args.instances is not None:
         over["instances_per_n"] = args.instances
+    file_exact = over.pop("exact", False)
     if args.shots is not None:
         over["shots"] = args.shots
-    if args.exact or over.pop("exact", False):
+    if args.exact or (file_exact and args.shots is None):
         over["shots"] = None
     if args.restarts is not None:
         over["restarts"] = args.restarts

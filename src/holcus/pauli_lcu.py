@@ -191,9 +191,9 @@ def build_select_circuit(dec: LcuDecomposition, register_map: dict[str, range]) 
             if "hadamard" not in register_map:
                 raise ValueError("dense layout needs a hadamard register for the slot-0 control")
             controls.append((register_map["hadamard"][0], CLOSED))
-        targets = [state[q] for q in pauli.support]
         if max(pauli.support) >= len(state):
             raise ValueError(f"state register too small for {pauli}")
+        targets = [state[q] for q in pauli.support]
         gates.append(dense(pauli.local_matrix(), targets, controls))
     return Circuit(num_qubits, tuple(gates), dict(register_map))
 

@@ -5,9 +5,10 @@ Qubit 0 is the least-significant bit of the basis index; bitstrings are
 rendered most-significant-qubit-first, so basis index 2 on two qubits is
 the string "10" (qubit 1 set, qubit 0 clear).
 
-Gate application works on strided index blocks (gather, multiply by the
-k-qubit matrix, scatter), which is O(2^n * 2^k) per gate and never builds
-a 2^n x 2^n operator.
+Gate application works on a (2,)*n view of the amplitudes: the control
+axes are fixed by basic indexing, the target axes are moved to the front,
+and one 2^k x 2^k matrix product updates the block in place. That is
+O(2^n * 2^k) per gate and never builds a 2^n x 2^n operator.
 """
 
 from __future__ import annotations
@@ -94,16 +95,6 @@ def _check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
         raise UnitarityError(f"matrix is not unitary (deviation {err:.2e})")
 
 
-def _base_indices(num_qubits: int, targets: tuple[int, ...]) -> np.ndarray:
-    """All basis indices with 0 on every target bit, one per free-bit pattern."""
-    free = [q for q in range(num_qubits) if q not in targets]
-    pattern = np.arange(1 << len(free), dtype=np.intp)
-    base = np.zeros_like(pattern)
-    for pos, q in enumerate(free):
-        base |= ((pattern >> pos) & 1) << q
-    return base
-
-
 def apply_unitary(
     state: StateVector,
     matrix: np.ndarray,
@@ -126,6 +117,8 @@ def apply_unitary(
     if len(set(targets)) != k:
         raise ValueError(f"duplicate target qubits in {targets}")
     control_qubits = tuple(q for q, _ in controls)
+    if len(set(control_qubits)) != len(control_qubits):
+        raise ValueError(f"duplicate control qubits in {control_qubits}")
     if set(targets) & set(control_qubits):
         raise ValueError(f"targets {targets} overlap controls {control_qubits}")
     for q in targets + control_qubits:
@@ -140,17 +133,13 @@ def apply_unitary(
     if validate:
         _check_unitary(matrix)
 
-    base = _base_indices(n, targets)
-    for q, v in controls:
-        base = base[((base >> q) & 1) == v]
-    if base.size == 0:
-        return state
-    offsets = np.zeros(1 << k, dtype=np.intp)
-    sub = np.arange(1 << k, dtype=np.intp)
-    for j, q in enumerate(targets):
-        offsets |= ((sub >> j) & 1) << q
-    idx = offsets[:, None] + base[None, :]
-    state.amplitudes[idx] = matrix @ state.amplitudes[idx]
+    # Axis n-1-q of the reshaped view is qubit q. Controls go first so that
+    # indexing them leaves the targets in front, most significant first,
+    # which makes bit j of the matrix index targets[j].
+    moved = [n - 1 - q for q in control_qubits + targets[::-1]]
+    tensor = np.moveaxis(state.amplitudes.reshape((2,) * n), moved, range(len(moved)))
+    block = tensor[tuple(int(v) for _, v in controls) + (...,)]
+    block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
     return state
 
 

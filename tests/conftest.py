@@ -2,7 +2,7 @@
 
 Everything here recomputes expected values along an independent route:
 full matrices come from explicit basis-state enumeration (never from the
-package's strided kernels), rotations from scipy's expm (never from the
+package's gate kernel), rotations from scipy's expm (never from the
 package's closed forms), and Hamiltonians from Kronecker products.
 """
 

@@ -1,5 +1,7 @@
 """Benchmark harness, CSV plumbing, aggregation, plot data, and the CLI."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from holcus.bench import (
     record_to_csv_row,
     run_experiment,
 )
-from holcus.cli import main
+from holcus.cli import _add_run_flags, _collect_overrides, main
 from holcus.optimize import OptimizationError
 
 
@@ -234,3 +236,15 @@ class TestCli:
         rc = main(["single", "--config", str(cfg_file)])
         assert rc == 0
         assert len(read_records(out)) == 1
+
+    @pytest.mark.parametrize(
+        "flags, shots",
+        [([], None), (["--shots", "500"], 500), (["--exact"], None), (["--shots", "500", "--exact"], None)],
+    )
+    def test_flags_override_file_exact(self, tmp_path, flags, shots):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("exact = true\nshots = 64\n")
+        parser = argparse.ArgumentParser()
+        _add_run_flags(parser)
+        over = _collect_overrides(parser.parse_args(["--config", str(cfg_file), *flags]))
+        assert over == {"shots": shots}

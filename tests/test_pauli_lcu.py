@@ -16,7 +16,7 @@ from holcus.pauli_lcu import (
     group_by_coefficient,
     inverted,
 )
-from holcus.qubo_ising import IsingModel
+from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import new_basis_state
 
 
@@ -161,6 +161,11 @@ class TestSelectCircuit:
         dec = from_ising(ising(3, [1.0, 1.0, 1.0], {(0, 1): 1.0, (0, 2): 1.0}))
         with pytest.raises(ValueError):
             build_select_circuit(dec, {"state": range(0, 3), "lcu_ancilla": range(3, 4)})
+
+    def test_state_register_too_small(self):
+        dec = from_ising(qubo_to_ising(random_qubo(4, 1)))
+        with pytest.raises(ValueError, match="state register too small"):
+            build_select_circuit(dec, make_register_map(2, dec.num_ancillas))
 
     @pytest.mark.parametrize("layout", ["shifted", "dense"])
     def test_full_lcu_block_reproduces_operator(self, layout, rng):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import PAULI, pauli_full_matrix, random_prep_circuit
+from conftest import PAULI, embed_full_matrix, pauli_full_matrix, random_prep_circuit
 from holcus.circuit import run
 from holcus.statevector import (
     CLOSED,
@@ -80,6 +82,32 @@ class TestApplyUnitary:
         sv = new_basis_state(2)
         with pytest.raises(ValueError):
             apply_unitary(sv, X, [0], [(0, CLOSED)])
+
+    @pytest.mark.parametrize("polarities", [(CLOSED, CLOSED), (OPEN, CLOSED)])
+    def test_duplicate_controls_rejected(self, polarities):
+        sv = new_basis_state(2)
+        with pytest.raises(ValueError, match="duplicate control"):
+            apply_unitary(sv, X, [0], [(1, v) for v in polarities])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6))
+    def test_matches_full_matrix_oracle(self, data, n):
+        k = data.draw(st.integers(1, min(3, n)))
+        qubits = data.draw(st.permutations(range(n)))
+        c = data.draw(st.integers(0, min(3, n - k)))
+        targets = qubits[:k]
+        controls = [(q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in qubits[k : k + c]]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        local, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        sv = new_basis_state(n)
+        amps = sv.amplitudes
+        amps[:] = psi
+        assert apply_unitary(sv, local, targets, controls) is sv
+        assert sv.amplitudes is amps
+        expected = embed_full_matrix(local, targets, controls, n) @ psi
+        assert np.allclose(amps, expected, rtol=0, atol=1e-12)
 
     def test_non_unitary_rejected_under_validation(self):
         sv = new_basis_state(1)
