@@ -13,7 +13,6 @@ from .circuit import (
     Gate,
     ResourceReport,
     add_control,
-    append,
     circuit_from_text,
     circuit_to_text,
     resource_report,

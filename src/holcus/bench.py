@@ -48,6 +48,14 @@ class ExperimentConfig:
             raise ValueError("instances_per_n must be >= 1")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
+        if any(p < 1 for p in self.p_values):
+            raise ValueError(f"every p must be >= 1, got {self.p_values}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        # The configs every cell builds, checked once before any record is written.
+        for method in self.methods:
+            EstimatorConfig(method=method, shots=self.shots)
+        OptimizerConfig(max_evals=self.max_evals, restarts=self.restarts)
 
 
 def exp1_config(**overrides) -> ExperimentConfig:

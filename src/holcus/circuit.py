@@ -4,8 +4,7 @@ Gates are named kinds with radian parameters plus a DENSE escape hatch for
 explicit unitaries. Every gate may carry multi-controls with open/closed
 polarity. Circuits are immutable and carry an optional register map naming
 contiguous qubit spans. Builders collect a gate list and construct the
-Circuit once, which checks every gate's qubits in one pass; append copies
-the whole gate tuple, so chaining it costs O(G^2) for G gates.
+Circuit once, which checks every gate's qubits in one pass.
 
 Rotation conventions: EXP_Z(phi) = e^{i phi Z}, EXP_X(phi) = e^{i phi X},
 EXP_ZZ(phi) = e^{i phi Z (x) Z}. These are the evolution operators directly,
@@ -165,12 +164,6 @@ def _check_gate_range(gate: Gate, num_qubits: int) -> None:
             raise ValueError(f"gate qubit {q} out of range for {num_qubits}-qubit circuit")
 
 
-def append(circuit: Circuit, gate: Gate) -> Circuit:
-    """New circuit with the gate appended."""
-    _check_gate_range(gate, circuit.num_qubits)
-    return replace(circuit, gates=circuit.gates + (gate,))
-
-
 def add_control(circuit: Circuit, control_qubit: int, polarity: int = CLOSED) -> Circuit:
     """Every gate acquires an extra control on control_qubit.
 
@@ -268,7 +261,7 @@ def circuit_to_text(circuit: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("qubits "):
         raise ValueError("circuit text must start with a 'qubits <n>' line")
     num_qubits = int(lines[0].split()[1])

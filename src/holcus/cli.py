@@ -124,15 +124,17 @@ def main(argv=None) -> int:
         print(f"wrote {args.out}")
         return 0
 
-    over = _collect_overrides(args)
-    if args.command == "exp1":
-        cfg = exp1_config(**over)
-    elif args.command == "exp2":
-        cfg = exp2_config(**over)
-    else:
-        single = dict(experiment="single", n_min=4, n_max=4, p_values=(1,), instances_per_n=1, methods=("holcus",))
-        single.update(over)
-        cfg = ExperimentConfig(**single)
+    try:
+        over = _collect_overrides(args)
+        if args.command == "exp1":
+            cfg = exp1_config(**over)
+        elif args.command == "exp2":
+            cfg = exp2_config(**over)
+        else:
+            single = dict(experiment="single", n_min=4, n_max=4, p_values=(1,), instances_per_n=1)
+            cfg = ExperimentConfig(**{**single, "methods": ("holcus",), **over})
+    except ValueError as exc:
+        parser.error(str(exc))
     records = run_experiment(cfg, progress=_progress)
     errored = sum(1 for r in records if r.error)
     print(f"{len(records) - errored} records written to {cfg.output_path}" + (f" ({errored} errored)" if errored else ""))

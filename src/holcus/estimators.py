@@ -13,17 +13,21 @@ and return an EstimateResult:
 Every method is first compiled, once per model, to an EstimatorPlan
 (compile_plan): the constant offset plus one Measurement per circuit, which
 holds the gates before and after the state preparation, the register, the
-measured qubit and its scale. The LCU decomposition, coefficient groups,
-prepare unitaries and select stage are built there. One executor (run_plan)
-then splices each new state preparation into every measurement, runs it and
-reads P(0); estimate() is the two in sequence. The public circuit builders
-use the same measurement builders, so they return exactly the executed
-circuits.
+measured qubits and a diagonal observable over their outcomes. A Hadamard
+test or combined circuit measures its top qubit with values [scale, -scale],
+whose mean is scale * (2 P(0) - 1); raw measures every state qubit with the
+basis-state energies. The LCU decomposition, coefficient groups, prepare
+unitaries and select stage are built there. One executor (run_plan) then
+splices each new state preparation into every measurement, runs it and reads
+the observable's mean; estimate() is the two in sequence. The public circuit
+builders use the same measurement builders, so they return exactly the
+executed circuits.
 
 Exact mode (shots=EXACT) reads marginal probabilities analytically, which
 separates method error from shot noise; finite mode draws seeded multinomial
-samples of the measured qubit. Imaginary-part estimates (the S-dagger
-pathway) omit the real constant offset.
+samples of the measured qubits. Imaginary-part estimates (the S-dagger
+pathway) omit the real constant offset; raw has no interference circuit and
+reads the real part only.
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ from .pauli_lcu import (
     group_by_coefficient,
     inverted,
 )
-from .qubo_ising import IsingModel
-from .statevector import StateVector, derive_seed, marginal_probabilities, sample_counts
+from .qubo_ising import IsingModel, ising_energies
+from .statevector import StateVector, derive_seed, marginal_vector, multinomial_draw
 
 EXACT = None
 REAL = "real"
@@ -82,6 +86,8 @@ class EstimatorConfig:
             raise ValueError(f"shots must be >= 1 or EXACT, got {self.shots}")
         if self.part not in (REAL, IMAGINARY):
             raise ValueError(f"part must be {REAL!r} or {IMAGINARY!r}")
+        if self.method == "raw" and self.part == IMAGINARY:
+            raise ValueError("raw samples the Z basis and has no imaginary part to read")
 
     @property
     def exact(self) -> bool:
@@ -101,14 +107,15 @@ class EstimateResult:
 @dataclass(frozen=True)
 class Measurement:
     """One circuit of a plan: head + prep gates + tail on `width` qubits, read
-    out as scale * (2 P(0) - 1) on `qubit` (None: the full register, raw)."""
+    out as the mean of values[i] over outcomes i of `qubits` (qubits[0] is the
+    most significant bit of i)."""
 
     head: tuple[Gate, ...]
     tail: tuple[Gate, ...]
     width: int
     register_map: dict[str, range]
-    qubit: int | None
-    scale: float
+    qubits: tuple[int, ...]
+    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,6 @@ class EstimatorPlan:
     num_state_qubits: int
     offset: float
     measurements: tuple[Measurement, ...]
-    energies: np.ndarray | None  # raw only: the spin energy of every basis state
 
     @property
     def max_qubits(self) -> int:
@@ -137,7 +143,8 @@ def _hadamard_measurement(n: int, unitary: PauliString, part: str, scale: float)
     if unitary.ops:
         tail.append(dense(unitary.local_matrix(), unitary.support, [(anc, CLOSED)]))
     tail.append(h(anc))
-    return Measurement((), tuple(tail), n + 1, make_register_map(n, 0, hadamard=True), anc, scale)
+    reg = make_register_map(n, 0, hadamard=True)
+    return Measurement((), tuple(tail), n + 1, reg, (anc,), np.array([scale, -scale]))
 
 
 def hadamard_test_circuit(prep: Circuit, unitary: PauliString, part: str = REAL) -> Circuit:
@@ -182,7 +189,7 @@ def _holcus_measurement(
         head.append(dense(v, anc, [(hq, CLOSED)]))
         unprep = [dense(v_hat.conj().T, anc, [(hq, CLOSED)])]
     tail = [*build_select_circuit(dec, reg).gates, *unprep, h(hq)]
-    return Measurement(tuple(head), tuple(tail), n + m + 1, reg, hq, scale)
+    return Measurement(tuple(head), tuple(tail), n + m + 1, reg, (hq,), np.array([scale, -scale]))
 
 
 def holcus_circuit(
@@ -225,13 +232,9 @@ def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
     and grouping tolerance, never on shots or seed."""
     n = model.n
     if cfg.method == "raw":
-        idx = np.arange(1 << n)
-        spins = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1)
-        energies = model.offset + spins @ model.h
-        for (i, j), c in model.J.items():
-            energies = energies + c * spins[:, i] * spins[:, j]
-        meas = Measurement((), (), n, make_register_map(n, 0, hadamard=False), None, 1.0)
-        return EstimatorPlan(n, 0.0, (meas,), energies)
+        reg = make_register_map(n, 0, hadamard=False)
+        meas = Measurement((), (), n, reg, tuple(range(n - 1, -1, -1)), ising_energies(model))
+        return EstimatorPlan(n, 0.0, (meas,))
     dec = from_ising(model)
     if cfg.method == "hadamard":
         measurements = [
@@ -244,45 +247,27 @@ def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
         groups = group_by_coefficient(dec, cfg.grouping_tol)
         measurements = [_group_measurement(n, dec, g, cfg.part) for g in groups]
     offset = model.offset if cfg.part == REAL else 0.0
-    return EstimatorPlan(n, offset, tuple(measurements), None)
+    return EstimatorPlan(n, offset, tuple(measurements))
 
 
-def _p0_readout(
+def _readout(
     state: StateVector, meas: Measurement, cfg: EstimatorConfig, k: int
 ) -> tuple[float, float]:
-    """scale * (2 P(0) - 1) on the measured qubit, and its variance. P(0) is
-    analytic in exact mode and sampled with derive_seed(cfg.seed, k) otherwise."""
-    dist = marginal_probabilities(state, [meas.qubit])
-    p0 = dist.probabilities.get("0", 0.0)
+    """The mean of meas.values over the marginal of meas.qubits, and the
+    variance of that mean. The marginal is exact in exact mode and a draw
+    seeded with derive_seed(cfg.seed, k) otherwise."""
+    probs = marginal_vector(state, meas.qubits)
     if cfg.exact:
-        return meas.scale * (2.0 * p0 - 1.0), 0.0
-    counts = sample_counts(dist, cfg.shots, derive_seed(cfg.seed, k))
-    p0 = counts.counts.get("0", 0) / cfg.shots
-    return meas.scale * (2.0 * p0 - 1.0), (2.0 * meas.scale) ** 2 * p0 * (1.0 - p0) / cfg.shots
-
-
-def _energy_readout(
-    state: StateVector, energies: np.ndarray, cfg: EstimatorConfig, k: int
-) -> tuple[float, float]:
-    """raw's statistic: the mean spin energy over the full register, and the
-    variance of that mean."""
-    if cfg.exact:
-        return np.abs(state.amplitudes) ** 2 @ energies, 0.0
-    counts = sample_counts(marginal_probabilities(state), cfg.shots, derive_seed(cfg.seed, k))
-    total = 0.0
-    total_sq = 0.0
-    for key, c in counts.counts.items():
-        e = energies[int(key, 2)]
-        total += c * e
-        total_sq += c * e * e
-    mean = total / cfg.shots
-    return mean, max(total_sq / cfg.shots - mean * mean, 0.0) / cfg.shots
+        return probs @ meas.values, 0.0
+    freqs = multinomial_draw(probs, cfg.shots, derive_seed(cfg.seed, k)) / cfg.shots
+    mean = freqs @ meas.values
+    return mean, freqs @ (meas.values - mean) ** 2 / cfg.shots
 
 
 def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> EstimateResult:
-    """Run every measurement of the plan with prep spliced in:
-    value = offset + sum_k scale_k (2 P_k(0) - 1). In finite mode circuit k
-    samples with derive_seed(cfg.seed, k)."""
+    """Run every measurement of the plan with prep spliced in: value =
+    offset + the sum of each circuit's mean observable. In finite mode circuit
+    k samples with derive_seed(cfg.seed, k)."""
     if prep.num_qubits != plan.num_state_qubits:
         raise ValueError(
             f"prep has {prep.num_qubits} qubits, the plan's model has {plan.num_state_qubits}"
@@ -293,10 +278,7 @@ def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> Estima
     for k, meas in enumerate(plan.measurements):
         circ = _assemble(meas, prep)
         reports.append(resource_report(circ))
-        if plan.energies is None:
-            term, var = _p0_readout(run(circ), meas, cfg, k)
-        else:
-            term, var = _energy_readout(run(circ), plan.energies, cfg, k)
+        term, var = _readout(run(circ), meas, cfg, k)
         value += term
         variance += var
     circuits = len(plan.measurements)

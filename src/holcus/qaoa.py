@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, exp_x, exp_z, exp_zz, h, run
-from .qubo_ising import IsingModel
-from .statevector import MAX_QUBITS, CapacityError, pauli_expectation
+from .qubo_ising import IsingModel, ising_energies
+from .statevector import MAX_QUBITS, CapacityError
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,9 @@ def build_ansatz(model: IsingModel, params: QaoaParams) -> Circuit:
 
 
 def exact_expectation(model: IsingModel, params: QaoaParams) -> float:
-    """<psi|H_P|psi> on the ansatz output, term by term, with no sampling."""
+    """<psi|H_P|psi> on the ansatz output: the basis-state probabilities
+    against the model's energies, with no sampling."""
     if model.n > MAX_QUBITS:
         raise CapacityError(f"n = {model.n} exceeds simulator capacity {MAX_QUBITS}")
     state = run(build_ansatz(model, params))
-    value = model.offset
-    for i in range(model.n):
-        if model.h[i] != 0.0:
-            value += model.h[i] * pauli_expectation(state, {i: "Z"}).real
-    for (i, j), c in model.J.items():
-        if c != 0.0:
-            value += c * pauli_expectation(state, {i: "Z", j: "Z"}).real
-    return float(value)
+    return float(np.abs(state.amplitudes) ** 2 @ ising_energies(model))

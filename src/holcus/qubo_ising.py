@@ -110,8 +110,20 @@ def ising_energy(m: IsingModel, z) -> float:
     return float(e)
 
 
-def spins_from_bits(bits: np.ndarray) -> np.ndarray:
-    return 1.0 - 2.0 * np.asarray(bits, dtype=float)
+def ising_energies(m: IsingModel) -> np.ndarray:
+    """ising_energy of every basis state, indexed by basis index (z_i = +1
+    when bit i is clear). Built one 2^n vector per term: Z_i and Z_i Z_j are
+    the parity of the basis index masked to their qubits."""
+    if m.n > BRUTE_FORCE_GUARD:
+        raise CapacityError(f"n = {m.n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
+    idx = np.arange(1 << m.n)
+    energies = np.full(1 << m.n, float(m.offset))
+    fields = [(1 << i, c) for i, c in enumerate(m.h)]
+    couplings = [((1 << i) | (1 << j), c) for (i, j), c in m.J.items()]
+    for mask, c in fields + couplings:
+        if c != 0.0:
+            energies += c * (1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1))
+    return energies
 
 
 def bitstring_from_index(index: int, n: int) -> str:

@@ -143,11 +143,10 @@ def apply_unitary(
     return state
 
 
-def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ...] | None = None) -> OutcomeDistribution:
-    """Marginal distribution over the given qubits (default: all, MSB-first)."""
+def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:
+    """Marginal probabilities over the given qubits as a 2^k array: bit k-1-j
+    of the outcome index is qubits[j], so qubits[0] is the most significant."""
     n = state.num_qubits
-    if qubits is None:
-        qubits = tuple(range(n - 1, -1, -1))
     qubits = tuple(qubits)
     if len(qubits) == 0:
         raise ValueError("qubit list must be non-empty")
@@ -156,9 +155,8 @@ def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ..
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-    probs = np.abs(state.amplitudes) ** 2
     # Axis n-1-q of the reshaped tensor corresponds to qubit q.
-    tensor = probs.reshape([2] * n)
+    tensor = (np.abs(state.amplitudes) ** 2).reshape([2] * n)
     keep_axes = [n - 1 - q for q in qubits]
     drop_axes = tuple(ax for ax in range(n) if ax not in keep_axes)
     if drop_axes:
@@ -167,24 +165,33 @@ def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ..
     # order; permute so that axis j corresponds to qubits[j].
     remaining = sorted(keep_axes)
     tensor = np.moveaxis(tensor, [remaining.index(ax) for ax in keep_axes], range(len(qubits)))
-    flat = tensor.reshape(-1)
-    out: dict[str, float] = {}
+    return tensor.reshape(-1)
+
+
+def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ...] | None = None) -> OutcomeDistribution:
+    """Marginal distribution over the given qubits (default: all, MSB-first),
+    keyed by outcome bitstring; zero-probability outcomes are left out."""
+    if qubits is None:
+        qubits = range(state.num_qubits - 1, -1, -1)
+    qubits = tuple(qubits)
     width = len(qubits)
-    for i, p in enumerate(flat):
-        if p > 0.0:
-            out[format(i, f"0{width}b")] = float(p)
-    return OutcomeDistribution(qubits, out)
+    flat = marginal_vector(state, qubits).tolist()
+    return OutcomeDistribution(qubits, {format(i, f"0{width}b"): p for i, p in enumerate(flat) if p > 0.0})
+
+
+def multinomial_draw(probs, shots: int, seed: int) -> np.ndarray:
+    """Seeded multinomial counts over the entries of probs, renormalised;
+    zero entries draw nothing and leave the stream of the others unchanged."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    pvals = np.asarray(probs, dtype=float)
+    return np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
 
 
 def sample_counts(distribution: OutcomeDistribution, shots: int, seed: int) -> ShotCounts:
     """Multinomial draw from a distribution; deterministic for a given seed."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     keys = sorted(distribution.probabilities)
-    pvals = np.array([distribution.probabilities[k] for k in keys], dtype=float)
-    pvals = pvals / pvals.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, pvals)
+    draws = multinomial_draw([distribution.probabilities[k] for k in keys], shots, seed)
     counts = {k: int(c) for k, c in zip(keys, draws) if c > 0}
     return ShotCounts(distribution.qubit_indices, counts, shots, seed)
 

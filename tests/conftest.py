@@ -105,32 +105,32 @@ def lcu_dense_matrix(dec, n: int) -> np.ndarray:
 
 def random_prep_circuit(n: int, rng: np.random.Generator, depth: int = 12) -> Circuit:
     """Random single/two-qubit gate sequence over the IR's named kinds."""
-    from holcus.circuit import append, exp_x, exp_z, exp_zz, h, s, s_dagger, swap, x
+    from holcus.circuit import exp_x, exp_z, exp_zz, h, s, s_dagger, swap, x
 
-    circ = Circuit(n)
+    gates = []
     for _ in range(depth):
         choice = rng.integers(0, 8)
         q = int(rng.integers(0, n))
         if choice == 0:
-            circ = append(circ, h(q))
+            gates.append(h(q))
         elif choice == 1:
-            circ = append(circ, x(q))
+            gates.append(x(q))
         elif choice == 2:
-            circ = append(circ, s(q))
+            gates.append(s(q))
         elif choice == 3:
-            circ = append(circ, s_dagger(q))
+            gates.append(s_dagger(q))
         elif choice == 4:
-            circ = append(circ, exp_x(float(rng.uniform(-np.pi, np.pi)), q))
+            gates.append(exp_x(float(rng.uniform(-np.pi, np.pi)), q))
         elif choice == 5:
-            circ = append(circ, exp_z(float(rng.uniform(-np.pi, np.pi)), q))
+            gates.append(exp_z(float(rng.uniform(-np.pi, np.pi)), q))
         elif n >= 2:
             q2 = int(rng.integers(0, n - 1))
             q2 = q2 if q2 != q else n - 1
             if choice == 6:
-                circ = append(circ, exp_zz(float(rng.uniform(-np.pi, np.pi)), q, q2))
+                gates.append(exp_zz(float(rng.uniform(-np.pi, np.pi)), q, q2))
             else:
-                circ = append(circ, swap(q, q2))
-    return circ
+                gates.append(swap(q, q2))
+    return Circuit(n, tuple(gates))
 
 
 @pytest.fixture

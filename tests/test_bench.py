@@ -93,6 +93,24 @@ class TestRunExperiment:
         assert read_records(cfg.output_path) == records
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"master_seed": -1},
+            {"methods": ("holcsu",)},
+            {"restarts": 0},
+            {"p_values": (0,)},
+            {"shots": 0},
+        ],
+        ids=["master_seed", "methods", "restarts", "p_values", "shots"],
+    )
+    def test_bad_value_rejected_before_any_record(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            tiny_config(tmp_path, **bad)
+        assert not (tmp_path / "bench.csv").exists()
+
+
 class TestRecordCsv:
     def test_round_trip(self):
         rec = BenchmarkRecord(4, 2, 123, "holcus", 0.5, -1.25, -1.25, -2.0, 36, 0, 9, "")
@@ -236,6 +254,27 @@ class TestCli:
         rc = main(["single", "--config", str(cfg_file)])
         assert rc == 0
         assert len(read_records(out)) == 1
+
+    @pytest.mark.parametrize(
+        "flags, file_text",
+        [
+            (["--seed", "-1"], ""),
+            (["--restarts", "0"], ""),
+            (["--p", "0"], ""),
+            (["--shots", "0"], ""),
+            ([], "methods = holcsu\n"),
+        ],
+        ids=["seed", "restarts", "p", "shots", "file_methods"],
+    )
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, flags, file_text):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(file_text)
+        out = tmp_path / "bad.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["single", "--config", str(cfg_file), "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, shots",

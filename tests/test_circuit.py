@@ -10,7 +10,6 @@ from holcus.circuit import (
     Circuit,
     Gate,
     add_control,
-    append,
     circuit_from_text,
     circuit_to_text,
     dense,
@@ -29,25 +28,6 @@ from holcus.pauli_lcu import build_uniform_prep_circuit, from_ising
 from holcus.qaoa import QaoaParams, build_ansatz
 from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import new_basis_state
-
-
-class TestAppend:
-    def test_single_gate(self):
-        circ = append(Circuit(2), h(0))
-        assert circ.gate_count == 1
-
-    def test_order_preserved(self):
-        hx = append(append(Circuit(1), h(0)), x(0))
-        xh = append(append(Circuit(1), x(0)), h(0))
-        assert not np.allclose(run(hx).amplitudes, run(xh).amplitudes)
-
-    def test_target_equals_control_rejected(self):
-        with pytest.raises(ValueError):
-            append(Circuit(2), Gate("X", (0,), controls=((0, CLOSED),)))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            append(Circuit(2), h(2))
 
 
 class TestBuildCost:
@@ -69,12 +49,12 @@ class TestBuildCost:
 
 class TestAddControl:
     def test_control_off_is_identity(self):
-        circ = add_control(append(Circuit(2), h(0)), 1)
+        circ = add_control(Circuit(2, (h(0),)), 1)
         out = run(circ, new_basis_state(2, 0))
         assert np.allclose(out.amplitudes, new_basis_state(2, 0).amplitudes)
 
     def test_control_on_applies(self):
-        circ = add_control(append(Circuit(2), x(0)), 1)
+        circ = add_control(Circuit(2, (x(0),)), 1)
         out = run(circ, new_basis_state(2, 0b10))
         assert np.argmax(np.abs(out.amplitudes)) == 0b11
 
@@ -106,16 +86,13 @@ class TestAddControl:
 
     def test_used_qubit_rejected(self):
         with pytest.raises(ValueError):
-            add_control(append(Circuit(2), h(0)), 0)
+            add_control(Circuit(2, (h(0),)), 0)
 
 
 class TestRun:
     def test_hadamard_test_of_z_on_zero(self):
         # ancilla = qubit 1, state = qubit 0 in |0>; U = Z gives P(0) = 1
-        circ = Circuit(2)
-        circ = append(circ, h(1))
-        circ = append(circ, dense(np.diag([1, -1]).astype(complex), [0], [(1, CLOSED)]))
-        circ = append(circ, h(1))
+        circ = Circuit(2, (h(1), dense(np.diag([1, -1]).astype(complex), [0], [(1, CLOSED)]), h(1)))
         out = run(circ)
         p0 = abs(out.amplitudes[0b00]) ** 2 + abs(out.amplitudes[0b01]) ** 2
         assert p0 == pytest.approx(1.0, abs=1e-12)
@@ -128,7 +105,7 @@ class TestRun:
         assert np.allclose(run(Circuit(2), init).amplitudes, amps)
 
     def test_exp_z_eigenvalue_on_one(self):
-        circ = append(Circuit(1), exp_z(0.7, 0))
+        circ = Circuit(1, (exp_z(0.7, 0),))
         out = run(circ, new_basis_state(1, 1))
         assert out.amplitudes[1] == pytest.approx(np.exp(-0.7j), abs=1e-14)
 
@@ -164,7 +141,7 @@ class TestResourceReport:
         assert r.qubit_count == 3
 
     def test_disjoint_gates_share_depth(self):
-        circ = append(append(Circuit(2), h(0)), x(1))
+        circ = Circuit(2, (h(0), x(1)))
         r = resource_report(circ)
         assert r.gate_count == 2
         assert r.logical_depth == 1
@@ -205,6 +182,10 @@ class TestSerialization:
         back = circuit_from_text(circuit_to_text(circ))
         assert back.register_map == circ.register_map
 
+    def test_indented_comment_skipped(self):
+        back = circuit_from_text("qubits 2\n  # note\nH t=0\n")
+        assert back == Circuit(2, (h(0),))
+
 
 class TestGateValidation:
     def test_wrong_arity(self):
@@ -218,6 +199,14 @@ class TestGateValidation:
     def test_dense_shape_mismatch(self):
         with pytest.raises(ValueError):
             dense(np.eye(4), [0])
+
+    def test_target_equals_control_rejected(self):
+        with pytest.raises(ValueError):
+            Gate("X", (0,), controls=((0, CLOSED),))
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError):
+            Circuit(2, (h(2),))
 
     def test_register_spans_must_be_disjoint(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from holcus.circuit import Circuit, run
 from holcus.estimators import (
     EXACT,
     IMAGINARY,
+    REAL,
     EstimatorConfig,
     compile_plan,
     estimate,
@@ -20,7 +21,7 @@ from holcus.estimators import (
 from holcus.pauli_lcu import PauliString, from_ising, group_by_coefficient
 from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
-from holcus.statevector import marginal_probabilities
+from holcus.statevector import derive_seed, marginal_probabilities, sample_counts
 
 
 def model_of(n, h, J, offset=0.0):
@@ -45,9 +46,9 @@ class TestHadamardTestCircuit:
         assert 2 * p0 - 1 == pytest.approx(1.0, abs=1e-12)
 
     def test_z_on_plus_state(self):
-        from holcus.circuit import append, h
+        from holcus.circuit import h
 
-        prep = append(Circuit(1), h(0))
+        prep = Circuit(1, (h(0),))
         circ = hadamard_test_circuit(prep, PauliString({0: "Z"}))
         p0 = marginal_probabilities(run(circ), [1]).probabilities.get("0", 0.0)
         assert 2 * p0 - 1 == pytest.approx(0.0, abs=1e-12)
@@ -125,10 +126,10 @@ class TestExactModeAgreement:
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_raw_on_basis_state_has_energy_of_that_state(self):
-        from holcus.circuit import append, x
+        from holcus.circuit import x
 
         model = model_of(2, [0.5, -0.25], {(0, 1): 1.5}, offset=0.3)
-        prep = append(Circuit(2), x(0))  # |01> -> z = (-1, +1)
+        prep = Circuit(2, (x(0),))  # |01> -> z = (-1, +1)
         res = estimate(prep, model, EstimatorConfig(method="raw"))
         expected = 0.3 + 0.5 * (-1) + (-0.25) * (+1) + 1.5 * (-1) * (+1)
         assert res.value == pytest.approx(expected, abs=1e-12)
@@ -250,6 +251,30 @@ class TestShotMode:
         assert res.value == pytest.approx(want, abs=6 * res.std_error + 1e-12)
         assert res.std_error > 0
 
+    @pytest.mark.parametrize("part", [REAL, IMAGINARY])
+    @pytest.mark.parametrize("method", ["hadamard", "holcus"])
+    def test_value_is_sum_of_seeded_p0_draws(self, method, part):
+        # Circuit k's P(0) comes from sample_counts seeded with derive_seed(seed, k).
+        model, prep, _ = random_case(913, n_lo=3, n_hi=4)
+        dec = from_ising(model)
+        n, shots, seed = model.n, 1000, 29
+        if method == "hadamard":
+            circuits = [hadamard_test_circuit(prep, t.unitary, part) for t in dec.terms]
+            scales = [float(t.signed_coefficient.real) for t in dec.terms]
+            qubit = n
+        else:
+            circuits = [holcus_circuit(prep, dec, part)]
+            scales = [dec.normalization]
+            qubit = n + dec.num_ancillas
+        want = model.offset if part == REAL else 0.0
+        for k, (circ, scale) in enumerate(zip(circuits, scales)):
+            dist = marginal_probabilities(run(circ), [qubit])
+            c0 = sample_counts(dist, shots, derive_seed(seed, k)).counts.get("0", 0)
+            want += scale * (2.0 * c0 / shots - 1.0)
+        cfg = EstimatorConfig(method=method, shots=shots, seed=seed, part=part)
+        got = estimate(prep, model, cfg).value
+        assert abs(got - want) <= 1e-12 * max(dec.normalization, 1.0)
+
     def test_hermitian_imaginary_part_is_zero(self):
         for seed in (910, 911):
             model, prep, _ = random_case(seed)
@@ -257,6 +282,12 @@ class TestShotMode:
             assert res.value == pytest.approx(0.0, abs=1e-9)
             hs = estimate(prep, model, EstimatorConfig(method="hadamard", part=IMAGINARY))
             assert hs.value == pytest.approx(0.0, abs=1e-9)
+
+
+class TestEstimatorConfig:
+    def test_raw_imaginary_part_rejected(self):
+        with pytest.raises(ValueError, match="raw"):
+            EstimatorConfig(method="raw", part=IMAGINARY)
 
 
 class TestCsvRow:

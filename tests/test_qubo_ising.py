@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import ising_dense_matrix
 from holcus.qubo_ising import (
     IsingModel,
     QuboInstance,
     brute_force_min,
+    ising_energies,
     ising_energy,
     qubo_cost,
     qubo_to_ising,
@@ -103,8 +107,6 @@ class TestIsingEnergy:
         assert ising_energy(m, [1, -1]) == pytest.approx(-2.0)
 
     def test_matches_dense_diagonal(self, rng):
-        from conftest import ising_dense_matrix
-
         for _ in range(5):
             n = int(rng.integers(2, 5))
             m = IsingModel(
@@ -121,6 +123,21 @@ class TestIsingEnergy:
     def test_invalid_spins(self):
         with pytest.raises(ValueError):
             ising_energy(IsingModel(2, np.zeros(2), {}), [0, 1])
+
+
+_COEFF = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+
+class TestIsingEnergies:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), offset=st.floats(-3.0, 3.0))
+    def test_equals_dense_diagonal(self, data, n, offset):
+        h = np.array(data.draw(st.lists(_COEFF, min_size=n, max_size=n)))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        couplings = data.draw(st.lists(_COEFF, min_size=len(pairs), max_size=len(pairs)))
+        m = IsingModel(n, h, dict(zip(pairs, couplings)), offset)
+        want = np.diag(ising_dense_matrix(m)).real
+        np.testing.assert_allclose(ising_energies(m), want, rtol=0, atol=1e-12)
 
 
 class TestBruteForce:
