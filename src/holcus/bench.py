@@ -31,7 +31,6 @@ BENCH_CSV_HEADER = (
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = "single"  # exp1_compare | exp2_scaling | single
     n_min: int = 3
     n_max: int = 6
     p_values: tuple[int, ...] = (1, 2, 3)
@@ -48,6 +47,8 @@ class ExperimentConfig:
             raise ValueError("instances_per_n must be >= 1")
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
+        if not self.p_values or not self.methods:
+            raise ValueError("p_values and methods must each name at least one value")
         if any(p < 1 for p in self.p_values):
             raise ValueError(f"every p must be >= 1, got {self.p_values}")
         if self.master_seed < 0:
@@ -61,7 +62,6 @@ class ExperimentConfig:
 def exp1_config(**overrides) -> ExperimentConfig:
     """Hadamard vs single-circuit comparison grid (desk scale: n up to 7)."""
     base = dict(
-        experiment="exp1_compare",
         n_min=3,
         n_max=7,
         p_values=(1, 2, 3),
@@ -75,7 +75,6 @@ def exp1_config(**overrides) -> ExperimentConfig:
 def exp2_config(**overrides) -> ExperimentConfig:
     """Scaling grid for the single-circuit method alone (desk scale: n up to 9)."""
     base = dict(
-        experiment="exp2_scaling",
         n_min=3,
         n_max=9,
         p_values=(3,),

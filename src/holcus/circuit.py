@@ -178,7 +178,7 @@ def add_control(circuit: Circuit, control_qubit: int, polarity: int = CLOSED) ->
     return replace(circuit, gates=tuple(g.with_control(control_qubit, polarity) for g in circuit.gates))
 
 
-def run(circuit: Circuit, initial: StateVector | None = None, validate: bool = False) -> StateVector:
+def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Execute the circuit on a copy of the initial state (default |0...0>)."""
     if initial is None:
         state = new_basis_state(circuit.num_qubits)
@@ -189,7 +189,7 @@ def run(circuit: Circuit, initial: StateVector | None = None, validate: bool = F
             )
         state = initial.copy()
     for g in circuit.gates:
-        apply_unitary(state, gate_matrix(g), g.targets, g.controls, validate=validate)
+        apply_unitary(state, gate_matrix(g), g.targets, g.controls)
     return state
 
 

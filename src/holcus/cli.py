@@ -131,9 +131,9 @@ def main(argv=None) -> int:
         elif args.command == "exp2":
             cfg = exp2_config(**over)
         else:
-            single = dict(experiment="single", n_min=4, n_max=4, p_values=(1,), instances_per_n=1)
+            single = dict(n_min=4, n_max=4, p_values=(1,), instances_per_n=1)
             cfg = ExperimentConfig(**{**single, "methods": ("holcus",), **over})
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
     records = run_experiment(cfg, progress=_progress)
     errored = sum(1 for r in records if r.error)

@@ -12,16 +12,18 @@ and return an EstimateResult:
 
 Every method is first compiled, once per model, to an EstimatorPlan
 (compile_plan): the constant offset plus one Measurement per circuit, which
-holds the gates before and after the state preparation, the register, the
-measured qubits and a diagonal observable over their outcomes. A Hadamard
-test or combined circuit measures its top qubit with values [scale, -scale],
-whose mean is scale * (2 P(0) - 1); raw measures every state qubit with the
-basis-state energies. The LCU decomposition, coefficient groups, prepare
-unitaries and select stage are built there. One executor (run_plan) then
-splices each new state preparation into every measurement, runs it and reads
-the observable's mean; estimate() is the two in sequence. The public circuit
-builders use the same measurement builders, so they return exactly the
-executed circuits.
+holds the gates that follow the state preparation, the register, the measured
+qubits and a diagonal observable over their outcomes. One builder
+(_lcu_measurement) makes every interference circuit: H (and S-dagger for the
+imaginary part) on the Hadamard qubit, a controlled prepare stage, select,
+the controlled un-prepare and a final H, all on the final register. The
+Hadamard test is its one-term, zero-ancilla case, so hadamard and each
+singleton group of holcus_div use it too. The Hadamard qubit is read with
+values [scale, -scale], whose mean is scale * (2 P(0) - 1); raw measures
+every state qubit with the basis-state energies. One executor (run_plan) then
+appends each measurement to a new state preparation, runs it and reads the
+observable's mean; estimate() is the two in sequence. The public circuit
+builders use the same builder, so they return exactly the executed circuits.
 
 Exact mode (shots=EXACT) reads marginal probabilities analytically, which
 separates method error from shot noise; finite mode draws seeded multinomial
@@ -60,7 +62,6 @@ from .pauli_lcu import (
     decomposition_from_terms,
     from_ising,
     group_by_coefficient,
-    inverted,
 )
 from .qubo_ising import IsingModel, ising_energies
 from .statevector import StateVector, derive_seed, marginal_vector, multinomial_draw
@@ -84,6 +85,8 @@ class EstimatorConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.shots is not EXACT and self.shots < 1:
             raise ValueError(f"shots must be >= 1 or EXACT, got {self.shots}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.part not in (REAL, IMAGINARY):
             raise ValueError(f"part must be {REAL!r} or {IMAGINARY!r}")
         if self.method == "raw" and self.part == IMAGINARY:
@@ -106,12 +109,11 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One circuit of a plan: head + prep gates + tail on `width` qubits, read
-    out as the mean of values[i] over outcomes i of `qubits` (qubits[0] is the
-    most significant bit of i)."""
+    """One circuit of a plan: the state prep followed by `gates` on `width`
+    qubits, read out as the mean of values[i] over outcomes i of `qubits`
+    (qubits[0] is the most significant bit of i)."""
 
-    head: tuple[Gate, ...]
-    tail: tuple[Gate, ...]
+    gates: tuple[Gate, ...]
     width: int
     register_map: dict[str, range]
     qubits: tuple[int, ...]
@@ -132,64 +134,52 @@ class EstimatorPlan:
 
 
 def _assemble(meas: Measurement, prep: Circuit) -> Circuit:
-    return Circuit(meas.width, meas.head + prep.gates + meas.tail, dict(meas.register_map))
+    return Circuit(meas.width, prep.gates + meas.gates, dict(meas.register_map))
 
 
-def _hadamard_measurement(n: int, unitary: PauliString, part: str, scale: float) -> Measurement:
-    anc = n
-    tail = [h(anc)]
+def _single_term(unitary: PauliString) -> LcuDecomposition:
+    """U alone as an LCU with no ancilla: its select stage is U controlled on
+    the Hadamard qubit, which makes the LCU measurement a Hadamard test."""
+    return LcuDecomposition((LcuTerm(1.0, 0.0, unitary),), 1.0, 0, "dense", {0: 0})
+
+
+def _lcu_measurement(
+    n: int, dec: LcuDecomposition, part: str, scale: float, uniform: bool = False
+) -> Measurement:
+    """The gates that follow the state prep: H (and S-dagger for the imaginary
+    part) on the Hadamard qubit, the controlled prepare stage, select, the
+    controlled un-prepare and a final H; the Hadamard qubit reads
+    scale * (2 P(0) - 1). The prepare stage is the controlled-H ladder when
+    uniform is set, V and V_hat-dagger from build_prep_unitaries when the
+    decomposition has ancillas, and nothing when it has none."""
+    m = dec.num_ancillas
+    reg = make_register_map(n, m, hadamard=True)
+    hq = reg["hadamard"][0]
+    gates = [h(hq)]
     if part == IMAGINARY:
-        tail.append(s_dagger(anc))
-    if unitary.ops:
-        tail.append(dense(unitary.local_matrix(), unitary.support, [(anc, CLOSED)]))
-    tail.append(h(anc))
-    reg = make_register_map(n, 0, hadamard=True)
-    return Measurement((), tuple(tail), n + 1, reg, (anc,), np.array([scale, -scale]))
+        gates.append(s_dagger(hq))
+    if uniform:
+        if dec.layout != "dense" or dec.num_terms != 1 << m:
+            raise ValueError("uniform prep needs a dense layout filling every slot")
+        prepare = build_uniform_prep_circuit(m, register_map=reg).gates
+        unprepare = prepare[::-1]
+    elif m:
+        v, v_hat = build_prep_unitaries(dec)
+        prepare = (dense(v, reg["lcu_ancilla"], [(hq, CLOSED)]),)
+        unprepare = (dense(v_hat.conj().T, reg["lcu_ancilla"], [(hq, CLOSED)]),)
+    else:
+        prepare = unprepare = ()
+    gates += [*prepare, *build_select_circuit(dec, reg).gates, *unprepare, h(hq)]
+    return Measurement(tuple(gates), n + m + 1, reg, (hq,), np.array([scale, -scale]))
 
 
 def hadamard_test_circuit(prep: Circuit, unitary: PauliString, part: str = REAL) -> Circuit:
     """Interference circuit for Re or Im of <psi|U|psi> on one extra qubit.
 
     Re[<U>] = 2 P(0) - 1 on the ancilla; with the S-dagger inserted the same
-    statistic yields Im[<U>].
+    statistic yields Im[<U>]. It is the LCU measurement of U alone.
     """
-    return _assemble(_hadamard_measurement(prep.num_qubits, unitary, part, 1.0), prep)
-
-
-def _remap(gate: Gate, mapping: dict[int, int]) -> Gate:
-    return Gate(
-        gate.kind,
-        tuple(mapping[q] for q in gate.targets),
-        gate.params,
-        tuple((mapping[q], v) for q, v in gate.controls),
-        gate.matrix,
-    )
-
-
-def _holcus_measurement(
-    n: int, dec: LcuDecomposition, part: str, uniform: bool, scale: float
-) -> Measurement:
-    m = dec.num_ancillas
-    reg = make_register_map(n, m, hadamard=True)
-    hq = reg["hadamard"][0]
-    anc = reg["lcu_ancilla"]
-    head = [h(hq)]
-    if part == IMAGINARY:
-        head.append(s_dagger(hq))
-    if uniform:
-        if dec.layout != "dense" or dec.num_terms != 1 << m:
-            raise ValueError("uniform prep needs a dense layout filling every slot")
-        ladder = build_uniform_prep_circuit(m)
-        mapping = {j: anc[j] for j in range(m)}
-        mapping[m] = hq
-        head += [_remap(g, mapping) for g in ladder.gates]
-        unprep = [_remap(g, mapping) for g in inverted(ladder).gates]
-    else:
-        v, v_hat = build_prep_unitaries(dec)
-        head.append(dense(v, anc, [(hq, CLOSED)]))
-        unprep = [dense(v_hat.conj().T, anc, [(hq, CLOSED)])]
-    tail = [*build_select_circuit(dec, reg).gates, *unprep, h(hq)]
-    return Measurement(tuple(head), tuple(tail), n + m + 1, reg, (hq,), np.array([scale, -scale]))
+    return _assemble(_lcu_measurement(prep.num_qubits, _single_term(unitary), part, 1.0), prep)
 
 
 def holcus_circuit(
@@ -197,15 +187,15 @@ def holcus_circuit(
 ) -> Circuit:
     """Single combined circuit: Hadamard qubit, LCU ancillas, state register.
 
-    Stages: H (and optional S-dagger) on the Hadamard qubit, controlled
-    prepare on the ancillas, uncontrolled state prep, the select stage, the
+    Stages: the state prep, then H (and optional S-dagger) on the Hadamard
+    qubit, the controlled prepare on the ancillas, the select stage, the
     controlled un-prepare, and a final H. Only the Hadamard qubit is measured.
 
     With uniform=True the prepare/un-prepare stages are the controlled-H
     ladder (valid when the decomposition is dense with every slot weighted
     equally, e.g. an equal-coefficient group of power-of-two size).
     """
-    return _assemble(_holcus_measurement(prep.num_qubits, dec, part, uniform, dec.normalization), prep)
+    return _assemble(_lcu_measurement(prep.num_qubits, dec, part, dec.normalization, uniform), prep)
 
 
 def _group_measurement(
@@ -213,16 +203,16 @@ def _group_measurement(
 ) -> Measurement:
     """One coefficient group with its phase factored out front, so the
     in-circuit preparation is real and uniform: scale N_g = |group| * alpha_g
-    * sign_g. A single term is a plain Hadamard test; a power-of-two group
-    fills a dense layout and takes the controlled-H ladder."""
+    * sign_g. A single term needs no ancilla, which makes a Hadamard test; a
+    power-of-two group fills a dense layout and takes the controlled-H ladder."""
     size = len(group.term_indices)
     scale = size * group.common_alpha * float(np.cos(group.common_theta))
     members = [dec.terms[k] for k in group.term_indices]
     if size == 1:
-        return _hadamard_measurement(n, members[0].unitary, part, scale)
+        return _lcu_measurement(n, _single_term(members[0].unitary), part, scale)
     layout = "dense" if size & (size - 1) == 0 else "shifted"
     sub = decomposition_from_terms([LcuTerm(t.alpha, 0.0, t.unitary) for t in members], layout)
-    return _holcus_measurement(n, sub, part, layout == "dense", scale)
+    return _lcu_measurement(n, sub, part, scale, uniform=layout == "dense")
 
 
 def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
@@ -233,16 +223,16 @@ def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
     n = model.n
     if cfg.method == "raw":
         reg = make_register_map(n, 0, hadamard=False)
-        meas = Measurement((), (), n, reg, tuple(range(n - 1, -1, -1)), ising_energies(model))
+        meas = Measurement((), n, reg, tuple(range(n - 1, -1, -1)), ising_energies(model))
         return EstimatorPlan(n, 0.0, (meas,))
     dec = from_ising(model)
     if cfg.method == "hadamard":
         measurements = [
-            _hadamard_measurement(n, t.unitary, cfg.part, float(t.signed_coefficient.real))
+            _lcu_measurement(n, _single_term(t.unitary), cfg.part, float(t.signed_coefficient.real))
             for t in dec.terms
         ]
     elif cfg.method == "holcus":
-        measurements = [_holcus_measurement(n, dec, cfg.part, False, dec.normalization)]
+        measurements = [_lcu_measurement(n, dec, cfg.part, dec.normalization)]
     else:
         groups = group_by_coefficient(dec, cfg.grouping_tol)
         measurements = [_group_measurement(n, dec, g, cfg.part) for g in groups]

@@ -34,6 +34,8 @@ class OptimizerConfig:
             raise ValueError("max_evals must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CLOSED, Circuit, Gate, dense, h, make_register_map, swap
+from .circuit import CLOSED, Circuit, dense, h, swap
 
 _PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -129,30 +129,27 @@ def from_ising(model, layout: str = "shifted") -> LcuDecomposition:
 
 
 def _complete_unitary(column0: np.ndarray) -> np.ndarray:
-    """Extend a unit column to a unitary by Gram-Schmidt over the standard
-    basis, skipping pivots that fall in the span already built. Deterministic."""
+    """A unitary whose column 0 is the unit vector column0: the phase of
+    column0[0] times the Householder reflection that maps e0 to column0 with
+    that phase divided out. Deterministic; 1 - |column0[0]| is formed from the
+    other entries, so column 0 stays exact when it is close to e0."""
     dim = column0.shape[0]
-    cols = [column0.astype(np.complex128)]
-    for i in range(dim):
-        v = np.zeros(dim, dtype=np.complex128)
-        v[i] = 1.0
-        for _ in range(2):  # double pass keeps the basis orthonormal to ~1e-15
-            for c in cols:
-                v = v - c * np.vdot(c, v)
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-9:
-            cols.append(v / nrm)
-        if len(cols) == dim:
-            break
-    if len(cols) != dim:
-        raise RuntimeError("unitary completion failed; normalization is inconsistent")
-    return np.stack(cols, axis=1)
+    lead = abs(column0[0])
+    phase = column0[0] / lead if lead else 1.0
+    v = -column0 / phase  # e0 - column0 / phase, up to entry 0
+    rest = np.vdot(v[1:], v[1:]).real
+    if rest == 0.0:
+        return phase * np.eye(dim, dtype=np.complex128)
+    v[0] = rest / (1.0 + lead)
+    return phase * (np.eye(dim) - (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj()))
 
 
 def build_prep_unitaries(dec: LcuDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """The pair (V, V_hat): column 0 of V holds sqrt(alpha_k/N) e^{i theta_k}
     at each term's slot, column 0 of V_hat the same magnitudes with no phase.
-    Remaining columns are a deterministic completion."""
+    Only column 0 enters an estimate; the other columns come from one
+    Householder reflection (times the phase of entry 0) that completes it to a
+    unitary."""
     dim = 1 << dec.num_ancillas
     col_v = np.zeros(dim, dtype=np.complex128)
     col_vhat = np.zeros(dim, dtype=np.complex128)
@@ -224,42 +221,34 @@ def group_by_coefficient(dec: LcuDecomposition, tol: float = 1e-9) -> list[Coeff
     ]
 
 
-def build_uniform_prep_circuit(m: int, nearest_neighbor: bool = False) -> Circuit:
+def build_uniform_prep_circuit(
+    m: int, nearest_neighbor: bool = False, register_map: dict[str, range] | None = None
+) -> Circuit:
     """Controlled uniform initialization: |0>^m -> 2^{-m/2} sum_k |k> on the
-    ancillas whenever the Hadamard qubit is set.
+    ancillas whenever the Hadamard qubit is set, and the identity otherwise.
 
-    All-to-all connectivity needs just m controlled-H gates. The
+    The gates act on register_map's "lcu_ancilla" and "hadamard" spans; the
+    default frame puts the ancillas on qubits 0..m-1 and the Hadamard qubit on
+    qubit m. All-to-all connectivity needs just m controlled-H gates. The
     nearest-neighbor variant assumes the chain hadamard - a_{m-1} - ... - a_0,
     so only the top ancilla can host the controlled-H; each prepared qubit is
-    then pushed down with swaps: m(m+1)/2 gates in total.
+    then pushed down with swaps: m(m+1)/2 gates in total. Every gate is its own
+    inverse, so the gates in reverse order un-prepare.
     """
     if m < 1:
         raise ValueError(f"need at least one ancilla, got {m}")
-    reg = make_register_map(0, m, hadamard=True)
-    reg = {"lcu_ancilla": reg["lcu_ancilla"], "hadamard": reg["hadamard"]}
-    hq = m
+    if register_map is None:
+        register_map = {"lcu_ancilla": range(m), "hadamard": range(m, m + 1)}
+    anc = register_map["lcu_ancilla"]
+    if len(anc) < m:
+        raise ValueError(f"need {m} ancillas, register has {len(anc)}")
+    hq = register_map["hadamard"][0]
+    num_qubits = max(r.stop for r in register_map.values())
     if not nearest_neighbor:
-        return Circuit(m + 1, tuple(h(j, controls=[(hq, CLOSED)]) for j in range(m)), reg)
-    top = m - 1
-    gates = []
-    for k in range(m):
-        gates.append(h(top, controls=[(hq, CLOSED)]))
-        gates += [swap(j, j - 1) for j in range(top, k, -1)]
-    return Circuit(m + 1, tuple(gates), reg)
-
-
-def inverted(circ: Circuit) -> Circuit:
-    """Inverse circuit: gates reversed with each gate inverted."""
-    inv_gates = []
-    for g in reversed(circ.gates):
-        if g.kind in ("H", "X", "SWAP"):
-            inv_gates.append(g)
-        elif g.kind == "S":
-            inv_gates.append(Gate("S_DAGGER", g.targets, (), g.controls))
-        elif g.kind == "S_DAGGER":
-            inv_gates.append(Gate("S", g.targets, (), g.controls))
-        elif g.kind in ("EXP_X", "EXP_Z", "EXP_ZZ"):
-            inv_gates.append(Gate(g.kind, g.targets, (-g.params[0],), g.controls))
-        else:
-            inv_gates.append(Gate("DENSE", g.targets, (), g.controls, g.matrix.conj().T))
-    return Circuit(circ.num_qubits, tuple(inv_gates), circ.register_map)
+        gates = [h(anc[j], controls=[(hq, CLOSED)]) for j in range(m)]
+    else:
+        gates = []
+        for k in range(m):
+            gates.append(h(anc[m - 1], controls=[(hq, CLOSED)]))
+            gates += [swap(anc[j], anc[j - 1]) for j in range(m - 1, k, -1)]
+    return Circuit(num_qubits, tuple(gates), dict(register_map))

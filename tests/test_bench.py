@@ -24,7 +24,6 @@ from holcus.optimize import OptimizationError
 
 def tiny_config(tmp_path, **overrides):
     base = dict(
-        experiment="exp1_compare",
         n_min=3,
         n_max=3,
         p_values=(1,),
@@ -102,8 +101,10 @@ class TestExperimentConfig:
             {"restarts": 0},
             {"p_values": (0,)},
             {"shots": 0},
+            {"p_values": ()},
+            {"methods": ()},
         ],
-        ids=["master_seed", "methods", "restarts", "p_values", "shots"],
+        ids=["master_seed", "methods", "restarts", "p_values", "shots", "empty_p", "empty_methods"],
     )
     def test_bad_value_rejected_before_any_record(self, tmp_path, bad):
         with pytest.raises(ValueError):
@@ -263,8 +264,10 @@ class TestCli:
             (["--p", "0"], ""),
             (["--shots", "0"], ""),
             ([], "methods = holcsu\n"),
+            ([], "p =\n"),
+            ([], "methods =\n"),
         ],
-        ids=["seed", "restarts", "p", "shots", "file_methods"],
+        ids=["seed", "restarts", "p", "shots", "file_methods", "file_empty_p", "file_empty_methods"],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flags, file_text):
         cfg_file = tmp_path / "run.cfg"
@@ -275,6 +278,14 @@ class TestCli:
         assert exc.value.code == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["single", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "absent.cfg" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, shots",

@@ -72,6 +72,12 @@ class TestHolcusCircuit:
         p0 = marginal_probabilities(run(circ), [hq]).probabilities.get("0", 0.0)
         assert p0 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("part", [REAL, IMAGINARY])
+    def test_measurement_follows_prep(self, part):
+        model, prep, _ = random_case(5)
+        circ = holcus_circuit(prep, from_ising(model), part)
+        assert circ.gates[: len(prep.gates)] == prep.gates
+
     def test_marginal_is_normalized(self, rng):
         model, prep, _ = random_case(3)
         circ = holcus_circuit(prep, from_ising(model))
@@ -288,6 +294,10 @@ class TestEstimatorConfig:
     def test_raw_imaginary_part_rejected(self):
         with pytest.raises(ValueError, match="raw"):
             EstimatorConfig(method="raw", part=IMAGINARY)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            EstimatorConfig(method="holcus", shots=10, seed=-1)
 
 
 class TestCsvRow:

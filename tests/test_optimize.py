@@ -163,6 +163,10 @@ class TestTrainQaoa:
         with pytest.raises(ValueError):
             train_qaoa(self.model, 0, self.est, OptimizerConfig())
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=-1)
+
     def test_trace_csv(self):
         trace = train_qaoa(self.model, 1, self.est, OptimizerConfig(max_evals=10, restarts=1))
         text = trace_to_csv(trace)

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import lcu_dense_matrix, random_prep_circuit
-from holcus.circuit import Circuit, make_register_map, resource_report, run
+from conftest import lcu_dense_matrix
+from holcus.circuit import make_register_map, resource_report, run
 from holcus.pauli_lcu import (
+    LAYOUTS,
     LcuTerm,
     PauliString,
     build_prep_unitaries,
@@ -14,7 +17,6 @@ from holcus.pauli_lcu import (
     decomposition_from_terms,
     from_ising,
     group_by_coefficient,
-    inverted,
 )
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import new_basis_state
@@ -119,6 +121,34 @@ class TestBuildPrepUnitaries:
         for k in range(6):
             slot = dec.slot_of_term[k]
             assert abs(v[slot, 0]) ** 2 == pytest.approx(alphas[k] / norm, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(
+            st.tuples(
+                st.floats(-9.0, 3.0).map(lambda e: 10.0**e),  # alpha, log-uniform
+                st.floats(0.0, 2 * np.pi, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        layout=st.sampled_from(LAYOUTS),
+    )
+    @example(coeffs=[(1e3, 0.3), (1e-9, 0.0)], layout="dense")
+    def test_unitary_with_coefficient_column(self, coeffs, layout):
+        # Dense puts a complex entry (or, in the pinned example, one within
+        # 1e-12 of modulus 1) at slot 0; shifted leaves slot 0 empty, so the
+        # completion starts from a zero entry.
+        terms = [LcuTerm(a, t, PauliString({0: "Z"})) for a, t in coeffs]
+        dec = decomposition_from_terms(terms, layout=layout)
+        dim = 1 << dec.num_ancillas
+        col = np.zeros(dim, dtype=complex)
+        for k, (a, t) in enumerate(coeffs):
+            col[dec.slot_of_term[k]] = np.sqrt(a / dec.normalization) * np.exp(1j * t)
+        v, v_hat = build_prep_unitaries(dec)
+        for mat, expected in ((v, col), (v_hat, np.abs(col))):
+            assert np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) < 1e-12
+            assert np.max(np.abs(mat[:, 0] - expected)) < 1e-12
 
 
 class TestSelectCircuit:
@@ -275,20 +305,33 @@ class TestUniformPrep:
         fidelity = abs(np.vdot(v[:, 0], prepared)) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("nearest_neighbor", [False, True])
+    def test_on_final_register(self, nearest_neighbor, rng):
+        # State qubits below the ancillas: with the Hadamard qubit set the
+        # ancillas become uniform and the state register is untouched; with it
+        # clear the circuit is the identity.
+        n, m = 2, 3
+        reg = make_register_map(n, m)
+        circ = build_uniform_prep_circuit(m, nearest_neighbor, register_map=reg)
+        assert circ.num_qubits == n + m + 1
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        for hbit in (0, 1):
+            init = new_basis_state(n + m + 1)
+            init.amplitudes[0] = 0.0
+            offset = hbit << (n + m)
+            init.amplitudes[offset : offset + (1 << n)] = psi
+            out = run(circ, init).amplitudes.reshape(2, 1 << m, 1 << n)
+            if hbit:
+                expected = np.outer(np.full(1 << m, 2 ** (-m / 2)), psi)
+                assert np.allclose(out[1], expected, atol=1e-12)
+                assert np.allclose(out[0], 0.0)
+            else:
+                assert np.allclose(out.reshape(-1), init.amplitudes, atol=1e-12)
+
     def test_m0_rejected(self):
         with pytest.raises(ValueError):
             build_uniform_prep_circuit(0)
-
-
-class TestInverted:
-    def test_inverse_cancels(self, rng):
-        circ = random_prep_circuit(3, rng, depth=15)
-        roundtrip = Circuit(3, circ.gates + inverted(circ).gates)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        amps /= np.linalg.norm(amps)
-        init = new_basis_state(3)
-        init.amplitudes[:] = amps
-        assert np.allclose(run(roundtrip, init).amplitudes, amps, atol=1e-12)
 
 
 class TestIsingDecompositionProperties:
