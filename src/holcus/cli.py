@@ -28,7 +28,7 @@ def _add_run_flags(sub):
     sub.add_argument("--p", type=int, nargs="+", default=None, help="layer counts")
     sub.add_argument("--instances", type=int, default=None)
     sub.add_argument("--shots", type=int, default=None)
-    sub.add_argument("--exact", action="store_true", help="exact probabilities, no sampling")
+    sub.add_argument("--exact", action="store_true", default=None, help="exact probabilities, no sampling")
     sub.add_argument("--restarts", type=int, default=None)
     sub.add_argument("--methods", nargs="+", default=None, choices=["raw", "hadamard", "holcus", "holcus_div"])
     sub.add_argument("--seed", type=int, default=None)
@@ -37,60 +37,40 @@ def _add_run_flags(sub):
     sub.add_argument("--config", default=None, help="key = value file; flags override it")
 
 
-_CONFIG_KEYS = {
-    "n_min": int,
-    "n_max": int,
-    "instances": int,
-    "shots": int,
-    "restarts": int,
-    "seed": int,
-    "max_evals": int,
-    "out": str,
-    "exact": lambda v: v.lower() in ("1", "true", "yes"),
+# Run option -> (ExperimentConfig field, parser of its config-file value).
+# Each key is both the config-file key and the argparse dest of its flag;
+# a true `exact` sets `shots` to None.
+_RUN_OPTIONS = {
+    "n_min": ("n_min", int),
+    "n_max": ("n_max", int),
+    "p": ("p_values", lambda v: tuple(int(x) for x in v.split())),
+    "instances": ("instances_per_n", int),
+    "shots": ("shots", int),
+    "exact": ("shots", lambda v: v.lower() in ("1", "true", "yes")),
+    "restarts": ("restarts", int),
+    "methods": ("methods", lambda v: tuple(v.split())),
+    "seed": ("master_seed", int),
+    "out": ("output_path", str),
+    "max_evals": ("max_evals", int),
 }
 
 
 def _collect_overrides(args) -> dict:
+    """Config-file values, then flags over them; within each source an
+    exact request beats a shot count."""
+    file = load_config_file(args.config) if args.config else {}
+    for key in file:
+        if key not in _RUN_OPTIONS:
+            raise ValueError(f"unknown config key {key!r}")
+    from_file = {key: _RUN_OPTIONS[key][1](value) for key, value in file.items()}
+    from_flags = {key: flag for key in _RUN_OPTIONS if (flag := getattr(args, key)) is not None}
     over = {}
-    if args.config:
-        raw = load_config_file(args.config)
-        for key, value in raw.items():
-            if key == "p":
-                over["p_values"] = tuple(int(v) for v in value.split())
-            elif key == "methods":
-                over["methods"] = tuple(value.split())
-            elif key in _CONFIG_KEYS:
-                over[_rename(key)] = _CONFIG_KEYS[key](value)
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    if args.n_min is not None:
-        over["n_min"] = args.n_min
-    if args.n_max is not None:
-        over["n_max"] = args.n_max
-    if args.p is not None:
-        over["p_values"] = tuple(args.p)
-    if args.instances is not None:
-        over["instances_per_n"] = args.instances
-    file_exact = over.pop("exact", False)
-    if args.shots is not None:
-        over["shots"] = args.shots
-    if args.exact or (file_exact and args.shots is None):
-        over["shots"] = None
-    if args.restarts is not None:
-        over["restarts"] = args.restarts
-    if args.methods is not None:
-        over["methods"] = tuple(args.methods)
-    if args.seed is not None:
-        over["master_seed"] = args.seed
-    if args.out is not None:
-        over["output_path"] = args.out
-    if args.max_evals is not None:
-        over["max_evals"] = args.max_evals
+    for source in (from_file, from_flags):
+        if source.pop("exact", False):
+            source["shots"] = None
+        for key, value in source.items():
+            over[_RUN_OPTIONS[key][0]] = tuple(value) if isinstance(value, list) else value
     return over
-
-
-def _rename(key: str) -> str:
-    return {"instances": "instances_per_n", "seed": "master_seed", "out": "output_path"}.get(key, key)
 
 
 def _progress(rec):
@@ -110,9 +90,23 @@ def main(argv=None) -> int:
     plot.add_argument("kind", choices=["time_vs_n", "speedup_vs_n", "holcus_scaling"])
     plot.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-
+    try:
+        if args.command == "aggregate":
+            rows, skipped = aggregate_speedup(read_records(args.csv))
+        elif args.command == "plotdata":
+            emit_plot_data(read_records(args.csv), args.kind, args.out)
+        else:
+            over = _collect_overrides(args)
+            if args.command == "exp1":
+                cfg = exp1_config(**over)
+            elif args.command == "exp2":
+                cfg = exp2_config(**over)
+            else:
+                single = dict(n_min=4, n_max=4, p_values=(1,), instances_per_n=1)
+                cfg = ExperimentConfig(**{**single, "methods": ("holcus",), **over})
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
     if args.command == "aggregate":
-        rows, skipped = aggregate_speedup(read_records(args.csv))
         print("n,p,mean_ratio,min_ratio,max_ratio,pairs")
         for row in rows:
             print(f"{row.n},{row.p},{row.mean_ratio:.4f},{row.min_ratio:.4f},{row.max_ratio:.4f},{row.pairs}")
@@ -120,21 +114,8 @@ def main(argv=None) -> int:
             print(f"warning: {skipped} unpaired instances skipped", file=sys.stderr)
         return 0
     if args.command == "plotdata":
-        emit_plot_data(read_records(args.csv), args.kind, args.out)
         print(f"wrote {args.out}")
         return 0
-
-    try:
-        over = _collect_overrides(args)
-        if args.command == "exp1":
-            cfg = exp1_config(**over)
-        elif args.command == "exp2":
-            cfg = exp2_config(**over)
-        else:
-            single = dict(n_min=4, n_max=4, p_values=(1,), instances_per_n=1)
-            cfg = ExperimentConfig(**{**single, "methods": ("holcus",), **over})
-    except (OSError, ValueError) as exc:
-        parser.error(str(exc))
     records = run_experiment(cfg, progress=_progress)
     errored = sum(1 for r in records if r.error)
     print(f"{len(records) - errored} records written to {cfg.output_path}" + (f" ({errored} errored)" if errored else ""))

@@ -87,6 +87,8 @@ class EstimatorConfig:
             raise ValueError(f"shots must be >= 1 or EXACT, got {self.shots}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.grouping_tol >= 0:
+            raise ValueError(f"grouping_tol must be >= 0, got {self.grouping_tol}")
         if self.part not in (REAL, IMAGINARY):
             raise ValueError(f"part must be {REAL!r} or {IMAGINARY!r}")
         if self.method == "raw" and self.part == IMAGINARY:

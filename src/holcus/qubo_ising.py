@@ -4,6 +4,10 @@ Binary variables follow the global bit convention: variable i sits at bit i
 of the basis index, and bitstrings are rendered most-significant-variable
 first. The spin map is x_i = (1 - z_i)/2 with z_i = +1 for x_i = 0, i.e.
 the eigenvalue of Z on |x_i>.
+
+Every Z-basis quantity (the brute-force optimum, raw's energies, the exact
+training oracle) reads one vector: `ising_energies`, built in O(2^n) by
+doubling, one qubit at a time.
 """
 
 from __future__ import annotations
@@ -12,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import CapacityError
-
-BRUTE_FORCE_GUARD = 24
-_CHUNK = 1 << 18
+from .statevector import MAX_QUBITS, CapacityError
 
 
 @dataclass(frozen=True)
@@ -112,43 +113,44 @@ def ising_energy(m: IsingModel, z) -> float:
 
 def ising_energies(m: IsingModel) -> np.ndarray:
     """ising_energy of every basis state, indexed by basis index (z_i = +1
-    when bit i is clear). Built one 2^n vector per term: Z_i and Z_i Z_j are
-    the parity of the basis index masked to their qubits."""
-    if m.n > BRUTE_FORCE_GUARD:
-        raise CapacityError(f"n = {m.n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
-    idx = np.arange(1 << m.n)
-    energies = np.full(1 << m.n, float(m.offset))
-    fields = [(1 << i, c) for i, c in enumerate(m.h)]
-    couplings = [((1 << i) | (1 << j), c) for (i, j), c in m.J.items()]
-    for mask, c in fields + couplings:
-        if c != 0.0:
-            energies += c * (1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1))
+    when bit i is clear).
+
+    Built by doubling: after qubit k the vector holds the energy of the
+    terms on qubits 0..k over the 2^(k+1) lower-bit states. Qubit k adds its
+    field f_k = h_k + sum_{j<k} J_jk z_j, itself doubled over j, as
+    E <- [E + f_k, E - f_k] (bit k clear first). O(2^n) work in total."""
+    if m.n > MAX_QUBITS:
+        raise CapacityError(f"n = {m.n} exceeds simulator capacity {MAX_QUBITS}")
+    J = np.zeros((m.n, m.n))
+    for (i, j), c in m.J.items():
+        J[i, j] = c
+    energies = np.empty(1 << m.n)
+    field = np.empty(1 << m.n >> 1)
+    energies[0] = m.offset
+    for k in range(m.n):
+        field[0] = m.h[k]
+        for j in range(k):
+            _double(field, 1 << j, J[j, k])
+        _double(energies, 1 << k, field[: 1 << k])
     return energies
+
+
+def _double(vec: np.ndarray, size: int, step) -> None:
+    """vec[:2 size] <- [vec[:size] + step, vec[:size] - step], in place."""
+    np.subtract(vec[:size], step, out=vec[size : 2 * size])
+    vec[:size] += step
 
 
 def bitstring_from_index(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
-def all_qubo_costs(q: QuboInstance) -> np.ndarray:
-    """Vector of x^T Q x over all 2^n assignments, indexed by basis index."""
-    if q.n > BRUTE_FORCE_GUARD:
-        raise CapacityError(f"n = {q.n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
-    dim = 1 << q.n
-    out = np.empty(dim)
-    cols = np.arange(q.n)
-    for start in range(0, dim, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, dim))
-        bits = ((idx[:, None] >> cols[None, :]) & 1).astype(float)
-        out[idx] = np.einsum("bi,ij,bj->b", bits, q.Q, bits)
-    return out
-
-
 def brute_force_min(q: QuboInstance) -> tuple[str, float]:
-    """Global minimum over all assignments; ties resolve to the lowest index."""
-    costs = all_qubo_costs(q)
-    best = int(np.argmin(costs))
-    return bitstring_from_index(best, q.n), float(costs[best])
+    """Global minimum over all assignments, read from the Ising energies
+    (equal to x^T Q x at every basis index); ties resolve to the lowest index."""
+    energies = ising_energies(qubo_to_ising(q))
+    best = int(np.argmin(energies))
+    return bitstring_from_index(best, q.n), float(energies[best])
 
 
 def write_qubo_file(q: QuboInstance, path) -> None:

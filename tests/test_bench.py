@@ -245,6 +245,22 @@ class TestCli:
         assert rc == 0
         assert out.exists()
 
+    def test_aggregate_missing_csv_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["aggregate", str(tmp_path / "absent.csv")])
+        assert exc.value.code == 2
+        assert "absent.csv" in capsys.readouterr().err
+
+    def test_plotdata_non_benchmark_file_is_usage_error(self, tmp_path, capsys):
+        csv = tmp_path / "other.csv"
+        csv.write_text("a,b\n1,2\n")
+        out = tmp_path / "pd.dat"
+        with pytest.raises(SystemExit) as exc:
+            main(["plotdata", str(csv), "time_vs_n", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "benchmark CSV header" in capsys.readouterr().err
+
     def test_config_file_flag(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         out = tmp_path / "cfgout.csv"

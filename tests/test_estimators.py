@@ -299,6 +299,12 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError, match="seed"):
             EstimatorConfig(method="holcus", shots=10, seed=-1)
 
+    @pytest.mark.parametrize("method", ["hadamard", "holcus_div"])
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+    def test_bad_grouping_tol_rejected(self, method, tol):
+        with pytest.raises(ValueError, match="grouping_tol"):
+            EstimatorConfig(method=method, grouping_tol=tol)
+
 
 class TestCsvRow:
     def test_header_matches_row_width(self):

@@ -130,7 +130,7 @@ _COEFF = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 
 class TestIsingEnergies:
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 6), offset=st.floats(-3.0, 3.0))
+    @given(data=st.data(), n=st.integers(1, 8), offset=st.floats(-3.0, 3.0))
     def test_equals_dense_diagonal(self, data, n, offset):
         h = np.array(data.draw(st.lists(_COEFF, min_size=n, max_size=n)))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -160,6 +160,17 @@ class TestBruteForce:
     def test_tie_breaks_to_lowest_index(self):
         q = QuboInstance(2, np.zeros((2, 2)))  # every assignment costs 0
         assert brute_force_min(q)[0] == "00"
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7))
+    def test_small_integer_minimum_is_exact_at_lowest_index(self, data, n):
+        Q = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                Q[i, j] = Q[j, i] = data.draw(st.integers(-2, 2))
+        costs = [brute_cost(Q, [(i >> b) & 1 for b in range(n)]) for i in range(1 << n)]
+        best = min(costs)
+        assert brute_force_min(QuboInstance(n, Q)) == (format(costs.index(best), f"0{n}b"), best)
 
     def test_guard(self):
         with pytest.raises(CapacityError):
