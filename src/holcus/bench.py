@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from .estimators import EstimatorConfig
 from .optimize import OptimizerConfig, train_qaoa
@@ -173,7 +172,9 @@ def _run_one(cfg: ExperimentConfig, n: int, p: int, instance: int, method: str) 
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> list[BenchmarkRecord]:
-    """Full grid sweep; records are appended to cfg.output_path as they finish."""
+    """Full grid sweep; records are appended to cfg.output_path as they finish.
+    A missing or empty file gets the CSV header first; any other file that does
+    not start with it raises ValueError before a cell runs, and is left as is."""
     tasks = [
         (n, p, instance, method)
         for n in range(cfg.n_min, cfg.n_max + 1)
@@ -181,11 +182,13 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[BenchmarkRecord
         for instance in range(cfg.instances_per_n)
         for method in cfg.methods
     ]
-    out = Path(cfg.output_path)
-    fresh = not out.exists()
     records = []
-    with open(out, "a") as fh:
-        if fresh:
+    with open(cfg.output_path, "a+") as fh:  # appends always go to the end, whatever was read
+        fh.seek(0)
+        first = fh.readline()
+        if first and first.strip() != BENCH_CSV_HEADER:
+            raise ValueError(f"{cfg.output_path} does not start with the benchmark CSV header")
+        if not first:
             fh.write(BENCH_CSV_HEADER + "\n")
             fh.flush()
         for task in tasks:

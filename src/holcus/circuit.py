@@ -1,10 +1,12 @@
 """Gate-level circuit IR executed on the statevector engine.
 
 Gates are named kinds with radian parameters plus a DENSE escape hatch for
-explicit unitaries. Every gate may carry multi-controls with open/closed
-polarity. Circuits are immutable and carry an optional register map naming
-contiguous qubit spans. Builders collect a gate list and construct the
-Circuit once, which checks every gate's qubits in one pass.
+explicit unitaries; one table (_KINDS) holds each kind's target count,
+parameter count and matrix builder. Every gate may carry multi-controls with
+open/closed polarity. A Gate is checked when it is built and builds its
+matrix once, on first use. Circuits are immutable, carry an optional register
+map naming contiguous qubit spans, and check every gate's qubits in one pass,
+so run hands each gate straight to the statevector kernel.
 
 Rotation conventions: EXP_Z(phi) = e^{i phi Z}, EXP_X(phi) = e^{i phi X},
 EXP_ZZ(phi) = e^{i phi Z (x) Z}. These are the evolution operators directly,
@@ -13,21 +15,33 @@ with no hidden -theta/2 factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .statevector import CLOSED, OPEN, StateVector, apply_unitary, new_basis_state
-
-GATE_KINDS = ("H", "X", "S", "S_DAGGER", "EXP_X", "EXP_Z", "EXP_ZZ", "SWAP", "DENSE")
-
-_ARITY = {"H": 1, "X": 1, "S": 1, "S_DAGGER": 1, "EXP_X": 1, "EXP_Z": 1, "EXP_ZZ": 2, "SWAP": 2}
-_NUM_PARAMS = {"H": 0, "X": 0, "S": 0, "S_DAGGER": 0, "EXP_X": 1, "EXP_Z": 1, "EXP_ZZ": 1, "SWAP": 0, "DENSE": 0}
+from .statevector import CLOSED, OPEN, StateVector, _apply_trusted, _checked_controls, new_basis_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _S = np.diag([1.0, 1.0j]).astype(np.complex128)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128)
+
+# kind -> (target count, param count, local matrix from the params).
+# DENSE takes any target count and carries its own matrix.
+_KINDS = {
+    "H": (1, 0, lambda: _H),
+    "X": (1, 0, lambda: _X),
+    "S": (1, 0, lambda: _S),
+    "S_DAGGER": (1, 0, lambda: _S.conj().T),
+    "EXP_X": (1, 1, lambda phi: np.cos(phi) * np.eye(2, dtype=np.complex128) + 1j * np.sin(phi) * _X),
+    "EXP_Z": (1, 1, lambda phi: np.diag([np.exp(1j * phi), np.exp(-1j * phi)])),
+    "EXP_ZZ": (
+        2, 1, lambda phi: np.diag([np.exp(1j * phi), np.exp(-1j * phi), np.exp(-1j * phi), np.exp(1j * phi)])
+    ),
+    "SWAP": (2, 0, lambda: _SWAP),
+    "DENSE": (None, 0, None),
+}
 
 
 @dataclass(frozen=True)
@@ -39,38 +53,31 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        arity, num_params, _ = _KINDS[self.kind]
         if self.kind == "DENSE":
             if self.matrix is None:
                 raise ValueError("DENSE gate requires a matrix")
-            dim = self.matrix.shape[0]
-            if self.matrix.shape != (dim, dim) or dim != 1 << len(self.targets):
-                raise ValueError(
-                    f"DENSE matrix shape {self.matrix.shape} does not match {len(self.targets)} targets"
-                )
-        else:
-            if len(self.targets) != _ARITY[self.kind]:
-                raise ValueError(f"{self.kind} takes {_ARITY[self.kind]} targets, got {self.targets}")
-        if len(self.params) != _NUM_PARAMS.get(self.kind, 0):
-            raise ValueError(f"{self.kind} takes {_NUM_PARAMS[self.kind]} params, got {self.params}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate targets {self.targets}")
-        cq = tuple(q for q, _ in self.controls)
-        if len(set(cq)) != len(cq) or set(cq) & set(self.targets):
-            raise ValueError(f"controls {self.controls} overlap targets {self.targets}")
-        for _, v in self.controls:
-            if v not in (OPEN, CLOSED):
-                raise ValueError(f"control polarity must be OPEN (0) or CLOSED (1), got {v}")
+            dim = 1 << len(self.targets)
+            if self.matrix.shape != (dim, dim):
+                raise ValueError(f"DENSE matrix shape {self.matrix.shape} is not ({dim}, {dim})")
+        elif self.matrix is not None:
+            raise ValueError(f"{self.kind} builds its own matrix; only DENSE takes one")
+        elif len(self.targets) != arity:
+            raise ValueError(f"{self.kind} takes {arity} targets, got {self.targets}")
+        if len(self.params) != num_params:
+            raise ValueError(f"{self.kind} takes {num_params} params, got {self.params}")
+        object.__setattr__(self, "controls", _checked_controls(self.targets, self.controls))
 
     @property
     def qubits(self) -> tuple[int, ...]:
         return self.targets + tuple(q for q, _ in self.controls)
 
-    def with_control(self, qubit: int, polarity: int = CLOSED) -> "Gate":
-        if qubit in self.qubits:
-            raise ValueError(f"qubit {qubit} already used by this gate")
-        return replace(self, controls=self.controls + ((qubit, polarity),))
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Local matrix on the targets (controls excluded), built on first use."""
+        return self.matrix if self.matrix is not None else _KINDS[self.kind][2](*self.params)
 
 
 def h(qubit: int, controls=()) -> Gate:
@@ -111,26 +118,7 @@ def dense(matrix: np.ndarray, targets, controls=()) -> Gate:
 
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Dense matrix of the gate on its targets (controls excluded)."""
-    if gate.kind == "H":
-        return _H
-    if gate.kind == "X":
-        return _X
-    if gate.kind == "S":
-        return _S
-    if gate.kind == "S_DAGGER":
-        return _S.conj().T
-    if gate.kind == "EXP_X":
-        phi = gate.params[0]
-        return np.cos(phi) * np.eye(2, dtype=np.complex128) + 1j * np.sin(phi) * _X
-    if gate.kind == "EXP_Z":
-        phi = gate.params[0]
-        return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
-    if gate.kind == "EXP_ZZ":
-        phi = gate.params[0]
-        return np.diag([np.exp(1j * phi), np.exp(-1j * phi), np.exp(-1j * phi), np.exp(1j * phi)])
-    if gate.kind == "SWAP":
-        return _SWAP
-    return gate.matrix
+    return gate.unitary
 
 
 @dataclass(frozen=True)
@@ -170,12 +158,10 @@ def add_control(circuit: Circuit, control_qubit: int, polarity: int = CLOSED) ->
     Executing the result with the control qubit in |1> (closed polarity)
     reproduces the original circuit; with |0> it is the identity.
     """
-    for g in circuit.gates:
-        if control_qubit in g.qubits:
-            raise ValueError(f"control qubit {control_qubit} already used by the circuit")
     if not 0 <= control_qubit < circuit.num_qubits:
         raise ValueError(f"control qubit {control_qubit} out of range")
-    return replace(circuit, gates=tuple(g.with_control(control_qubit, polarity) for g in circuit.gates))
+    control = ((control_qubit, polarity),)
+    return replace(circuit, gates=tuple(replace(g, controls=g.controls + control) for g in circuit.gates))
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -189,7 +175,7 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
             )
         state = initial.copy()
     for g in circuit.gates:
-        apply_unitary(state, gate_matrix(g), g.targets, g.controls)
+        _apply_trusted(state, g.unitary, g.targets, g.controls)
     return state
 
 

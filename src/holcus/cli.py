@@ -104,6 +104,7 @@ def main(argv=None) -> int:
             else:
                 single = dict(n_min=4, n_max=4, p_values=(1,), instances_per_n=1)
                 cfg = ExperimentConfig(**{**single, "methods": ("holcus",), **over})
+            records = run_experiment(cfg, progress=_progress)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     if args.command == "aggregate":
@@ -116,7 +117,6 @@ def main(argv=None) -> int:
     if args.command == "plotdata":
         print(f"wrote {args.out}")
         return 0
-    records = run_experiment(cfg, progress=_progress)
     errored = sum(1 for r in records if r.error)
     print(f"{len(records) - errored} records written to {cfg.output_path}" + (f" ({errored} errored)" if errored else ""))
     return 0

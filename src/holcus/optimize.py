@@ -21,6 +21,10 @@ class OptimizationError(RuntimeError):
         self.params = params
 
 
+class _BudgetSpent(Exception):
+    """Raised by nelder_mead's counted objective once max_evals calls are spent."""
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_evals: int = 200
@@ -67,6 +71,8 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]
 
     def f(x):
         nonlocal budget, best_x, best_f
+        if budget <= 0:
+            raise _BudgetSpent
         budget -= 1
         val = float(objective(x))
         if not np.isfinite(val):
@@ -84,49 +90,38 @@ def nelder_mead(objective, x0, cfg: OptimizerConfig) -> tuple[np.ndarray, float]
         step = np.full(dim, 0.5 * size)
         step[i] = size
         simplex.append(x0 + step)
-    values = []
-    for x in simplex:
-        if budget <= 0:
-            break
-        values.append(f(x))
-    simplex = simplex[: len(values)]
-    if len(simplex) < dim + 1:
-        return best_x, best_f
-
-    while budget > 0:
-        order = np.argsort(values)
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if values[-1] - values[0] < cfg.convergence_tol:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        reflected = centroid + (centroid - simplex[-1])
-        fr = f(reflected)
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-            continue
-        if fr < values[0]:
-            if budget <= 0:
+    try:
+        values = [f(x) for x in simplex]
+        while True:
+            order = np.argsort(values)
+            simplex = [simplex[i] for i in order]
+            values = [values[i] for i in order]
+            if values[-1] - values[0] < cfg.convergence_tol:
                 break
-            expanded = centroid + 2.0 * (centroid - simplex[-1])
-            fe = f(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
+            centroid = np.mean(simplex[:-1], axis=0)
+            reflected = centroid + (centroid - simplex[-1])
+            fr = f(reflected)
+            if values[0] <= fr < values[-2]:
                 simplex[-1], values[-1] = reflected, fr
-            continue
-        if budget <= 0:
-            break
-        contracted = centroid + 0.5 * (simplex[-1] - centroid)
-        fc = f(contracted)
-        if fc < values[-1]:
-            simplex[-1], values[-1] = contracted, fc
-            continue
-        for i in range(1, len(simplex)):  # shrink toward the best vertex
-            if budget <= 0:
-                break
-            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-            values[i] = f(simplex[i])
+                continue
+            if fr < values[0]:
+                expanded = centroid + 2.0 * (centroid - simplex[-1])
+                fe = f(expanded)
+                if fe < fr:
+                    simplex[-1], values[-1] = expanded, fe
+                else:
+                    simplex[-1], values[-1] = reflected, fr
+                continue
+            contracted = centroid + 0.5 * (simplex[-1] - centroid)
+            fc = f(contracted)
+            if fc < values[-1]:
+                simplex[-1], values[-1] = contracted, fc
+                continue
+            for i in range(1, len(simplex)):  # shrink toward the best vertex
+                simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+                values[i] = f(simplex[i])
+    except _BudgetSpent:
+        pass
     return best_x, best_f
 
 

@@ -6,9 +6,11 @@ rendered most-significant-qubit-first, so basis index 2 on two qubits is
 the string "10" (qubit 1 set, qubit 0 clear).
 
 Gate application works on a (2,)*n view of the amplitudes: the control
-axes are fixed by basic indexing, the target axes are moved to the front,
-and one 2^k x 2^k matrix product updates the block in place. That is
-O(2^n * 2^k) per gate and never builds a 2^n x 2^n operator.
+and target axes are transposed to the front, the control axes are fixed by
+basic indexing, and one 2^k x 2^k matrix product updates the block in
+place. That is O(2^n * 2^k) per gate and never builds a 2^n x 2^n operator.
+apply_unitary checks its arguments first; circuit.run, whose gates were
+checked when they were built, calls the kernel directly.
 """
 
 from __future__ import annotations
@@ -95,6 +97,22 @@ def _check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
         raise UnitarityError(f"matrix is not unitary (deviation {err:.2e})")
 
 
+def _checked_controls(targets: tuple[int, ...], controls) -> tuple[tuple[int, int], ...]:
+    """controls with int polarities, which the kernel indexes with (a bool would
+    select); ValueError if a qubit repeats or a polarity is not OPEN or CLOSED."""
+    control_qubits = tuple(q for q, _ in controls)
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate target qubits in {targets}")
+    if len(set(control_qubits)) != len(control_qubits):
+        raise ValueError(f"duplicate control qubits in {control_qubits}")
+    if set(targets) & set(control_qubits):
+        raise ValueError(f"targets {targets} overlap controls {control_qubits}")
+    for _, v in controls:
+        if v not in (OPEN, CLOSED):
+            raise ValueError(f"control polarity must be 0 (open) or 1 (closed), got {v}")
+    return tuple((q, int(v)) for q, v in controls)
+
+
 def apply_unitary(
     state: StateVector,
     matrix: np.ndarray,
@@ -111,36 +129,32 @@ def apply_unitary(
     control, all other components are untouched.
     """
     targets = tuple(targets)
-    controls = tuple(controls)
+    controls = _checked_controls(targets, tuple(controls))
     n = state.num_qubits
     k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate target qubits in {targets}")
-    control_qubits = tuple(q for q, _ in controls)
-    if len(set(control_qubits)) != len(control_qubits):
-        raise ValueError(f"duplicate control qubits in {control_qubits}")
-    if set(targets) & set(control_qubits):
-        raise ValueError(f"targets {targets} overlap controls {control_qubits}")
-    for q in targets + control_qubits:
+    for q in targets + tuple(q for q, _ in controls):
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-    for _, v in controls:
-        if v not in (OPEN, CLOSED):
-            raise ValueError(f"control polarity must be 0 (open) or 1 (closed), got {v}")
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {matrix.shape} does not match {k} targets")
     if validate:
         _check_unitary(matrix)
+    _apply_trusted(state, matrix, targets, controls)
+    return state
 
+
+def _apply_trusted(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...], controls) -> None:
+    """apply_unitary without its checks: the qubits must be distinct and in range,
+    each polarity the int OPEN or CLOSED, and matrix 2^k x 2^k for k targets."""
+    n = state.num_qubits
     # Axis n-1-q of the reshaped view is qubit q. Controls go first so that
     # indexing them leaves the targets in front, most significant first,
     # which makes bit j of the matrix index targets[j].
-    moved = [n - 1 - q for q in control_qubits + targets[::-1]]
-    tensor = np.moveaxis(state.amplitudes.reshape((2,) * n), moved, range(len(moved)))
-    block = tensor[tuple(int(v) for _, v in controls) + (...,)]
-    block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
-    return state
+    moved = [n - 1 - q for q, _ in controls] + [n - 1 - q for q in reversed(targets)]
+    tensor = state.amplitudes.reshape((2,) * n).transpose(moved + [a for a in range(n) if a not in moved])
+    block = tensor[tuple(v for _, v in controls) + (...,)]
+    block[...] = (matrix @ block.reshape(1 << len(targets), -1)).reshape(block.shape)
 
 
 def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:

@@ -91,6 +91,29 @@ class TestRunExperiment:
         assert set(errors.values()) == {""}
         assert read_records(cfg.output_path) == records
 
+    def test_empty_output_file_gets_header(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        out.write_text("")
+        cfg = tiny_config(tmp_path, output_path=str(out))
+        records = run_experiment(cfg)
+        assert read_records(cfg.output_path) == records
+
+    def test_existing_sweep_is_appended(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        first = run_experiment(cfg)
+        second = run_experiment(cfg)
+        assert read_records(cfg.output_path) == first + second
+
+    def test_foreign_output_file_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        cells = []
+        monkeypatch.setattr(holcus.bench, "_run_one", lambda *args: cells.append(args))
+        out = tmp_path / "sweep.csv"
+        out.write_text("a,b\n1,2\n")
+        with pytest.raises(ValueError, match="benchmark CSV header"):
+            run_experiment(tiny_config(tmp_path, output_path=str(out)))
+        assert cells == []
+        assert out.read_text() == "a,b\n1,2\n"
+
 
 class TestExperimentConfig:
     @pytest.mark.parametrize(
@@ -250,6 +273,15 @@ class TestCli:
             main(["aggregate", str(tmp_path / "absent.csv")])
         assert exc.value.code == 2
         assert "absent.csv" in capsys.readouterr().err
+
+    def test_run_into_foreign_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "other.csv"
+        out.write_text("a,b\n1,2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["single", "--n-min", "3", "--n-max", "3", "--exact", "--max-evals", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert out.read_text() == "a,b\n1,2\n"
+        assert "benchmark CSV header" in capsys.readouterr().err
 
     def test_plotdata_non_benchmark_file_is_usage_error(self, tmp_path, capsys):
         csv = tmp_path / "other.csv"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holcus.circuit
 from conftest import circuit_full_matrix, random_prep_circuit
@@ -127,6 +129,32 @@ class TestRun:
         init.amplitudes[:] = amps
         assert np.allclose(run(circ, init).amplitudes, amps, atol=1e-14)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 5))
+    def test_matches_full_matrix_oracle(self, data, n):
+        # run skips apply_unitary's checks, so every gate kind, DENSE included,
+        # and every polarity spelling must reach the kernel already valid.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        arity = {"H": 1, "X": 1, "S": 1, "S_DAGGER": 1, "EXP_X": 1, "EXP_Z": 1, "EXP_ZZ": 2, "SWAP": 2, "DENSE": 1}
+        gates = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            kind = data.draw(st.sampled_from([k for k, a in arity.items() if a <= n]))
+            k = data.draw(st.integers(1, min(2, n))) if kind == "DENSE" else arity[kind]
+            qubits = data.draw(st.permutations(range(n)))
+            c = data.draw(st.integers(0, min(2, n - k)))
+            controls = tuple((q, data.draw(st.sampled_from([0, 1, False, True]))) for q in qubits[k : k + c])
+            params = (float(rng.uniform(-np.pi, np.pi)),) if kind.startswith("EXP_") else ()
+            matrix = None
+            if kind == "DENSE":
+                matrix, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+            gates.append(Gate(kind, tuple(qubits[:k]), params, controls, matrix))
+        circ = Circuit(n, tuple(gates))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        init = new_basis_state(n)
+        init.amplitudes[:] = psi
+        assert np.allclose(run(circ, init).amplitudes, circuit_full_matrix(circ) @ psi, rtol=0, atol=1e-12)
+
     def test_exp_zz_diagonal_entries(self):
         # basis order 00, 01, 10, 11 -> phases +, -, -, +
         mat = gate_matrix(exp_zz(0.4, 0, 1))
@@ -199,6 +227,15 @@ class TestGateValidation:
     def test_dense_shape_mismatch(self):
         with pytest.raises(ValueError):
             dense(np.eye(4), [0])
+
+    def test_matrix_on_named_kind_rejected(self):
+        with pytest.raises(ValueError):
+            Gate("H", (0,), matrix=np.eye(2))
+
+    @pytest.mark.parametrize("polarity", [True, np.int64(1)], ids=["bool", "int64"])
+    def test_polarity_stored_as_int(self, polarity):
+        (_, stored), = Gate("X", (0,), controls=((1, polarity),)).controls
+        assert type(stored) is int and stored == CLOSED
 
     def test_target_equals_control_rejected(self):
         with pytest.raises(ValueError):
