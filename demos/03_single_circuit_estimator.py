@@ -18,6 +18,7 @@ from holcus import (
     EstimatorConfig,
     QaoaParams,
     build_ansatz,
+    compile_plan,
     estimate,
     exact_expectation,
     from_ising,
@@ -46,12 +47,12 @@ print(f"P(0) = {p0:.6f}  ->  estimate {value:.10f}")
 print(f"exact expectation  {exact_expectation(model, params):.10f}")
 
 # Resource comparison against the per-term approach on the same instance.
-single = estimate(prep, model, EstimatorConfig(method="holcus"))
-per_term = estimate(prep, model, EstimatorConfig(method="hadamard"))
 print("\n                circuits   max qubits   total gates")
-for name, res in (("combined", single), ("per-term", per_term)):
-    gates = sum(r.gate_count for r in res.resources)
-    print(f"  {name:10s}  {res.circuits_used:8d}   {res.max_qubits:10d}   {gates:11d}")
+for name, method in (("combined", "holcus"), ("per-term", "hadamard")):
+    reports = compile_plan(model, EstimatorConfig(method=method)).resources(prep)
+    gates = sum(r.gate_count for r in reports)
+    qubits = max(r.qubit_count for r in reports)
+    print(f"  {name:10s}  {len(reports):8d}   {qubits:10d}   {gates:11d}")
 
 # The combined circuit's own cost profile:
 r = resource_report(circ)

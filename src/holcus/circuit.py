@@ -174,9 +174,14 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
                 f"state has {initial.num_qubits} qubits, circuit needs {circuit.num_qubits}"
             )
         state = initial.copy()
-    for g in circuit.gates:
-        _apply_trusted(state, g.unitary, g.targets, g.controls)
+    _apply_gates(state, circuit.gates)
     return state
+
+
+def _apply_gates(state: StateVector, gates: tuple[Gate, ...]) -> None:
+    """Apply gates already checked to be in range for the state, in order."""
+    for g in gates:
+        _apply_trusted(state, g.unitary, g.targets, g.controls)
 
 
 @dataclass(frozen=True)
@@ -254,29 +259,36 @@ def circuit_from_text(text: str) -> Circuit:
     register_map: dict[str, range] = {}
     gates = []
     for ln in lines[1:]:
-        if ln.startswith("register "):
-            _, name, start, stop = ln.split()
-            register_map[name] = range(int(start), int(stop))
-            continue
-        fields = ln.split()
-        kind = fields[0]
-        params: tuple[float, ...] = ()
-        targets: tuple[int, ...] = ()
-        controls: tuple[tuple[int, int], ...] = ()
-        matrix = None
-        for f in fields[1:]:
-            tag, _, body = f.partition("=")
-            if tag == "p":
-                params = tuple(float(v) for v in body.split(","))
-            elif tag == "t":
-                targets = tuple(int(q) for q in body.split(","))
-            elif tag == "c":
-                controls = tuple((int(q.split(":")[0]), int(q.split(":")[1])) for q in body.split(","))
-            elif tag == "m":
-                vals = [complex(float(p.split(",")[0]), float(p.split(",")[1])) for p in body.split(";")]
-                dim = int(round(len(vals) ** 0.5))
-                matrix = np.array(vals, dtype=np.complex128).reshape(dim, dim)
-            else:
-                raise ValueError(f"unknown field {f!r} in line {ln!r}")
-        gates.append(Gate(kind, targets, params, controls, matrix))
+        # A q:pol or re,im pair missing its half fails to unpack with ValueError.
+        try:
+            if ln.startswith("register "):
+                _, name, start, stop = ln.split()
+                if name in register_map:
+                    raise ValueError(f"register {name!r} is declared twice")
+                register_map[name] = range(int(start), int(stop))
+                continue
+            fields = ln.split()
+            kind = fields[0]
+            params: tuple[float, ...] = ()
+            targets: tuple[int, ...] = ()
+            controls: tuple[tuple[int, int], ...] = ()
+            matrix = None
+            for f in fields[1:]:
+                tag, _, body = f.partition("=")
+                if tag == "p":
+                    params = tuple(float(v) for v in body.split(","))
+                elif tag == "t":
+                    targets = tuple(int(q) for q in body.split(","))
+                elif tag == "c":
+                    controls = tuple((int(q), int(pol)) for q, pol in (c.split(":") for c in body.split(",")))
+                elif tag == "m":
+                    pairs = (p.split(",") for p in body.split(";"))
+                    vals = [complex(float(real), float(imag)) for real, imag in pairs]
+                    dim = int(round(len(vals) ** 0.5))
+                    matrix = np.array(vals, dtype=np.complex128).reshape(dim, dim)
+                else:
+                    raise ValueError(f"unknown field {f!r}")
+            gates.append(Gate(kind, targets, params, controls, matrix))
+        except ValueError as err:
+            raise ValueError(f"bad circuit line {ln!r}: {err}") from err
     return Circuit(num_qubits, tuple(gates), register_map or None)

@@ -1,4 +1,4 @@
-"""The four expectation-value estimators and their resource accounting.
+"""The four expectation-value estimators.
 
 All four consume a state-preparation circuit on n qubits plus an Ising model
 and return an EstimateResult:
@@ -13,17 +13,19 @@ and return an EstimateResult:
 Every method is first compiled, once per model, to an EstimatorPlan
 (compile_plan): the constant offset plus one Measurement per circuit, which
 holds the gates that follow the state preparation, the register, the measured
-qubits and a diagonal observable over their outcomes. One builder
-(_lcu_measurement) makes every interference circuit: H (and S-dagger for the
-imaginary part) on the Hadamard qubit, a controlled prepare stage, select,
-the controlled un-prepare and a final H, all on the final register. The
-Hadamard test is its one-term, zero-ancilla case, so hadamard and each
-singleton group of holcus_div use it too. The Hadamard qubit is read with
-values [scale, -scale], whose mean is scale * (2 P(0) - 1); raw measures
-every state qubit with the basis-state energies. One executor (run_plan) then
-appends each measurement to a new state preparation, runs it and reads the
-observable's mean; estimate() is the two in sequence. The public circuit
-builders use the same builder, so they return exactly the executed circuits.
+qubits and a diagonal observable over their outcomes; the plan checks its
+gates once, when it is built. One builder (_lcu_measurement) makes every
+interference circuit: H (and S-dagger for the imaginary part) on the Hadamard
+qubit, a controlled prepare stage, select, the controlled un-prepare and a
+final H, all on the final register. The Hadamard test is its one-term,
+zero-ancilla case, so hadamard and each singleton group of holcus_div use it
+too. The Hadamard qubit is read with values [scale, -scale], whose mean is
+scale * (2 P(0) - 1); raw measures every state qubit with the basis-state
+energies. One executor (run_plan) only simulates and reads out: it applies
+the state prep and each measurement's gates to a fresh register and reads
+the observable's mean; estimate() is the two in sequence. The public circuit
+builders use the same builder, so they return exactly the executed circuits;
+EstimatorPlan.resources reports their resource counts on request.
 
 Exact mode (shots=EXACT) reads marginal probabilities analytically, which
 separates method error from shot noise; finite mode draws seeded multinomial
@@ -44,11 +46,12 @@ from .circuit import (
     Circuit,
     Gate,
     ResourceReport,
+    _apply_gates,
+    _check_gate_range,
     dense,
     h,
     make_register_map,
     resource_report,
-    run,
     s_dagger,
 )
 from .pauli_lcu import (
@@ -64,7 +67,7 @@ from .pauli_lcu import (
     group_by_coefficient,
 )
 from .qubo_ising import IsingModel, ising_energies
-from .statevector import StateVector, derive_seed, marginal_vector, multinomial_draw
+from .statevector import StateVector, derive_seed, marginal_vector, multinomial_draw, new_basis_state
 
 EXACT = None
 REAL = "real"
@@ -106,7 +109,6 @@ class EstimateResult:
     circuits_used: int
     shots_used: int
     max_qubits: int
-    resources: tuple[ResourceReport, ...]
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,27 @@ class Measurement:
 
 @dataclass(frozen=True)
 class EstimatorPlan:
-    """The model-only part of an estimate; built by compile_plan."""
+    """The model-only part of an estimate; built by compile_plan. It checks
+    its gates once, when built, so run_plan applies them without checking."""
 
     num_state_qubits: int
     offset: float
     measurements: tuple[Measurement, ...]
 
+    def __post_init__(self):
+        for meas in self.measurements:
+            if meas.width < self.num_state_qubits:
+                raise ValueError(f"a {meas.width}-qubit measurement cannot hold {self.num_state_qubits} state qubits")
+            for g in meas.gates:
+                _check_gate_range(g, meas.width)
+
     @property
     def max_qubits(self) -> int:
         return max(m.width for m in self.measurements)
+
+    def resources(self, prep: Circuit) -> tuple[ResourceReport, ...]:
+        """The resource report of each circuit run_plan runs with this prep."""
+        return tuple(resource_report(_assemble(m, prep)) for m in self.measurements)
 
 
 def _assemble(meas: Measurement, prep: Circuit) -> Circuit:
@@ -257,56 +271,26 @@ def _readout(
 
 
 def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> EstimateResult:
-    """Run every measurement of the plan with prep spliced in: value =
-    offset + the sum of each circuit's mean observable. In finite mode circuit
-    k samples with derive_seed(cfg.seed, k)."""
+    """Run every measurement of the plan after prep on a fresh register:
+    value = offset + the sum of each circuit's mean observable. In finite mode
+    circuit k samples with derive_seed(cfg.seed, k)."""
     if prep.num_qubits != plan.num_state_qubits:
         raise ValueError(
             f"prep has {prep.num_qubits} qubits, the plan's model has {plan.num_state_qubits}"
         )
     value = plan.offset
     variance = 0.0
-    reports = []
     for k, meas in enumerate(plan.measurements):
-        circ = _assemble(meas, prep)
-        reports.append(resource_report(circ))
-        term, var = _readout(run(circ), meas, cfg, k)
+        state = new_basis_state(meas.width)
+        _apply_gates(state, prep.gates + meas.gates)
+        term, var = _readout(state, meas, cfg, k)
         value += term
         variance += var
     circuits = len(plan.measurements)
     shots = 0 if cfg.exact else circuits * cfg.shots
-    return EstimateResult(
-        float(value), math.sqrt(variance), circuits, shots, plan.max_qubits, tuple(reports)
-    )
+    return EstimateResult(float(value), math.sqrt(variance), circuits, shots, plan.max_qubits)
 
 
 def estimate(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> EstimateResult:
     """One estimate: the model's plan, compiled and run once."""
     return run_plan(compile_plan(model, cfg), prep, cfg)
-
-
-ESTIMATE_CSV_HEADER = (
-    "method,part,shots,seed,value,std_error,circuits_used,shots_used,"
-    "max_qubits,total_gates,total_controlled_gates,max_depth"
-)
-
-
-def result_to_csv_row(cfg: EstimatorConfig, result: EstimateResult) -> str:
-    """Flatten an estimate and its resource reports into one CSV row."""
-    shots = "exact" if cfg.exact else str(cfg.shots)
-    return ",".join(
-        [
-            cfg.method,
-            cfg.part,
-            shots,
-            str(cfg.seed),
-            repr(result.value),
-            repr(result.std_error),
-            str(result.circuits_used),
-            str(result.shots_used),
-            str(result.max_qubits),
-            str(sum(r.gate_count for r in result.resources)),
-            str(sum(r.controlled_gate_count for r in result.resources)),
-            str(max((r.logical_depth for r in result.resources), default=0)),
-        ]
-    )

@@ -165,6 +165,8 @@ def write_qubo_file(q: QuboInstance, path) -> None:
 def read_qubo_file(path) -> QuboInstance:
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
+    if not raw:
+        raise ValueError(f"{path} is empty; expected a size line and the matrix rows")
     n = int(raw[0])
     if len(raw) != n + 1:
         raise ValueError(f"expected {n} matrix rows, found {len(raw) - 1}")

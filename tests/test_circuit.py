@@ -1,5 +1,7 @@
 """Circuit IR: composition, controls, execution, resources, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,19 @@ class TestSerialization:
     def test_indented_comment_skipped(self):
         back = circuit_from_text("qubits 2\n  # note\nH t=0\n")
         assert back == Circuit(2, (h(0),))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("qubits 2\nH t=0 c=1\n", "H t=0 c=1"),
+            ("qubits 2\nDENSE t=0 m=1,0;0\n", "DENSE t=0 m=1,0;0"),
+            ("qubits 2\nregister state 0 1\nregister state 1 2\n", "register state 1 2"),
+        ],
+        ids=["control-without-polarity", "entry-without-imag", "register-twice"],
+    )
+    def test_malformed_line_rejected(self, text, line):
+        with pytest.raises(ValueError, match=re.escape(repr(line))):
+            circuit_from_text(text)
 
 
 class TestGateValidation:

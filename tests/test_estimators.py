@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import holcus.circuit
 from conftest import lcu_dense_matrix, random_prep_circuit
-from holcus.circuit import Circuit, run
+from holcus.circuit import Circuit, resource_report, run
 from holcus.estimators import (
     EXACT,
     IMAGINARY,
@@ -186,8 +187,38 @@ class TestResourceAccounting:
 
     def test_resources_one_report_per_circuit(self):
         model, prep, _ = random_case(901)
-        res = estimate(prep, model, EstimatorConfig(method="hadamard"))
-        assert len(res.resources) == res.circuits_used
+        dec = from_ising(model)
+        for method, circuits in (
+            ("hadamard", [hadamard_test_circuit(prep, t.unitary) for t in dec.terms]),
+            ("holcus", [holcus_circuit(prep, dec)]),
+        ):
+            reports = compile_plan(model, EstimatorConfig(method=method)).resources(prep)
+            assert reports == tuple(resource_report(c) for c in circuits), method
+
+
+class TestRunPlan:
+    @pytest.mark.parametrize("method", ["hadamard", "holcus", "holcus_div"])
+    def test_checks_and_builds_no_circuit(self, method, monkeypatch):
+        # The plan checked its gates when it was compiled; an evaluation only
+        # simulates and reads out.
+        model, prep, _ = random_case(902, n_lo=4)
+        cfg = EstimatorConfig(method=method)
+        plan = compile_plan(model, cfg)
+        checks, builds = [], []
+        real_check, real_init = holcus.circuit._check_gate_range, Circuit.__post_init__
+
+        def counted_check(gate, num_qubits):
+            checks.append(gate)
+            real_check(gate, num_qubits)
+
+        def counted_init(self):
+            builds.append(self)
+            real_init(self)
+
+        monkeypatch.setattr(holcus.circuit, "_check_gate_range", counted_check)
+        monkeypatch.setattr(Circuit, "__post_init__", counted_init)
+        run_plan(plan, prep, cfg)
+        assert (len(checks), len(builds)) == (0, 0)
 
 
 class TestHolcusDiv:
@@ -304,13 +335,3 @@ class TestEstimatorConfig:
     def test_bad_grouping_tol_rejected(self, method, tol):
         with pytest.raises(ValueError, match="grouping_tol"):
             EstimatorConfig(method=method, grouping_tol=tol)
-
-
-class TestCsvRow:
-    def test_header_matches_row_width(self):
-        from holcus.estimators import ESTIMATE_CSV_HEADER, result_to_csv_row
-
-        model, prep, _ = random_case(912)
-        cfg = EstimatorConfig(method="holcus", shots=100, seed=3)
-        row = result_to_csv_row(cfg, estimate(prep, model, cfg))
-        assert len(row.split(",")) == len(ESTIMATE_CSV_HEADER.split(","))

@@ -194,3 +194,9 @@ class TestQuboFile:
         assert lines[0] == "3"
         assert len(lines) == 4
         assert all(len(ln.split()) == 3 for ln in lines[1:])
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.qubo"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="empty"):
+            read_qubo_file(path)
