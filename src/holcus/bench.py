@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 from .estimators import EstimatorConfig
 from .optimize import OptimizerConfig, train_qaoa
+from .pauli_lcu import ancillas_for
 from .qaoa import exact_expectation
 from .qubo_ising import brute_force_min, qubo_to_ising, random_qubo
-from .statevector import derive_seed
+from .statevector import MAX_QUBITS, derive_seed
 
 BENCH_CSV_HEADER = (
     "n,p,instance_seed,method,wall_time_seconds,best_value,"
@@ -56,6 +57,19 @@ class ExperimentConfig:
         for method in self.methods:
             EstimatorConfig(method=method, shots=self.shots)
         OptimizerConfig(max_evals=self.max_evals, restarts=self.restarts)
+        widest = max(_register_width(method, self.n_max) for method in self.methods)
+        if widest > MAX_QUBITS:
+            raise ValueError(f"n_max={self.n_max} needs a {widest}-qubit register, above the guard of {MAX_QUBITS}")
+
+
+def _register_width(method: str, n: int) -> int:
+    """Widest register method simulates for random_qubo(n). holcus holds all
+    n(n+1)/2 Ising terms on its ancillas; random_qubo's coefficients are
+    distinct, so every holcus_div group is one term with no ancilla, as in
+    hadamard; both add the Hadamard qubit. raw uses the state register alone."""
+    if method == "holcus":
+        return n + ancillas_for(n * (n + 1) // 2, "shifted") + 1
+    return n if method == "raw" else n + 1
 
 
 def exp1_config(**overrides) -> ExperimentConfig:

@@ -4,9 +4,11 @@ Gates are named kinds with radian parameters plus a DENSE escape hatch for
 explicit unitaries; one table (_KINDS) holds each kind's target count,
 parameter count and matrix builder. Every gate may carry multi-controls with
 open/closed polarity. A Gate is checked when it is built and builds its
-matrix once, on first use. Circuits are immutable, carry an optional register
-map naming contiguous qubit spans, and check every gate's qubits in one pass,
-so run hands each gate straight to the statevector kernel.
+matrix, and the kernel operand taken from it (the diagonal of a diagonal
+gate, else the matrix), once, on first use. Circuits are immutable, carry an
+optional register map naming non-empty, disjoint qubit spans, and check
+every gate's qubits in one pass, so run hands each gate straight to the
+statevector kernel.
 
 Rotation conventions: EXP_Z(phi) = e^{i phi Z}, EXP_X(phi) = e^{i phi X},
 EXP_ZZ(phi) = e^{i phi Z (x) Z}. These are the evolution operators directly,
@@ -20,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .statevector import CLOSED, OPEN, StateVector, _apply_trusted, _checked_controls, new_basis_state
+from .statevector import CLOSED, OPEN, StateVector, _apply_trusted, _checked_controls, kernel_operand, new_basis_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -79,6 +81,12 @@ class Gate:
         """Local matrix on the targets (controls excluded), built on first use."""
         return self.matrix if self.matrix is not None else _KINDS[self.kind][2](*self.params)
 
+    @cached_property
+    def operand(self) -> np.ndarray:
+        """What the kernel applies: the diagonal of unitary when it is diagonal,
+        else unitary (statevector.kernel_operand), built on first use."""
+        return kernel_operand(self.unitary)
+
 
 def h(qubit: int, controls=()) -> Gate:
     return Gate("H", (qubit,), controls=tuple(controls))
@@ -134,12 +142,14 @@ class Circuit:
             _check_gate_range(g, self.num_qubits)
         if self.register_map is not None:
             spans = sorted(self.register_map.values(), key=lambda r: r.start)
+            for r in spans:
+                if r.start >= r.stop:
+                    raise ValueError(f"register span {r} is empty")
+                if r.start < 0 or r.stop > self.num_qubits:
+                    raise ValueError(f"register span {r} out of range")
             for a, b in zip(spans, spans[1:]):
                 if a.stop > b.start:
                     raise ValueError("register spans must be disjoint")
-            for r in spans:
-                if r.start < 0 or r.stop > self.num_qubits:
-                    raise ValueError(f"register span {r} out of range")
 
     @property
     def gate_count(self) -> int:
@@ -181,7 +191,7 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
 def _apply_gates(state: StateVector, gates: tuple[Gate, ...]) -> None:
     """Apply gates already checked to be in range for the state, in order."""
     for g in gates:
-        _apply_trusted(state, g.unitary, g.targets, g.controls)
+        _apply_trusted(state, g.operand, g.targets, g.controls)
 
 
 @dataclass(frozen=True)

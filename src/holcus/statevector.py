@@ -6,11 +6,14 @@ rendered most-significant-qubit-first, so basis index 2 on two qubits is
 the string "10" (qubit 1 set, qubit 0 clear).
 
 Gate application works on a (2,)*n view of the amplitudes: the control
-and target axes are transposed to the front, the control axes are fixed by
-basic indexing, and one 2^k x 2^k matrix product updates the block in
-place. That is O(2^n * 2^k) per gate and never builds a 2^n x 2^n operator.
-apply_unitary checks its arguments first; circuit.run, whose gates were
-checked when they were built, calls the kernel directly.
+and target axes are transposed to the front and the control axes are fixed
+by basic indexing, which leaves a view of the block the gate acts on. A
+diagonal gate (every off-diagonal entry exactly 0: EXP_Z, EXP_ZZ, S, Z-string
+Paulis) multiplies that view in place by its phases, O(2^n) with no copy; any
+other gate updates it with one 2^k x 2^k matrix product, O(2^n * 2^k). No
+2^n x 2^n operator is ever built. kernel_operand makes that choice once per
+matrix. apply_unitary checks its arguments first; circuit.run, whose gates
+were checked when they were built, calls the kernel directly.
 """
 
 from __future__ import annotations
@@ -41,6 +44,15 @@ class StateVector:
 
     num_qubits: int
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        # The kernel updates the amplitudes in place, so a real or
+        # mis-shaped array would drop phases or fail part way through a gate.
+        amps = self.amplitudes
+        if not isinstance(amps, np.ndarray) or amps.dtype != np.complex128:
+            raise ValueError(f"amplitudes must be a complex128 array, got {getattr(amps, 'dtype', type(amps))}")
+        if amps.shape != (1 << self.num_qubits,):
+            raise ValueError(f"amplitudes shape {amps.shape} does not hold {self.num_qubits} qubits")
 
     @property
     def dim(self) -> int:
@@ -140,21 +152,36 @@ def apply_unitary(
         raise ValueError(f"matrix shape {matrix.shape} does not match {k} targets")
     if validate:
         _check_unitary(matrix)
-    _apply_trusted(state, matrix, targets, controls)
+    _apply_trusted(state, kernel_operand(matrix), targets, controls)
     return state
 
 
-def _apply_trusted(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...], controls) -> None:
+def kernel_operand(matrix: np.ndarray) -> np.ndarray:
+    """What the kernel applies for a 2^k x 2^k complex matrix: its diagonal,
+    as a new length-2^k array, when every off-diagonal entry is exactly 0,
+    otherwise the matrix itself."""
+    diag = np.diagonal(matrix)
+    if np.array_equal(matrix, np.diag(diag)):
+        return diag.copy()
+    return matrix
+
+
+def _apply_trusted(state: StateVector, operand: np.ndarray, targets: tuple[int, ...], controls) -> None:
     """apply_unitary without its checks: the qubits must be distinct and in range,
-    each polarity the int OPEN or CLOSED, and matrix 2^k x 2^k for k targets."""
+    each polarity the int OPEN or CLOSED, and operand, from kernel_operand, a
+    2^k x 2^k matrix or a length-2^k diagonal for k targets."""
     n = state.num_qubits
+    k = len(targets)
     # Axis n-1-q of the reshaped view is qubit q. Controls go first so that
     # indexing them leaves the targets in front, most significant first,
-    # which makes bit j of the matrix index targets[j].
+    # which makes bit j of the operand index targets[j].
     moved = [n - 1 - q for q, _ in controls] + [n - 1 - q for q in reversed(targets)]
     tensor = state.amplitudes.reshape((2,) * n).transpose(moved + [a for a in range(n) if a not in moved])
     block = tensor[tuple(v for _, v in controls) + (...,)]
-    block[...] = (matrix @ block.reshape(1 << len(targets), -1)).reshape(block.shape)
+    if operand.ndim == 1:
+        block *= operand.reshape((2,) * k + (1,) * (block.ndim - k))
+    else:
+        block[...] = (operand @ block.reshape(1 << k, -1)).reshape(block.shape)
 
 
 def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:

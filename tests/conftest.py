@@ -75,6 +75,12 @@ def embed_full_matrix(local: np.ndarray, targets, controls, n: int) -> np.ndarra
     return out
 
 
+def distinct_phase_diagonal(rng: np.random.Generator, k: int) -> np.ndarray:
+    """2^k x 2^k diagonal unitary whose phases are pairwise distinct, in random order."""
+    dim = 1 << k
+    return np.diag(np.exp(2j * np.pi * (rng.permutation(dim) + rng.uniform()) / dim))
+
+
 def circuit_full_matrix(circ: Circuit) -> np.ndarray:
     mat = np.eye(1 << circ.num_qubits, dtype=complex)
     for g in circ.gates:

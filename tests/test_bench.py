@@ -126,8 +126,9 @@ class TestExperimentConfig:
             {"shots": 0},
             {"p_values": ()},
             {"methods": ()},
+            {"n_min": 15, "n_max": 16, "methods": ("holcus",)},
         ],
-        ids=["master_seed", "methods", "restarts", "p_values", "shots", "empty_p", "empty_methods"],
+        ids=["master_seed", "methods", "restarts", "p_values", "shots", "empty_p", "empty_methods", "too_wide"],
     )
     def test_bad_value_rejected_before_any_record(self, tmp_path, bad):
         with pytest.raises(ValueError):
@@ -314,8 +315,9 @@ class TestCli:
             ([], "methods = holcsu\n"),
             ([], "p =\n"),
             ([], "methods =\n"),
+            (["--n-max", "24"], "methods = hadamard\n"),
         ],
-        ids=["seed", "restarts", "p", "shots", "file_methods", "file_empty_p", "file_empty_methods"],
+        ids=["seed", "restarts", "p", "shots", "file_methods", "file_empty_p", "file_empty_methods", "too_wide"],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flags, file_text):
         cfg_file = tmp_path / "run.cfg"

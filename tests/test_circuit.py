@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holcus.circuit
-from conftest import circuit_full_matrix, random_prep_circuit
+from conftest import circuit_full_matrix, distinct_phase_diagonal, random_prep_circuit
 from holcus.circuit import (
     CLOSED,
     Circuit,
@@ -17,18 +17,21 @@ from holcus.circuit import (
     circuit_from_text,
     circuit_to_text,
     dense,
+    exp_x,
     exp_z,
     exp_zz,
     gate_matrix,
     h,
+    make_register_map,
     resource_report,
     run,
+    s,
     s_dagger,
     swap,
     x,
 )
 from holcus.estimators import holcus_circuit
-from holcus.pauli_lcu import build_uniform_prep_circuit, from_ising
+from holcus.pauli_lcu import build_select_circuit, build_uniform_prep_circuit, from_ising
 from holcus.qaoa import QaoaParams, build_ansatz
 from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import new_basis_state
@@ -137,11 +140,20 @@ class TestRun:
         # run skips apply_unitary's checks, so every gate kind, DENSE included,
         # and every polarity spelling must reach the kernel already valid.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        arity = {"H": 1, "X": 1, "S": 1, "S_DAGGER": 1, "EXP_X": 1, "EXP_Z": 1, "EXP_ZZ": 2, "SWAP": 2, "DENSE": 1}
+        # DIAG draws a DENSE gate with distinct phases on its diagonal, so a
+        # target-order slip on the kernel's diagonal path cannot cancel out.
+        arity = {
+            "H": 1, "X": 1, "S": 1, "S_DAGGER": 1, "EXP_X": 1, "EXP_Z": 1, "EXP_ZZ": 2, "SWAP": 2, "DENSE": 1, "DIAG": 1
+        }
         gates = []
         for _ in range(data.draw(st.integers(0, 6))):
             kind = data.draw(st.sampled_from([k for k, a in arity.items() if a <= n]))
-            k = data.draw(st.integers(1, min(2, n))) if kind == "DENSE" else arity[kind]
+            if kind == "DENSE":
+                k = data.draw(st.integers(1, min(2, n)))
+            elif kind == "DIAG":
+                k = data.draw(st.integers(1, min(3, n)))
+            else:
+                k = arity[kind]
             qubits = data.draw(st.permutations(range(n)))
             c = data.draw(st.integers(0, min(2, n - k)))
             controls = tuple((q, data.draw(st.sampled_from([0, 1, False, True]))) for q in qubits[k : k + c])
@@ -149,6 +161,8 @@ class TestRun:
             matrix = None
             if kind == "DENSE":
                 matrix, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+            elif kind == "DIAG":
+                kind, matrix = "DENSE", distinct_phase_diagonal(rng, k)
             gates.append(Gate(kind, tuple(qubits[:k]), params, controls, matrix))
         circ = Circuit(n, tuple(gates))
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -263,3 +277,50 @@ class TestGateValidation:
     def test_register_spans_must_be_disjoint(self):
         with pytest.raises(ValueError):
             Circuit(3, (), {"a": range(0, 2), "b": range(1, 3)})
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Circuit(3, (), {"a": range(5, 2)}), lambda: circuit_from_text("qubits 3\nregister a 2 2\n")],
+        ids=["reversed-range", "empty-text-span"],
+    )
+    def test_empty_register_span_rejected(self, build):
+        with pytest.raises(ValueError, match="empty"):
+            build()
+
+
+def _zz_select_gate() -> Gate:
+    """A select gate of an Ising LCU: a Z-string DENSE gate under ancilla controls."""
+    dec = from_ising(qubo_to_ising(random_qubo(3, 1)))
+    select = build_select_circuit(dec, make_register_map(3, dec.num_ancillas))
+    return next(g for g in select.gates if len(g.targets) == 2)
+
+
+_RNG = np.random.default_rng(3)
+_QR_4, _ = np.linalg.qr(_RNG.normal(size=(4, 4)) + 1j * _RNG.normal(size=(4, 4)))
+
+
+class TestKernelOperand:
+    @pytest.mark.parametrize(
+        "gate, diagonal",
+        [
+            (exp_z(0.3, 0), True),
+            (exp_zz(0.3, 0, 1), True),
+            (s(0), True),
+            (s_dagger(0), True),
+            (_zz_select_gate(), True),
+            (h(0), False),
+            (x(0), False),
+            (exp_x(0.3, 0), False),
+            (swap(0, 1), False),
+            (build_uniform_prep_circuit(2).gates[0], False),
+            (dense(_QR_4, [0, 1], [(2, CLOSED)]), False),
+        ],
+        ids=["EXP_Z", "EXP_ZZ", "S", "S_DAGGER", "Z-string select", "H", "X", "EXP_X", "SWAP", "ladder CH", "QR DENSE"],
+    )
+    def test_diagonal_gates_cache_their_diagonal(self, gate, diagonal):
+        if diagonal:
+            assert gate.operand.ndim == 1
+            assert np.array_equal(np.diag(gate.operand), gate.unitary)
+        else:
+            assert gate.operand is gate.unitary
+        assert gate.operand is gate.operand

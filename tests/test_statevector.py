@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI, embed_full_matrix, pauli_full_matrix, random_prep_circuit
+from conftest import PAULI, distinct_phase_diagonal, embed_full_matrix, pauli_full_matrix, random_prep_circuit
 from holcus.circuit import run
 from holcus.statevector import (
     CLOSED,
     OPEN,
+    StateVector,
     UnitarityError,
     apply_unitary,
     derive_seed,
@@ -43,6 +44,15 @@ class TestNewBasisState:
             new_basis_state(2, 4)
         with pytest.raises(ValueError):
             new_basis_state(0, 0)
+
+
+class TestStateVector:
+    @pytest.mark.parametrize(
+        "amplitudes", [np.array([1.0, 0.0]), np.array([1, 0, 0], dtype=complex)], ids=["float64", "wrong-length"]
+    )
+    def test_bad_amplitudes_rejected(self, amplitudes):
+        with pytest.raises(ValueError, match="amplitudes"):
+            StateVector(1, amplitudes)
 
 
 class TestApplyUnitary:
@@ -98,7 +108,10 @@ class TestApplyUnitary:
         targets = qubits[:k]
         controls = [(q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in qubits[k : k + c]]
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        local, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+        if data.draw(st.booleans(), label="diagonal"):
+            local = distinct_phase_diagonal(rng, k)
+        else:
+            local, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
         sv = new_basis_state(n)
