@@ -11,10 +11,8 @@ everything finished so far. Instance seeds derive from the master seed by
 counter splitting, independent of scheduling.
 """
 
-from __future__ import annotations
-
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .estimators import EstimatorConfig
 from .optimize import OptimizerConfig, train_qaoa
@@ -22,12 +20,6 @@ from .pauli_lcu import ancillas_for
 from .qaoa import exact_expectation
 from .qubo_ising import brute_force_min, qubo_to_ising, random_qubo
 from .statevector import MAX_QUBITS, derive_seed
-
-BENCH_CSV_HEADER = (
-    "n,p,instance_seed,method,wall_time_seconds,best_value,"
-    "exact_value_of_best_params,brute_force_optimum,circuits_total,shots_total,max_qubits,error"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -114,42 +106,22 @@ class BenchmarkRecord:
     error: str = ""
 
 
+BENCH_CSV_HEADER = ",".join(f.name for f in fields(BenchmarkRecord))
+
+
 def record_to_csv_row(rec: BenchmarkRecord) -> str:
-    return ",".join(
-        [
-            str(rec.n),
-            str(rec.p),
-            str(rec.instance_seed),
-            rec.method,
-            repr(rec.wall_time_seconds),
-            repr(rec.best_value),
-            repr(rec.exact_value_of_best_params),
-            repr(rec.brute_force_optimum),
-            str(rec.circuits_total),
-            str(rec.shots_total),
-            str(rec.max_qubits),
-            rec.error,
-        ]
-    )
+    """The record's values in field order: repr for floats, str for the rest."""
+    return ",".join((repr if f.type is float else str)(getattr(rec, f.name)) for f in fields(rec))
 
 
 def record_from_csv_row(row: str) -> BenchmarkRecord:
+    """Each column parsed by its field's type; an empty float column reads as 0.0."""
     parts = row.split(",")
-    if len(parts) != len(BENCH_CSV_HEADER.split(",")):
+    columns = fields(BenchmarkRecord)
+    if len(parts) != len(columns):
         raise ValueError(f"malformed record row: {row!r}")
     return BenchmarkRecord(
-        n=int(parts[0]),
-        p=int(parts[1]),
-        instance_seed=int(parts[2]),
-        method=parts[3],
-        wall_time_seconds=float(parts[4]) if parts[4] else 0.0,
-        best_value=float(parts[5]) if parts[5] else 0.0,
-        exact_value_of_best_params=float(parts[6]) if parts[6] else 0.0,
-        brute_force_optimum=float(parts[7]) if parts[7] else 0.0,
-        circuits_total=int(parts[8]),
-        shots_total=int(parts[9]),
-        max_qubits=int(parts[10]),
-        error=parts[11],
+        *(0.0 if f.type is float and not text else f.type(text) for f, text in zip(columns, parts))
     )
 
 
@@ -181,7 +153,8 @@ def _run_one(cfg: ExperimentConfig, n: int, p: int, instance: int, method: str) 
         rec.shots_total = trace.total_shots
         rec.max_qubits = trace.max_qubits
     except Exception as exc:  # one failed cell is kept as an error row, not the end of the sweep
-        rec.error = f"{type(exc).__name__}: {exc}"
+        # On one line with no comma, so the error stays one CSV row and one column.
+        rec.error = " ".join(f"{type(exc).__name__}: {exc}".replace(",", ";").split())
     return rec
 
 
@@ -229,28 +202,18 @@ def aggregate_speedup(
     records: list[BenchmarkRecord], slow: str = "hadamard", fast: str = "holcus"
 ) -> tuple[list[SpeedupRow], int]:
     """Paired wall-time ratios slow/fast per (n, p); returns rows plus the
-    number of records skipped for missing partners."""
-    times: dict[tuple[int, int, int, str], float] = {}
+    number of (n, p, seed) keys skipped for a missing partner."""
+    times: dict[tuple[int, int, int], dict[str, float]] = {}
     for rec in records:
-        if rec.error:
-            continue
-        times[(rec.n, rec.p, rec.instance_seed, rec.method)] = rec.wall_time_seconds
+        if not rec.error and rec.method in (slow, fast):
+            times.setdefault((rec.n, rec.p, rec.instance_seed), {})[rec.method] = rec.wall_time_seconds
     ratios: dict[tuple[int, int], list[float]] = {}
     skipped = 0
-    seen_pairs = set()
-    for (n, p, seed, method) in times:
-        if method not in (slow, fast):
-            continue
-        key = (n, p, seed)
-        if key in seen_pairs:
-            continue
-        seen_pairs.add(key)
-        a = times.get((n, p, seed, slow))
-        b = times.get((n, p, seed, fast))
-        if a is None or b is None:
+    for (n, p, _), by_method in times.items():  # first-seen order fixes each mean's summation order
+        if slow in by_method and fast in by_method:
+            ratios.setdefault((n, p), []).append(by_method[slow] / by_method[fast])
+        else:
             skipped += 1
-            continue
-        ratios.setdefault((n, p), []).append(a / b)
     rows = [
         SpeedupRow(n, p, sum(r) / len(r), min(r), max(r), len(r))
         for (n, p), r in sorted(ratios.items())
@@ -267,26 +230,19 @@ def emit_plot_data(records: list[BenchmarkRecord], kind: str, path) -> None:
         raise ValueError("no records to plot")
     if kind not in PLOT_KINDS:
         raise ValueError(f"kind must be one of {PLOT_KINDS}")
-    lines = [f"# {kind}: series\tx\ty"]
     good = [r for r in records if not r.error]
+    # (sort key, series, x, y) points; each series' y is the mean at each x, in sort-key order.
     if kind == "time_vs_n":
-        series: dict[tuple[str, int], dict[int, list[float]]] = {}
-        for r in good:
-            series.setdefault((r.method, r.p), {}).setdefault(r.n, []).append(r.wall_time_seconds)
-        for (method, p), by_n in sorted(series.items()):
-            for n, ts in sorted(by_n.items()):
-                lines.append(f"{method}_p{p}\t{n}\t{sum(ts) / len(ts)!r}")
+        points = [((r.method, r.p, r.n), f"{r.method}_p{r.p}", r.n, r.wall_time_seconds) for r in good]
     elif kind == "speedup_vs_n":
-        rows, _ = aggregate_speedup(good)
-        for row in rows:
-            lines.append(f"p{row.p}\t{row.n}\t{row.mean_ratio!r}")
+        points = [((row.n, row.p), f"p{row.p}", row.n, row.mean_ratio) for row in aggregate_speedup(good)[0]]
     else:
-        by_n: dict[int, list[float]] = {}
-        for r in good:
-            if r.method == "holcus":
-                by_n.setdefault(r.n, []).append(r.wall_time_seconds)
-        for n, ts in sorted(by_n.items()):
-            lines.append(f"holcus\t{n}\t{sum(ts) / len(ts)!r}")
+        points = [(r.n, "holcus", r.n, r.wall_time_seconds) for r in good if r.method == "holcus"]
+    ys: dict[tuple, list[float]] = {}
+    for key, series, x, y in points:
+        ys.setdefault((key, series, x), []).append(y)
+    lines = [f"# {kind}: series\tx\ty"]
+    lines += [f"{series}\t{x}\t{sum(v) / len(v)!r}" for (_, series, x), v in sorted(ys.items())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

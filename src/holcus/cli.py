@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from .bench import (
+    PLOT_KINDS,
     ExperimentConfig,
     aggregate_speedup,
     emit_plot_data,
@@ -20,39 +21,34 @@ from .bench import (
     read_records,
     run_experiment,
 )
+from .estimators import METHODS
+
+# Run option -> (ExperimentConfig field, parser of its config-file value,
+# argparse settings of its flag). Each key is both the config-file key and the
+# argparse dest of its flag, --<key with dashes>; a true `exact` sets `shots` to None.
+_RUN_OPTIONS = {
+    "n_min": ("n_min", int, dict(type=int)),
+    "n_max": ("n_max", int, dict(type=int)),
+    "p": ("p_values", lambda v: tuple(int(x) for x in v.split()), dict(type=int, nargs="+", help="layer counts")),
+    "instances": ("instances_per_n", int, dict(type=int)),
+    "shots": ("shots", int, dict(type=int)),
+    "exact": (
+        "shots",
+        lambda v: v.lower() in ("1", "true", "yes"),
+        dict(action="store_true", help="exact probabilities, no sampling"),
+    ),
+    "restarts": ("restarts", int, dict(type=int)),
+    "methods": ("methods", lambda v: tuple(v.split()), dict(nargs="+", choices=METHODS)),
+    "seed": ("master_seed", int, dict(type=int)),
+    "out": ("output_path", str, {}),
+    "max_evals": ("max_evals", int, dict(type=int)),
+}
 
 
 def _add_run_flags(sub):
-    sub.add_argument("--n-min", type=int, default=None)
-    sub.add_argument("--n-max", type=int, default=None)
-    sub.add_argument("--p", type=int, nargs="+", default=None, help="layer counts")
-    sub.add_argument("--instances", type=int, default=None)
-    sub.add_argument("--shots", type=int, default=None)
-    sub.add_argument("--exact", action="store_true", default=None, help="exact probabilities, no sampling")
-    sub.add_argument("--restarts", type=int, default=None)
-    sub.add_argument("--methods", nargs="+", default=None, choices=["raw", "hadamard", "holcus", "holcus_div"])
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--max-evals", type=int, default=None)
+    for key, (_, _, settings) in _RUN_OPTIONS.items():
+        sub.add_argument("--" + key.replace("_", "-"), default=None, **settings)
     sub.add_argument("--config", default=None, help="key = value file; flags override it")
-
-
-# Run option -> (ExperimentConfig field, parser of its config-file value).
-# Each key is both the config-file key and the argparse dest of its flag;
-# a true `exact` sets `shots` to None.
-_RUN_OPTIONS = {
-    "n_min": ("n_min", int),
-    "n_max": ("n_max", int),
-    "p": ("p_values", lambda v: tuple(int(x) for x in v.split())),
-    "instances": ("instances_per_n", int),
-    "shots": ("shots", int),
-    "exact": ("shots", lambda v: v.lower() in ("1", "true", "yes")),
-    "restarts": ("restarts", int),
-    "methods": ("methods", lambda v: tuple(v.split())),
-    "seed": ("master_seed", int),
-    "out": ("output_path", str),
-    "max_evals": ("max_evals", int),
-}
 
 
 def _collect_overrides(args) -> dict:
@@ -87,7 +83,7 @@ def main(argv=None) -> int:
     agg.add_argument("csv", help="benchmark CSV produced by exp1/exp2/single")
     plot = subs.add_parser("plotdata")
     plot.add_argument("csv")
-    plot.add_argument("kind", choices=["time_vs_n", "speedup_vs_n", "holcus_scaling"])
+    plot.add_argument("kind", choices=PLOT_KINDS)
     plot.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     try:

@@ -242,15 +242,13 @@ def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
         meas = Measurement((), n, reg, tuple(range(n - 1, -1, -1)), ising_energies(model))
         return EstimatorPlan(n, 0.0, (meas,))
     dec = from_ising(model)
-    if cfg.method == "hadamard":
-        measurements = [
-            _lcu_measurement(n, _single_term(t.unitary), cfg.part, float(t.signed_coefficient.real))
-            for t in dec.terms
-        ]
-    elif cfg.method == "holcus":
+    if cfg.method == "holcus":
         measurements = [_lcu_measurement(n, dec, cfg.part, dec.normalization)]
-    else:
-        groups = group_by_coefficient(dec, cfg.grouping_tol)
+    else:  # hadamard is holcus_div with every term a group of its own
+        if cfg.method == "hadamard":
+            groups = [CoefficientGroup(t.alpha, t.theta, (k,)) for k, t in enumerate(dec.terms)]
+        else:
+            groups = group_by_coefficient(dec, cfg.grouping_tol)
         measurements = [_group_measurement(n, dec, g, cfg.part) for g in groups]
     offset = model.offset if cfg.part == REAL else 0.0
     return EstimatorPlan(n, offset, tuple(measurements))
@@ -261,7 +259,13 @@ def _readout(
 ) -> tuple[float, float]:
     """The mean of meas.values over the marginal of meas.qubits, and the
     variance of that mean. The marginal is exact in exact mode and a draw
-    seeded with derive_seed(cfg.seed, k) otherwise."""
+    seeded with derive_seed(cfg.seed, k) otherwise.
+
+    For an Ising model every part=IMAGINARY interference circuit has
+    P(0) = 1/2 exactly, so a seeded draw sits on a tie: a kernel change that
+    moves the last bit of P(0) can mirror its counts (+x becomes -x). Each
+    draw is still within its sigma, but the seeded shot estimate of an
+    imaginary part is not stable across kernel changes."""
     probs = marginal_vector(state, meas.qubits)
     if cfg.exact:
         return probs @ meas.values, 0.0

@@ -1,9 +1,12 @@
 """Benchmark harness, CSV plumbing, aggregation, plot data, and the CLI."""
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holcus.bench
 from holcus.bench import (
@@ -77,19 +80,23 @@ class TestRunExperiment:
     def test_failed_cell_kept_as_error_row(self, tmp_path, monkeypatch):
         real = holcus.bench.train_qaoa
 
-        def fails_in_one_cell(model, p, est, opt):
+        def fails_in_two_cells(model, p, est, opt):
             if p == 2 and est.method == "holcus":
                 raise OptimizationError("objective returned nan", np.zeros(2 * p))
+            if p == 2:  # a numpy-style shape message: commas, a line break, trailing whitespace
+                raise ValueError("shapes (2,2) and (3,), not aligned\nsecond line ")
             return real(model, p, est, opt)
 
-        monkeypatch.setattr(holcus.bench, "train_qaoa", fails_in_one_cell)
+        monkeypatch.setattr(holcus.bench, "train_qaoa", fails_in_two_cells)
         cfg = tiny_config(tmp_path, p_values=(1, 2))
         records = run_experiment(cfg)
         errors = {(r.p, r.method): r.error for r in records}
         assert len(errors) == 4
         assert errors.pop((2, "holcus")) == "OptimizationError: objective returned nan"
+        assert errors.pop((2, "hadamard")) == "ValueError: shapes (2;2) and (3;); not aligned second line"
         assert set(errors.values()) == {""}
         assert read_records(cfg.output_path) == records
+        assert main(["aggregate", cfg.output_path]) == 0
 
     def test_empty_output_file_gets_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -136,10 +143,52 @@ class TestExperimentConfig:
         assert not (tmp_path / "bench.csv").exists()
 
 
+# Column text the unquoted CSV carries: no comma, no line break, no surrounding whitespace.
+_CSV_TEXT = st.text(st.characters(exclude_characters=",", exclude_categories=("Cc", "Zl", "Zp"))).filter(
+    lambda text: text == text.strip()
+)
+_CSV_INT = st.integers(0, 2**64)  # derive_seed returns 64-bit seeds
+_CSV_FLOAT = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
 class TestRecordCsv:
     def test_round_trip(self):
         rec = BenchmarkRecord(4, 2, 123, "holcus", 0.5, -1.25, -1.25, -2.0, 36, 0, 9, "")
         assert record_from_csv_row(record_to_csv_row(rec)) == rec
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ints=st.tuples(*[_CSV_INT] * 3),
+        method=_CSV_TEXT,
+        floats=st.tuples(*[st.one_of(st.sampled_from([-0.0, 5e-324, -2.5e-310]), _CSV_FLOAT)] * 4),
+        counts=st.tuples(*[_CSV_INT] * 3),
+        error=_CSV_TEXT,
+    )
+    def test_round_trip_any_record(self, ints, method, floats, counts, error):
+        rec = BenchmarkRecord(*ints, method, *floats, *counts, error)
+        row = record_to_csv_row(rec)
+        assert record_from_csv_row(row) == rec
+        assert record_to_csv_row(record_from_csv_row(row)) == row  # keeps the sign of a zero too
+
+    def test_header_is_the_readme_header(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert BENCH_CSV_HEADER in readme.splitlines()
+        assert BENCH_CSV_HEADER == (
+            "n,p,instance_seed,method,wall_time_seconds,best_value,"
+            "exact_value_of_best_params,brute_force_optimum,circuits_total,shots_total,max_qubits,error"
+        )
+
+    def test_row_format(self):
+        rec = BenchmarkRecord(
+            5, 2, 2**64 - 1, "holcus_div", 0.1, -1.5, -1.4999999999999998, -2.0, 40, 20000, 7, "ValueError: x; y"
+        )
+        assert record_to_csv_row(rec) == (
+            "5,2,18446744073709551615,holcus_div,0.1,-1.5,-1.4999999999999998,-2.0,40,20000,7,ValueError: x; y"
+        )
+        assert record_to_csv_row(BenchmarkRecord(3, 1, 0, "raw")) == "3,1,0,raw,0.0,0.0,0.0,0.0,0,0,0,"
+
+    def test_empty_float_column_reads_as_zero(self):
+        assert record_from_csv_row("3,1,0,raw,,,,,0,0,0,") == BenchmarkRecord(3, 1, 0, "raw")
 
     def test_header_width(self):
         rec = BenchmarkRecord(3, 1, 1, "raw")
