@@ -2,10 +2,10 @@
 
 Gates are named kinds with radian parameters plus a DENSE escape hatch for
 explicit unitaries; one table (_KINDS) holds each kind's target count,
-parameter count and matrix builder. Every gate may carry multi-controls with
-open/closed polarity. A Gate is checked when it is built and builds its
-matrix, and the kernel operand taken from it (the diagonal of a diagonal
-gate, else the matrix), once, on first use. Circuits are immutable, carry an
+parameter count and kernel-operand builder (the diagonal of EXP_Z, EXP_ZZ, S
+and S_DAGGER, else the matrix). Every gate may carry multi-controls with
+open/closed polarity. A Gate is checked when it is built and builds its kernel
+operand, and on request its matrix, once. Circuits are immutable, carry an
 optional register map naming non-empty, disjoint qubit spans, and check
 every gate's qubits in one pass, so run hands each gate straight to the
 statevector kernel.
@@ -26,21 +26,29 @@ from .statevector import CLOSED, OPEN, StateVector, _apply_trusted, _checked_con
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_S = np.diag([1.0, 1.0j]).astype(np.complex128)
+_S_DIAG = np.array([1.0, 1.0j], dtype=np.complex128)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128)
+# Sign patterns of the Z and Z (x) Z eigenvalues: exp(phi * signs) is the diagonal.
+_Z_SIGNS = np.array([1j, -1j])
+_ZZ_SIGNS = np.array([1j, -1j, -1j, 1j])
 
-# kind -> (target count, param count, local matrix from the params).
+
+def _exp_x(phi: float) -> np.ndarray:
+    matrix = np.cos(phi) * np.eye(2, dtype=np.complex128) + 1j * np.sin(phi) * _X
+    # sin(phi) is exactly 0 only at phi = +-0, where the gate is diagonal.
+    return kernel_operand(matrix) if phi == 0 else matrix
+
+
+# kind -> (target count, param count, kernel operand from the params).
 # DENSE takes any target count and carries its own matrix.
 _KINDS = {
     "H": (1, 0, lambda: _H),
     "X": (1, 0, lambda: _X),
-    "S": (1, 0, lambda: _S),
-    "S_DAGGER": (1, 0, lambda: _S.conj().T),
-    "EXP_X": (1, 1, lambda phi: np.cos(phi) * np.eye(2, dtype=np.complex128) + 1j * np.sin(phi) * _X),
-    "EXP_Z": (1, 1, lambda phi: np.diag([np.exp(1j * phi), np.exp(-1j * phi)])),
-    "EXP_ZZ": (
-        2, 1, lambda phi: np.diag([np.exp(1j * phi), np.exp(-1j * phi), np.exp(-1j * phi), np.exp(1j * phi)])
-    ),
+    "S": (1, 0, lambda: _S_DIAG),
+    "S_DAGGER": (1, 0, lambda: _S_DIAG.conj()),
+    "EXP_X": (1, 1, _exp_x),
+    "EXP_Z": (1, 1, lambda phi: np.exp(phi * _Z_SIGNS)),
+    "EXP_ZZ": (2, 1, lambda phi: np.exp(phi * _ZZ_SIGNS)),
     "SWAP": (2, 0, lambda: _SWAP),
     "DENSE": (None, 0, None),
 }
@@ -77,15 +85,16 @@ class Gate:
         return self.targets + tuple(q for q, _ in self.controls)
 
     @cached_property
-    def unitary(self) -> np.ndarray:
-        """Local matrix on the targets (controls excluded), built on first use."""
-        return self.matrix if self.matrix is not None else _KINDS[self.kind][2](*self.params)
+    def operand(self) -> np.ndarray:
+        """What the kernel applies (kernel_operand's rule: a diagonal gate's diagonal), built once."""
+        if self.matrix is not None:
+            return kernel_operand(self.matrix)
+        return _KINDS[self.kind][2](*self.params)
 
     @cached_property
-    def operand(self) -> np.ndarray:
-        """What the kernel applies: the diagonal of unitary when it is diagonal,
-        else unitary (statevector.kernel_operand), built on first use."""
-        return kernel_operand(self.unitary)
+    def unitary(self) -> np.ndarray:
+        """Local matrix on the targets (controls excluded), built on first use."""
+        return np.diag(self.operand) if self.operand.ndim == 1 else self.operand
 
 
 def h(qubit: int, controls=()) -> Gate:

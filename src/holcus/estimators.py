@@ -73,10 +73,14 @@ EXACT = None
 REAL = "real"
 IMAGINARY = "imaginary"
 METHODS = ("raw", "hadamard", "holcus", "holcus_div")
+MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """shots is EXACT or the shots per circuit, an int in [1, MAX_SHOTS]; MAX_SHOTS
+    = 2**63 - 1 is numpy's int64 limit, the largest count its multinomial takes."""
+
     method: str
     shots: int | None = EXACT
     seed: int = 0
@@ -86,8 +90,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.shots is not EXACT and self.shots < 1:
-            raise ValueError(f"shots must be >= 1 or EXACT, got {self.shots}")
+        if self.shots is not EXACT and (type(self.shots) is not int or not 1 <= self.shots <= MAX_SHOTS):
+            raise ValueError(f"shots must be EXACT or an int in [1, {MAX_SHOTS}], got {self.shots!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.grouping_tol >= 0:

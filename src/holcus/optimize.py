@@ -34,10 +34,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_evals < 1:
-            raise ValueError("max_evals must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name in ("max_evals", "restarts"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -181,14 +181,3 @@ def train_qaoa(
     return TrainingTrace(
         evaluations, best_params, float(best_value), total_circuits, total_shots, plan.max_qubits
     )
-
-
-TRACE_CSV_HEADER = "eval_index,value,wall_time_seconds,params"
-
-
-def trace_to_csv(trace: TrainingTrace) -> str:
-    """One row per evaluation of the winning restart; params joined by ';'."""
-    lines = [TRACE_CSV_HEADER]
-    for i, (vec, value, elapsed) in enumerate(trace.evaluations):
-        lines.append(f"{i},{value!r},{elapsed!r},{';'.join(repr(float(v)) for v in vec)}")
-    return "\n".join(lines) + "\n"

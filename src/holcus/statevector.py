@@ -5,24 +5,28 @@ Qubit 0 is the least-significant bit of the basis index; bitstrings are
 rendered most-significant-qubit-first, so basis index 2 on two qubits is
 the string "10" (qubit 1 set, qubit 0 clear).
 
-Gate application works on a (2,)*n view of the amplitudes: the control
-and target axes are transposed to the front and the control axes are fixed
-by basic indexing, which leaves a view of the block the gate acts on. A
-diagonal gate (every off-diagonal entry exactly 0: EXP_Z, EXP_ZZ, S, Z-string
-Paulis) multiplies that view in place by its phases, O(2^n) with no copy; any
-other gate updates it with one 2^k x 2^k matrix product, O(2^n * 2^k). No
-2^n x 2^n operator is ever built. kernel_operand makes that choice once per
-matrix. apply_unitary checks its arguments first; circuit.run, whose gates
-were checked when they were built, calls the kernel directly.
+Gate application works on a collapsed view of the amplitudes: one axis per
+touched qubit and one per run of untouched qubits, control and target axes
+transposed to the front, controls fixed by basic indexing. _layout computes
+that recipe once per (width, targets, controls) and caches it. A diagonal
+gate (every off-diagonal entry exactly 0: EXP_Z, EXP_ZZ, S, Z-string Paulis)
+multiplies the view in place by its phases, O(2^n) with no copy; any other
+gate updates it with one 2^k x 2^k matrix product, O(2^n * 2^k). No 2^n x 2^n
+operator is ever built. kernel_operand makes that choice once per matrix.
+apply_unitary checks its arguments first; circuit.run, whose gates were
+checked when they were built, calls the kernel directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 MAX_QUBITS = 24
+# Bound on the (n, targets, controls) recipes _layout keeps; a plan uses a few hundred.
+LAYOUT_CACHE_SIZE = 4096
 
 OPEN = 0
 CLOSED = 1
@@ -166,22 +170,37 @@ def kernel_operand(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]):
+    """(shape, axes, index, diagonal shape) of a gate's view of an n-qubit
+    register: the controls first, then the targets most significant first (bit j
+    of the operand index is targets[j]), then the untouched runs in memory order."""
+    touched = {q for q, _ in controls} | set(targets)
+    shape, axis_of, runs = [], {}, []
+    for q in range(n - 1, -1, -1):
+        if q in touched:
+            axis_of[q] = len(shape)
+            shape.append(2)
+        elif runs and runs[-1] == len(shape) - 1:
+            shape[-1] *= 2
+        else:
+            runs.append(len(shape))
+            shape.append(2)
+    axes = tuple(axis_of[q] for q, _ in controls) + tuple(axis_of[q] for q in reversed(targets)) + tuple(runs)
+    index = tuple(v for _, v in controls) + (...,)
+    return tuple(shape), axes, index, (2,) * len(targets) + (1,) * len(runs)
+
+
 def _apply_trusted(state: StateVector, operand: np.ndarray, targets: tuple[int, ...], controls) -> None:
     """apply_unitary without its checks: the qubits must be distinct and in range,
     each polarity the int OPEN or CLOSED, and operand, from kernel_operand, a
     2^k x 2^k matrix or a length-2^k diagonal for k targets."""
-    n = state.num_qubits
-    k = len(targets)
-    # Axis n-1-q of the reshaped view is qubit q. Controls go first so that
-    # indexing them leaves the targets in front, most significant first,
-    # which makes bit j of the operand index targets[j].
-    moved = [n - 1 - q for q, _ in controls] + [n - 1 - q for q in reversed(targets)]
-    tensor = state.amplitudes.reshape((2,) * n).transpose(moved + [a for a in range(n) if a not in moved])
-    block = tensor[tuple(v for _, v in controls) + (...,)]
+    shape, axes, index, diag_shape = _layout(state.num_qubits, targets, controls)
+    block = state.amplitudes.reshape(shape).transpose(axes)[index]
     if operand.ndim == 1:
-        block *= operand.reshape((2,) * k + (1,) * (block.ndim - k))
+        block *= operand.reshape(diag_shape)
     else:
-        block[...] = (operand @ block.reshape(1 << k, -1)).reshape(block.shape)
+        block[...] = (operand @ block.reshape(len(operand), -1)).reshape(block.shape)
 
 
 def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:
@@ -196,17 +215,10 @@ def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> 
     for q in qubits:
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-    # Axis n-1-q of the reshaped tensor corresponds to qubit q.
-    tensor = (np.abs(state.amplitudes) ** 2).reshape([2] * n)
-    keep_axes = [n - 1 - q for q in qubits]
-    drop_axes = tuple(ax for ax in range(n) if ax not in keep_axes)
-    if drop_axes:
-        tensor = tensor.sum(axis=drop_axes)
-    # After the sum the remaining axes are the kept ones in ascending axis
-    # order; permute so that axis j corresponds to qubits[j].
-    remaining = sorted(keep_axes)
-    tensor = np.moveaxis(tensor, [remaining.index(ax) for ax in keep_axes], range(len(qubits)))
-    return tensor.reshape(-1)
+    # The kernel's view with qubits as targets, reversed so qubits[0] leads.
+    shape, axes, _, _ = _layout(n, qubits[::-1], ())
+    tensor = (np.abs(state.amplitudes) ** 2).reshape(shape).transpose(axes)
+    return tensor.sum(axis=tuple(range(len(qubits), tensor.ndim))).reshape(-1)
 
 
 def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ...] | None = None) -> OutcomeDistribution:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holcus.circuit
-from conftest import circuit_full_matrix, distinct_phase_diagonal, random_prep_circuit
+from conftest import PAULI, circuit_full_matrix, distinct_phase_diagonal, random_prep_circuit
 from holcus.circuit import (
     CLOSED,
     Circuit,
@@ -34,7 +34,7 @@ from holcus.estimators import holcus_circuit
 from holcus.pauli_lcu import build_select_circuit, build_uniform_prep_circuit, from_ising
 from holcus.qaoa import QaoaParams, build_ansatz
 from holcus.qubo_ising import qubo_to_ising, random_qubo
-from holcus.statevector import new_basis_state
+from holcus.statevector import kernel_operand, new_basis_state
 
 
 class TestBuildCost:
@@ -324,3 +324,31 @@ class TestKernelOperand:
         else:
             assert gate.operand is gate.unitary
         assert gate.operand is gate.operand
+
+
+# Each named kind's local matrix in the closed form the kind table replaced.
+_CLOSED_FORMS = {
+    "EXP_Z": lambda phi: np.diag([np.exp(1j * phi), np.exp(-1j * phi)]),
+    "EXP_ZZ": lambda phi: np.diag([np.exp(1j * phi), np.exp(-1j * phi), np.exp(-1j * phi), np.exp(1j * phi)]),
+    "EXP_X": lambda phi: np.cos(phi) * np.eye(2, dtype=np.complex128) + 1j * np.sin(phi) * PAULI["X"],
+    "S": lambda: np.diag([1.0, 1.0j]).astype(np.complex128),
+    "S_DAGGER": lambda: np.diag(np.conj([1.0, 1.0j])),
+}
+
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.pi, -np.pi, 1e-300, -1e-300]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestOperandTable:
+    @settings(max_examples=300, deadline=None)
+    @given(phi=_ANGLES)
+    @pytest.mark.parametrize("kind", sorted(_CLOSED_FORMS))
+    def test_operand_and_unitary_match_closed_form(self, kind, phi):
+        # Byte equality: a signed zero or a last-bit change would move estimates.
+        params = (phi,) if kind.startswith("EXP_") else ()
+        matrix = _CLOSED_FORMS[kind](*params)
+        gate = Gate(kind, (0, 1) if kind == "EXP_ZZ" else (0,), params)
+        assert gate.operand.tobytes() == kernel_operand(matrix).tobytes()
+        assert gate.unitary.tobytes() == matrix.tobytes()

@@ -11,6 +11,7 @@ from holcus.circuit import Circuit, resource_report, run
 from holcus.estimators import (
     EXACT,
     IMAGINARY,
+    MAX_SHOTS,
     REAL,
     EstimatorConfig,
     compile_plan,
@@ -22,7 +23,7 @@ from holcus.estimators import (
 from holcus.pauli_lcu import PauliString, from_ising, group_by_coefficient
 from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
-from holcus.statevector import derive_seed, marginal_probabilities, sample_counts
+from holcus.statevector import LAYOUT_CACHE_SIZE, _layout, derive_seed, marginal_probabilities, sample_counts
 
 
 def model_of(n, h, J, offset=0.0):
@@ -220,6 +221,20 @@ class TestRunPlan:
         run_plan(plan, prep, cfg)
         assert (len(checks), len(builds)) == (0, 0)
 
+    @pytest.mark.parametrize("method", ["raw", "hadamard", "holcus", "holcus_div"])
+    def test_repeat_estimate_computes_no_layout(self, method):
+        # The kernel's view recipe depends only on a gate's qubits and the
+        # register width, so a second identical estimate finds every one cached.
+        model, prep, _ = random_case(903, n_lo=4)
+        cfg = EstimatorConfig(method=method)
+        estimate(prep, model, cfg)
+        misses = _layout.cache_info().misses
+        estimate(prep, model, cfg)
+        assert _layout.cache_info().misses == misses
+
+    def test_layout_cache_is_bounded(self):
+        assert _layout.cache_info().maxsize == LAYOUT_CACHE_SIZE
+
 
 class TestHolcusDiv:
     def test_fully_degenerate_single_circuit(self):
@@ -329,6 +344,16 @@ class TestEstimatorConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             EstimatorConfig(method="holcus", shots=10, seed=-1)
+
+    # 2.5 drew 2 samples and divided by 2.5; True ran one shot; 10**19
+    # overflowed numpy's multinomial mid-estimate.
+    @pytest.mark.parametrize("shots", [0, -1, 2.5, 10.0, True, False, "10", MAX_SHOTS + 1, 10**19])
+    def test_bad_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots"):
+            EstimatorConfig(method="holcus", shots=shots)
+
+    def test_largest_shot_count_accepted(self):
+        assert EstimatorConfig(method="holcus", shots=MAX_SHOTS).shots == np.iinfo(np.int64).max
 
     @pytest.mark.parametrize("method", ["hadamard", "holcus_div"])
     @pytest.mark.parametrize("tol", [-1e-9, float("nan")])

@@ -15,7 +15,6 @@ from holcus.optimize import (
     OptimizerConfig,
     TrainingTrace,
     nelder_mead,
-    trace_to_csv,
     train_qaoa,
 )
 from holcus.qaoa import QaoaParams, build_ansatz
@@ -68,6 +67,15 @@ class TestNelderMead:
         with pytest.raises(OptimizationError) as err:
             nelder_mead(f, [1.0], OptimizerConfig(max_evals=100, initial_simplex_scale=1.0))
         assert err.value.params is not None
+
+
+class TestOptimizerConfig:
+    # 2.5 would run ceil(2.5) evaluations, True one.
+    @pytest.mark.parametrize("field", ["max_evals", "restarts"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, True, False, None])
+    def test_count_not_a_positive_int_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
 
 
 class TestTrainQaoa:
@@ -166,10 +174,3 @@ class TestTrainQaoa:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
             OptimizerConfig(seed=-1)
-
-    def test_trace_csv(self):
-        trace = train_qaoa(self.model, 1, self.est, OptimizerConfig(max_evals=10, restarts=1))
-        text = trace_to_csv(trace)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("eval_index")
-        assert len(lines) == len(trace.evaluations) + 1

@@ -12,9 +12,12 @@ from holcus.statevector import (
     OPEN,
     StateVector,
     UnitarityError,
+    _apply_trusted,
     apply_unitary,
     derive_seed,
+    kernel_operand,
     marginal_probabilities,
+    marginal_vector,
     new_basis_state,
     pauli_expectation,
     sample_counts,
@@ -100,7 +103,7 @@ class TestApplyUnitary:
             apply_unitary(sv, X, [0], [(1, v) for v in polarities])
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 6))
+    @given(data=st.data(), n=st.integers(1, 8))
     def test_matches_full_matrix_oracle(self, data, n):
         k = data.draw(st.integers(1, min(3, n)))
         qubits = data.draw(st.permutations(range(n)))
@@ -133,6 +136,62 @@ class TestApplyUnitary:
         circ = random_prep_circuit(12, rng, depth=1000)
         out = run(circ)
         assert abs(out.norm() - 1.0) < 1e-9
+
+
+def _per_qubit_kernel(state, operand, targets, controls):
+    """The gate kernel on a (2,)*n view with one axis per qubit: the reference
+    that the collapsed view must reproduce bit for bit."""
+    n = state.num_qubits
+    k = len(targets)
+    moved = [n - 1 - q for q, _ in controls] + [n - 1 - q for q in reversed(targets)]
+    tensor = state.amplitudes.reshape((2,) * n).transpose(moved + [a for a in range(n) if a not in moved])
+    block = tensor[tuple(v for _, v in controls) + (...,)]
+    if operand.ndim == 1:
+        block *= operand.reshape((2,) * k + (1,) * (block.ndim - k))
+    else:
+        block[...] = (operand @ block.reshape(1 << k, -1)).reshape(block.shape)
+
+
+def _per_qubit_marginal(state, qubits):
+    """marginal_vector on a (2,)*n view: sum the other axes, then order the rest."""
+    n = state.num_qubits
+    tensor = (np.abs(state.amplitudes) ** 2).reshape([2] * n)
+    keep_axes = [n - 1 - q for q in qubits]
+    drop_axes = tuple(ax for ax in range(n) if ax not in keep_axes)
+    if drop_axes:
+        tensor = tensor.sum(axis=drop_axes)
+    remaining = sorted(keep_axes)
+    return np.moveaxis(tensor, [remaining.index(ax) for ax in keep_axes], range(len(qubits))).reshape(-1)
+
+
+class TestCollapsedView:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10))
+    def test_matches_per_qubit_view_bit_for_bit(self, data, n):
+        k = data.draw(st.integers(1, min(3, n)))
+        qubits = data.draw(st.permutations(range(n)))
+        c = data.draw(st.integers(0, min(3, n - k)))
+        targets = tuple(qubits[:k])
+        controls = tuple((q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in qubits[k : k + c])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if data.draw(st.booleans(), label="diagonal"):
+            operand = kernel_operand(distinct_phase_diagonal(rng, k))
+        else:
+            operand, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        got, want = StateVector(n, psi.copy()), StateVector(n, psi.copy())
+        _apply_trusted(got, operand, targets, controls)
+        _per_qubit_kernel(want, operand, targets, controls)
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10))
+    def test_marginal_matches_per_qubit_sum_bit_for_bit(self, data, n):
+        qubits = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, psi / np.linalg.norm(psi))
+        assert marginal_vector(state, qubits).tobytes() == _per_qubit_marginal(state, qubits).tobytes()
 
 
 class TestMarginalProbabilities:
