@@ -12,9 +12,6 @@ from .circuit import (
     Circuit,
     Gate,
     ResourceReport,
-    add_control,
-    circuit_from_text,
-    circuit_to_text,
     resource_report,
     run,
 )
@@ -53,8 +50,6 @@ from .qubo_ising import (
     qubo_cost,
     qubo_to_ising,
     random_qubo,
-    read_qubo_file,
-    write_qubo_file,
 )
 from .statevector import (
     CapacityError,

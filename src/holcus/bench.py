@@ -35,6 +35,12 @@ class ExperimentConfig:
     max_evals: int = 60
 
     def __post_init__(self):
+        # A float or bool would pass the comparisons below and fail mid-sweep.
+        ints = dict(n_min=self.n_min, n_max=self.n_max, instances_per_n=self.instances_per_n, master_seed=self.master_seed)
+        ints.update((f"p_values[{i}]", p) for i, p in enumerate(self.p_values))
+        for name, value in ints.items():
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.instances_per_n < 1:
             raise ValueError("instances_per_n must be >= 1")
         if self.n_min < 1 or self.n_max < self.n_min:

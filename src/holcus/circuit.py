@@ -17,7 +17,7 @@ with no hidden -theta/2 factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -171,18 +171,6 @@ def _check_gate_range(gate: Gate, num_qubits: int) -> None:
             raise ValueError(f"gate qubit {q} out of range for {num_qubits}-qubit circuit")
 
 
-def add_control(circuit: Circuit, control_qubit: int, polarity: int = CLOSED) -> Circuit:
-    """Every gate acquires an extra control on control_qubit.
-
-    Executing the result with the control qubit in |1> (closed polarity)
-    reproduces the original circuit; with |0> it is the identity.
-    """
-    if not 0 <= control_qubit < circuit.num_qubits:
-        raise ValueError(f"control qubit {control_qubit} out of range")
-    control = ((control_qubit, polarity),)
-    return replace(circuit, gates=tuple(replace(g, controls=g.controls + control) for g in circuit.gates))
-
-
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
     """Execute the circuit on a copy of the initial state (default |0...0>)."""
     if initial is None:
@@ -243,71 +231,3 @@ def make_register_map(num_state: int, num_ancilla: int, hadamard: bool = True) -
         reg["hadamard"] = range(top, top + 1)
     return reg
 
-
-# --- text serialization (one gate per line) ---------------------------------
-#
-# Header:  qubits <n>
-# Gate:    <kind> [p=<v,...>] [t=<q,...>] [c=<q:pol,...>] [m=<re,im;re,im;...>]
-# Dense matrices are flattened row-major as re,im pairs joined by ';'.
-
-
-def circuit_to_text(circuit: Circuit) -> str:
-    lines = [f"qubits {circuit.num_qubits}"]
-    if circuit.register_map:
-        for name, span in circuit.register_map.items():
-            lines.append(f"register {name} {span.start} {span.stop}")
-    for g in circuit.gates:
-        parts = [g.kind]
-        if g.params:
-            parts.append("p=" + ",".join(repr(v) for v in g.params))
-        parts.append("t=" + ",".join(str(q) for q in g.targets))
-        if g.controls:
-            parts.append("c=" + ",".join(f"{q}:{v}" for q, v in g.controls))
-        if g.kind == "DENSE":
-            flat = g.matrix.reshape(-1)
-            parts.append("m=" + ";".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in flat))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def circuit_from_text(text: str) -> Circuit:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("qubits "):
-        raise ValueError("circuit text must start with a 'qubits <n>' line")
-    num_qubits = int(lines[0].split()[1])
-    register_map: dict[str, range] = {}
-    gates = []
-    for ln in lines[1:]:
-        # A q:pol or re,im pair missing its half fails to unpack with ValueError.
-        try:
-            if ln.startswith("register "):
-                _, name, start, stop = ln.split()
-                if name in register_map:
-                    raise ValueError(f"register {name!r} is declared twice")
-                register_map[name] = range(int(start), int(stop))
-                continue
-            fields = ln.split()
-            kind = fields[0]
-            params: tuple[float, ...] = ()
-            targets: tuple[int, ...] = ()
-            controls: tuple[tuple[int, int], ...] = ()
-            matrix = None
-            for f in fields[1:]:
-                tag, _, body = f.partition("=")
-                if tag == "p":
-                    params = tuple(float(v) for v in body.split(","))
-                elif tag == "t":
-                    targets = tuple(int(q) for q in body.split(","))
-                elif tag == "c":
-                    controls = tuple((int(q), int(pol)) for q, pol in (c.split(":") for c in body.split(",")))
-                elif tag == "m":
-                    pairs = (p.split(",") for p in body.split(";"))
-                    vals = [complex(float(real), float(imag)) for real, imag in pairs]
-                    dim = int(round(len(vals) ** 0.5))
-                    matrix = np.array(vals, dtype=np.complex128).reshape(dim, dim)
-                else:
-                    raise ValueError(f"unknown field {f!r}")
-            gates.append(Gate(kind, targets, params, controls, matrix))
-        except ValueError as err:
-            raise ValueError(f"bad circuit line {ln!r}: {err}") from err
-    return Circuit(num_qubits, tuple(gates), register_map or None)

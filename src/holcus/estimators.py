@@ -67,19 +67,18 @@ from .pauli_lcu import (
     group_by_coefficient,
 )
 from .qubo_ising import IsingModel, ising_energies
-from .statevector import StateVector, derive_seed, marginal_vector, multinomial_draw, new_basis_state
+from .statevector import MAX_SHOTS, StateVector, derive_seed, marginal_vector, multinomial_draw, new_basis_state
 
 EXACT = None
 REAL = "real"
 IMAGINARY = "imaginary"
 METHODS = ("raw", "hadamard", "holcus", "holcus_div")
-MAX_SHOTS = 2**63 - 1
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """shots is EXACT or the shots per circuit, an int in [1, MAX_SHOTS]; MAX_SHOTS
-    = 2**63 - 1 is numpy's int64 limit, the largest count its multinomial takes."""
+    """shots is EXACT or the shots per circuit, an int in [1, MAX_SHOTS] (the
+    bound multinomial_draw enforces); seed is an int >= 0."""
 
     method: str
     shots: int | None = EXACT
@@ -92,8 +91,8 @@ class EstimatorConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.shots is not EXACT and (type(self.shots) is not int or not 1 <= self.shots <= MAX_SHOTS):
             raise ValueError(f"shots must be EXACT or an int in [1, {MAX_SHOTS}], got {self.shots!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         if not self.grouping_tol >= 0:
             raise ValueError(f"grouping_tol must be >= 0, got {self.grouping_tol}")
         if self.part not in (REAL, IMAGINARY):

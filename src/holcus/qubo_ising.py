@@ -152,23 +152,3 @@ def brute_force_min(q: QuboInstance) -> tuple[str, float]:
     best = int(np.argmin(energies))
     return bitstring_from_index(best, q.n), float(energies[best])
 
-
-def write_qubo_file(q: QuboInstance, path) -> None:
-    """Plain-text format: first line n, then n rows of n space-separated values."""
-    lines = [str(q.n)]
-    for row in q.Q:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_qubo_file(path) -> QuboInstance:
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw:
-        raise ValueError(f"{path} is empty; expected a size line and the matrix rows")
-    n = int(raw[0])
-    if len(raw) != n + 1:
-        raise ValueError(f"expected {n} matrix rows, found {len(raw) - 1}")
-    Q = np.array([[float(v) for v in ln.split()] for ln in raw[1:]])
-    return QuboInstance(n, Q)

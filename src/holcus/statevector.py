@@ -25,6 +25,8 @@ from functools import lru_cache
 import numpy as np
 
 MAX_QUBITS = 24
+# numpy's int64 limit, the largest count its multinomial takes.
+MAX_SHOTS = 2**63 - 1
 # Bound on the (n, targets, controls) recipes _layout keeps; a plan uses a few hundred.
 LAYOUT_CACHE_SIZE = 4096
 
@@ -234,9 +236,10 @@ def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ..
 
 def multinomial_draw(probs, shots: int, seed: int) -> np.ndarray:
     """Seeded multinomial counts over the entries of probs, renormalised;
-    zero entries draw nothing and leave the stream of the others unchanged."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    zero entries draw nothing and leave the stream of the others unchanged.
+    shots must be an int (not a bool) in [1, MAX_SHOTS]."""
+    if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be an int in [1, {MAX_SHOTS}], got {shots!r}")
     pvals = np.asarray(probs, dtype=float)
     return np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
 

@@ -134,8 +134,17 @@ class TestExperimentConfig:
             {"p_values": ()},
             {"methods": ()},
             {"n_min": 15, "n_max": 16, "methods": ("holcus",)},
+            {"n_min": 2.5},
+            {"n_max": 3.5},
+            {"instances_per_n": 1.5},
+            {"instances_per_n": True},
+            {"p_values": (1.5,)},
+            {"master_seed": 1.5},
         ],
-        ids=["master_seed", "methods", "restarts", "p_values", "shots", "empty_p", "empty_methods", "too_wide"],
+        ids=[
+            "master_seed", "methods", "restarts", "p_values", "shots", "empty_p", "empty_methods", "too_wide",
+            "float_n_min", "float_n_max", "float_instances", "bool_instances", "float_p", "float_master_seed",
+        ],
     )
     def test_bad_value_rejected_before_any_record(self, tmp_path, bad):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
-"""Circuit IR: composition, controls, execution, resources, serialization."""
+"""Circuit IR: composition, controls, execution, resources."""
 
-import re
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,9 +13,6 @@ from holcus.circuit import (
     CLOSED,
     Circuit,
     Gate,
-    add_control,
-    circuit_from_text,
-    circuit_to_text,
     dense,
     exp_x,
     exp_z,
@@ -54,22 +51,20 @@ class TestBuildCost:
         assert len(calls) <= 2 * len(circ.gates)
 
 
-class TestAddControl:
-    def test_control_off_is_identity(self):
-        circ = add_control(Circuit(2, (h(0),)), 1)
-        out = run(circ, new_basis_state(2, 0))
-        assert np.allclose(out.amplitudes, new_basis_state(2, 0).amplitudes)
+def _with_control(circuit: Circuit, qubit: int) -> Circuit:
+    """circuit with a closed control on qubit added to every gate."""
+    gates = tuple(dataclasses.replace(g, controls=g.controls + ((qubit, CLOSED),)) for g in circuit.gates)
+    return Circuit(circuit.num_qubits, gates)
 
-    def test_control_on_applies(self):
-        circ = add_control(Circuit(2, (x(0),)), 1)
-        out = run(circ, new_basis_state(2, 0b10))
-        assert np.argmax(np.abs(out.amplitudes)) == 0b11
+
+class TestAddControl:
+    """Named gates under added controls, run and compared with the Kronecker oracle."""
 
     def test_matches_block_diagonal_unitary(self, rng):
         # Oracle: explicit 8x8 diag(I, U) built from the uncontrolled matrix.
         for _ in range(5):
             sub = random_prep_circuit(2, rng, depth=8)
-            controlled = add_control(Circuit(3, sub.gates), 2)
+            controlled = _with_control(Circuit(3, sub.gates), 2)
             u_sub = circuit_full_matrix(sub)
             block = np.eye(8, dtype=complex)
             block[4:, 4:] = u_sub  # qubit 2 set = upper half of the index range
@@ -81,7 +76,7 @@ class TestAddControl:
 
     def test_double_control_matches_explicit_matrix(self, rng):
         sub = random_prep_circuit(3, rng, depth=8)
-        twice = add_control(add_control(Circuit(5, sub.gates), 3), 4)
+        twice = _with_control(_with_control(Circuit(5, sub.gates), 3), 4)
         u_sub = circuit_full_matrix(sub)
         full = np.eye(32, dtype=complex)
         full[24:, 24:] = u_sub  # qubits 3 and 4 both set
@@ -90,10 +85,6 @@ class TestAddControl:
         init = new_basis_state(5)
         init.amplitudes[:] = amps
         assert np.allclose(run(twice, init).amplitudes, full @ amps, atol=1e-12)
-
-    def test_used_qubit_rejected(self):
-        with pytest.raises(ValueError):
-            add_control(Circuit(2, (h(0),)), 0)
 
 
 class TestRun:
@@ -205,45 +196,6 @@ class TestResourceReport:
         assert resource_report(circ).controlled_gate_count == 1
 
 
-class TestSerialization:
-    def test_round_trip_named_gates(self):
-        circ = Circuit(3, (h(0), s_dagger(2), exp_zz(0.35, 0, 1), swap(1, 2), x(0, controls=[(2, 0)])))
-        text = circuit_to_text(circ)
-        back = circuit_from_text(text)
-        assert circuit_to_text(back) == text
-        assert np.allclose(run(back).amplitudes, run(circ).amplitudes)
-
-    def test_round_trip_dense_gate(self, rng):
-        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        q, _ = np.linalg.qr(mat)
-        circ = Circuit(3, (dense(q, [0, 2], [(1, CLOSED)]),))
-        back = circuit_from_text(circuit_to_text(circ))
-        assert np.allclose(back.gates[0].matrix, q)
-        assert np.allclose(run(back).amplitudes, run(circ).amplitudes)
-
-    def test_register_map_round_trip(self):
-        circ = Circuit(4, (h(0),), {"state": range(0, 2), "lcu_ancilla": range(2, 3), "hadamard": range(3, 4)})
-        back = circuit_from_text(circuit_to_text(circ))
-        assert back.register_map == circ.register_map
-
-    def test_indented_comment_skipped(self):
-        back = circuit_from_text("qubits 2\n  # note\nH t=0\n")
-        assert back == Circuit(2, (h(0),))
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("qubits 2\nH t=0 c=1\n", "H t=0 c=1"),
-            ("qubits 2\nDENSE t=0 m=1,0;0\n", "DENSE t=0 m=1,0;0"),
-            ("qubits 2\nregister state 0 1\nregister state 1 2\n", "register state 1 2"),
-        ],
-        ids=["control-without-polarity", "entry-without-imag", "register-twice"],
-    )
-    def test_malformed_line_rejected(self, text, line):
-        with pytest.raises(ValueError, match=re.escape(repr(line))):
-            circuit_from_text(text)
-
-
 class TestGateValidation:
     def test_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -278,11 +230,7 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Circuit(3, (), {"a": range(0, 2), "b": range(1, 3)})
 
-    @pytest.mark.parametrize(
-        "build",
-        [lambda: Circuit(3, (), {"a": range(5, 2)}), lambda: circuit_from_text("qubits 3\nregister a 2 2\n")],
-        ids=["reversed-range", "empty-text-span"],
-    )
+    @pytest.mark.parametrize("build", [lambda: Circuit(3, (), {"a": range(5, 2)})], ids=["reversed-range"])
     def test_empty_register_span_rejected(self, build):
         with pytest.raises(ValueError, match="empty"):
             build()

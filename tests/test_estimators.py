@@ -342,8 +342,10 @@ class TestEstimatorConfig:
             EstimatorConfig(method="raw", part=IMAGINARY)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            EstimatorConfig(method="holcus", shots=10, seed=-1)
+        # 1.5 failed inside numpy's SeedSequence at the first finite-shot estimate.
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="seed"):
+                EstimatorConfig(method="holcus", shots=10, seed=seed)
 
     # 2.5 drew 2 samples and divided by 2.5; True ran one shot; 10**19
     # overflowed numpy's multinomial mid-estimate.

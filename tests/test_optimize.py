@@ -172,5 +172,6 @@ class TestTrainQaoa:
             train_qaoa(self.model, 0, self.est, OptimizerConfig())
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            OptimizerConfig(seed=-1)
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="seed"):
+                OptimizerConfig(seed=seed)

@@ -15,8 +15,6 @@ from holcus.qubo_ising import (
     qubo_cost,
     qubo_to_ising,
     random_qubo,
-    read_qubo_file,
-    write_qubo_file,
 )
 from holcus.statevector import CapacityError
 
@@ -176,27 +174,3 @@ class TestBruteForce:
         with pytest.raises(CapacityError):
             brute_force_min(QuboInstance(25, np.zeros((25, 25))))
 
-
-class TestQuboFile:
-    def test_round_trip(self, tmp_path):
-        q = random_qubo(4, 17)
-        path = tmp_path / "instance.qubo"
-        write_qubo_file(q, path)
-        back = read_qubo_file(path)
-        assert back.n == 4
-        assert np.array_equal(back.Q, q.Q)
-
-    def test_format_shape(self, tmp_path):
-        q = random_qubo(3, 2)
-        path = tmp_path / "q.txt"
-        write_qubo_file(q, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "3"
-        assert len(lines) == 4
-        assert all(len(ln.split()) == 3 for ln in lines[1:])
-
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.qubo"
-        path.write_text("\n")
-        with pytest.raises(ValueError, match="empty"):
-            read_qubo_file(path)

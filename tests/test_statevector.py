@@ -9,6 +9,7 @@ from conftest import PAULI, distinct_phase_diagonal, embed_full_matrix, pauli_fu
 from holcus.circuit import run
 from holcus.statevector import (
     CLOSED,
+    MAX_SHOTS,
     OPEN,
     StateVector,
     UnitarityError,
@@ -263,9 +264,11 @@ class TestSampleCounts:
         counts = sample_counts(marginal_probabilities(run(circ)), 4321, seed=5)
         assert sum(counts.counts.values()) == counts.total_shots == 4321
 
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ValueError):
-            sample_counts(marginal_probabilities(new_basis_state(1), [0]), 0, seed=1)
+    # 2.5 drew 2 samples but reported total_shots=2.5; True drew 1.
+    @pytest.mark.parametrize("shots", [0, 2.5, True, "10", MAX_SHOTS + 1], ids=["zero", "float", "bool", "str", "above_max"])
+    def test_zero_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots"):
+            sample_counts(marginal_probabilities(new_basis_state(1), [0]), shots, seed=1)
 
 
 class TestPauliExpectation:
