@@ -11,8 +11,12 @@ transposed to the front, controls fixed by basic indexing. _layout computes
 that recipe once per (width, targets, controls) and caches it. A diagonal
 gate (every off-diagonal entry exactly 0: EXP_Z, EXP_ZZ, S, Z-string Paulis)
 multiplies the view in place by its phases, O(2^n) with no copy; any other
-gate updates it with one 2^k x 2^k matrix product, O(2^n * 2^k). No 2^n x 2^n
-operator is ever built. kernel_operand makes that choice once per matrix.
+gate updates it with 2^k x 2^k matrix products, O(2^n * 2^k): one on a block
+(the view with controls fixed) of at most CHUNK amplitudes, else one per slice
+of at most CHUNK amplitudes, so the temporaries stay small enough for the
+allocator to reuse instead of being page-faulted back on every gate. No
+2^n x 2^n operator is ever built. kernel_operand makes that choice once per
+matrix.
 apply_unitary checks its arguments first; circuit.run, whose gates were
 checked when they were built, calls the kernel directly.
 """
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -29,6 +34,8 @@ MAX_QUBITS = 24
 MAX_SHOTS = 2**63 - 1
 # Bound on the (n, targets, controls) recipes _layout keeps; a plan uses a few hundred.
 LAYOUT_CACHE_SIZE = 4096
+# Most amplitudes one matrix product reads; larger blocks are updated slice by slice.
+CHUNK = 1 << 14
 
 OPEN = 0
 CLOSED = 1
@@ -174,9 +181,12 @@ def kernel_operand(matrix: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]):
-    """(shape, axes, index, diagonal shape) of a gate's view of an n-qubit
+    """(shape, axes, index, diagonal shape, chunks) of a gate's view of an n-qubit
     register: the controls first, then the targets most significant first (bit j
-    of the operand index is targets[j]), then the untouched runs in memory order."""
+    of the operand index is targets[j]), then the untouched runs in memory order.
+    chunks is None when the block (the view with controls fixed) holds at most
+    CHUNK amplitudes; otherwise it is the block's slices of at most
+    max(CHUNK, 2^k) amplitudes, cut along its longest untouched runs first."""
     touched = {q for q, _ in controls} | set(targets)
     shape, axis_of, runs = [], {}, []
     for q in range(n - 1, -1, -1):
@@ -190,19 +200,36 @@ def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], .
             shape.append(2)
     axes = tuple(axis_of[q] for q, _ in controls) + tuple(axis_of[q] for q in reversed(targets)) + tuple(runs)
     index = tuple(v for _, v in controls) + (...,)
-    return tuple(shape), axes, index, (2,) * len(targets) + (1,) * len(runs)
+    k = len(targets)
+    # Cut the longest run to the width that leaves CHUNK amplitudes per slice,
+    # or to width 1 and the next longest run too, until a slice fits.
+    cuts = [[slice(None)]] * (k + len(runs))
+    block_size = size = 1 << (n - len(controls))
+    for j in sorted(range(len(runs)), key=lambda j: -shape[runs[j]]):
+        if size <= CHUNK:
+            break
+        length = shape[runs[j]]
+        width = max(1, length * CHUNK // size)
+        cuts[k + j] = [slice(i, i + width) for i in range(0, length, width)]
+        size = size // length * width
+    chunks = None if size == block_size else tuple(product(*cuts))
+    return tuple(shape), axes, index, (2,) * k + (1,) * len(runs), chunks
 
 
 def _apply_trusted(state: StateVector, operand: np.ndarray, targets: tuple[int, ...], controls) -> None:
     """apply_unitary without its checks: the qubits must be distinct and in range,
     each polarity the int OPEN or CLOSED, and operand, from kernel_operand, a
     2^k x 2^k matrix or a length-2^k diagonal for k targets."""
-    shape, axes, index, diag_shape = _layout(state.num_qubits, targets, controls)
+    shape, axes, index, diag_shape, chunks = _layout(state.num_qubits, targets, controls)
     block = state.amplitudes.reshape(shape).transpose(axes)[index]
     if operand.ndim == 1:
         block *= operand.reshape(diag_shape)
-    else:
+    elif chunks is None:
         block[...] = (operand @ block.reshape(len(operand), -1)).reshape(block.shape)
+    else:
+        for c in chunks:
+            sub = block[c]
+            sub[...] = (operand @ sub.reshape(len(operand), -1)).reshape(sub.shape)
 
 
 def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:
@@ -218,7 +245,7 @@ def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> 
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
     # The kernel's view with qubits as targets, reversed so qubits[0] leads.
-    shape, axes, _, _ = _layout(n, qubits[::-1], ())
+    shape, axes, _, _, _ = _layout(n, qubits[::-1], ())
     tensor = (np.abs(state.amplitudes) ** 2).reshape(shape).transpose(axes)
     return tensor.sum(axis=tuple(range(len(qubits), tensor.ndim))).reshape(-1)
 
@@ -237,9 +264,11 @@ def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ..
 def multinomial_draw(probs, shots: int, seed: int) -> np.ndarray:
     """Seeded multinomial counts over the entries of probs, renormalised;
     zero entries draw nothing and leave the stream of the others unchanged.
-    shots must be an int (not a bool) in [1, MAX_SHOTS]."""
+    shots must be an int (not a bool) in [1, MAX_SHOTS], seed an int (not a bool) >= 0."""
     if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must be an int in [1, {MAX_SHOTS}], got {shots!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     pvals = np.asarray(probs, dtype=float)
     return np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
 

@@ -1,12 +1,16 @@
 """Statevector engine: basis states, gate application, marginals, sampling."""
 
+import tracemalloc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAULI, distinct_phase_diagonal, embed_full_matrix, pauli_full_matrix, random_prep_circuit
-from holcus.circuit import run
+from holcus import statevector
+from holcus.circuit import Gate, run
 from holcus.statevector import (
     CLOSED,
     MAX_SHOTS,
@@ -14,6 +18,7 @@ from holcus.statevector import (
     StateVector,
     UnitarityError,
     _apply_trusted,
+    _layout,
     apply_unitary,
     derive_seed,
     kernel_operand,
@@ -165,6 +170,19 @@ def _per_qubit_marginal(state, qubits):
     return np.moveaxis(tensor, [remaining.index(ax) for ax in keep_axes], range(len(qubits))).reshape(-1)
 
 
+@contextmanager
+def _chunk_size(chunk):
+    """Run the kernel with statevector.CHUNK = chunk, with no recipe cached across the change."""
+    default = statevector.CHUNK
+    statevector.CHUNK = chunk
+    _layout.cache_clear()
+    try:
+        yield
+    finally:
+        statevector.CHUNK = default
+        _layout.cache_clear()
+
+
 class TestCollapsedView:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 10))
@@ -180,10 +198,39 @@ class TestCollapsedView:
         else:
             operand, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        got, want = StateVector(n, psi.copy()), StateVector(n, psi.copy())
-        _apply_trusted(got, operand, targets, controls)
+        want = StateVector(n, psi.copy())
         _per_qubit_kernel(want, operand, targets, controls)
-        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        # At n <= 10 blocks fit the default CHUNK; 2^6 cuts them into chunks,
+        # along several runs when the touched qubits are spread out. Narrower
+        # chunks are not compared: BLAS rounds very narrow products differently.
+        for chunk in (statevector.CHUNK, 1 << 6):
+            got = StateVector(n, psi.copy())
+            with _chunk_size(chunk):
+                _apply_trusted(got, operand, targets, controls)
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+
+    def test_matrix_gate_temporaries_stay_below_one_register(self, rng):
+        n = 16
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, psi / np.linalg.norm(psi))
+        dense, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        gates = [
+            Gate("H", (5,)),
+            Gate("EXP_X", (9,), (0.3,)),
+            Gate("DENSE", (2, 11), controls=((7, CLOSED),), matrix=dense),
+            Gate("SWAP", (1, 14)),
+            Gate("H", (n - 1,)),
+        ]
+        operands = [g.operand for g in gates]
+        # An unchunked product makes two register-sized temporaries, 2 MiB here.
+        tracemalloc.start()
+        try:
+            for g, operand in zip(gates, operands):
+                _apply_trusted(state, operand, g.targets, g.controls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.amplitudes.nbytes
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 10))
@@ -269,6 +316,12 @@ class TestSampleCounts:
     def test_zero_shots_rejected(self, shots):
         with pytest.raises(ValueError, match="shots"):
             sample_counts(marginal_probabilities(new_basis_state(1), [0]), shots, seed=1)
+
+    # 1.5 and "3" failed inside numpy with TypeError, -1 with ValueError; True drew.
+    @pytest.mark.parametrize("seed", [1.5, "3", -1, True], ids=["float", "str", "negative", "bool"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            sample_counts(marginal_probabilities(new_basis_state(1), [0]), 10, seed)
 
 
 class TestPauliExpectation:
