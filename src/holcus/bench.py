@@ -70,30 +70,19 @@ def _register_width(method: str, n: int) -> int:
     return n if method == "raw" else n + 1
 
 
+# The run grids holcus-bench names (desk scale): exp1 compares the per-term
+# and single-circuit methods, exp2 scales the single-circuit method alone,
+# single is one instance.
+PRESETS = {
+    "exp1": dict(n_min=3, n_max=7, p_values=(1, 2, 3), instances_per_n=5, methods=("hadamard", "holcus")),
+    "exp2": dict(n_min=3, n_max=9, p_values=(3,), instances_per_n=10, methods=("holcus",)),
+    "single": dict(n_min=4, n_max=4, p_values=(1,), instances_per_n=1, methods=("holcus",)),
+}
+
+
 def exp1_config(**overrides) -> ExperimentConfig:
-    """Hadamard vs single-circuit comparison grid (desk scale: n up to 7)."""
-    base = dict(
-        n_min=3,
-        n_max=7,
-        p_values=(1, 2, 3),
-        instances_per_n=5,
-        methods=("hadamard", "holcus"),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def exp2_config(**overrides) -> ExperimentConfig:
-    """Scaling grid for the single-circuit method alone (desk scale: n up to 9)."""
-    base = dict(
-        n_min=3,
-        n_max=9,
-        p_values=(3,),
-        instances_per_n=10,
-        methods=("holcus",),
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+    """The exp1 preset with the given fields overridden."""
+    return ExperimentConfig(**{**PRESETS["exp1"], **overrides})
 
 
 @dataclass
@@ -252,17 +241,3 @@ def emit_plot_data(records: list[BenchmarkRecord], kind: str, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_config_file(path) -> dict[str, str]:
-    """key = value lines; '#' starts a comment."""
-    out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out

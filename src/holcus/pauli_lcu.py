@@ -204,8 +204,8 @@ class CoefficientGroup:
 
 def group_by_coefficient(dec: LcuDecomposition, tol: float = 1e-9) -> list[CoefficientGroup]:
     """Partition term indices by (alpha, theta) within tol, first-occurrence order."""
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not tol >= 0:  # also rejects NaN
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
     groups: list[list[int]] = []
     reps: list[tuple[float, float]] = []
     for k, term in enumerate(dec.terms):

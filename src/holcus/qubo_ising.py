@@ -45,7 +45,7 @@ class IsingModel:
         for i, j in self.J:
             if not (0 <= i < j < self.n):
                 raise ValueError(f"coupling key ({i},{j}) must satisfy 0 <= i < j < n")
-        if not np.all(np.isfinite(self.h)) or not all(np.isfinite(v) for v in self.J.values()):
+        if not np.all(np.isfinite([*self.h, *self.J.values(), self.offset])):
             raise ValueError("coefficients must be finite")
 
 

@@ -35,7 +35,7 @@ MAX_SHOTS = 2**63 - 1
 # Bound on the (n, targets, controls) recipes _layout keeps; a plan uses a few hundred.
 LAYOUT_CACHE_SIZE = 4096
 # Most amplitudes one matrix product reads; larger blocks are updated slice by slice.
-CHUNK = 1 << 14
+CHUNK = 1 << 13
 
 OPEN = 0
 CLOSED = 1

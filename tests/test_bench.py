@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import holcus.bench
 from holcus.bench import (
     BENCH_CSV_HEADER,
+    PRESETS,
     BenchmarkRecord,
     ExperimentConfig,
     aggregate_speedup,
     emit_plot_data,
-    load_config_file,
+    exp1_config,
     read_records,
     record_from_csv_row,
     record_to_csv_row,
@@ -151,6 +152,9 @@ class TestExperimentConfig:
             tiny_config(tmp_path, **bad)
         assert not (tmp_path / "bench.csv").exists()
 
+    def test_exp1_config_is_the_exp1_preset(self):
+        assert exp1_config() == ExperimentConfig(**PRESETS["exp1"])
+
 
 # Column text the unquoted CSV carries: no comma, no line break, no surrounding whitespace.
 _CSV_TEXT = st.text(st.characters(exclude_characters=",", exclude_categories=("Cc", "Zl", "Zp"))).filter(
@@ -274,24 +278,6 @@ class TestPlotData:
             emit_plot_data([], "time_vs_n", tmp_path / "x.dat")
 
 
-class TestConfigFile:
-    def test_parse_and_override(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(
-            "n_min = 3\nn_max = 4\np = 1 2\ninstances = 2\nshots = 64\n"
-            "methods = holcus\nseed = 9\nout = from_file.csv  # comment\n"
-        )
-        parsed = load_config_file(cfg_file)
-        assert parsed["n_min"] == "3"
-        assert parsed["out"] == "from_file.csv"
-
-    def test_bad_line_rejected(self, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("just a line without equals\n")
-        with pytest.raises(ValueError):
-            load_config_file(bad)
-
-
 class TestCli:
     def test_single_subcommand(self, tmp_path, capsys):
         out = tmp_path / "single.csv"
@@ -352,57 +338,52 @@ class TestCli:
         assert not out.exists()
         assert "benchmark CSV header" in capsys.readouterr().err
 
-    def test_config_file_flag(self, tmp_path):
-        cfg_file = tmp_path / "run.cfg"
-        out = tmp_path / "cfgout.csv"
-        cfg_file.write_text(
-            f"n_min = 3\nn_max = 3\np = 1\ninstances = 1\nexact = true\n"
-            f"methods = holcus\nseed = 4\nout = {out}\nmax_evals = 6\nrestarts = 1\n"
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_each_subcommand_runs_its_preset(self, tmp_path, name):
+        out = tmp_path / f"{name}.csv"
+        rc = main(
+            [
+                name, "--n-min", "3", "--n-max", "3", "--p", "1", "--instances", "1",
+                "--exact", "--restarts", "1", "--max-evals", "2", "--out", str(out),
+            ]
         )
-        rc = main(["single", "--config", str(cfg_file)])
         assert rc == 0
-        assert len(read_records(out)) == 1
+        assert tuple(r.method for r in read_records(out)) == PRESETS[name]["methods"]
 
     @pytest.mark.parametrize(
-        "flags, file_text",
+        "flags",
         [
-            (["--seed", "-1"], ""),
-            (["--restarts", "0"], ""),
-            (["--p", "0"], ""),
-            (["--shots", "0"], ""),
-            ([], "methods = holcsu\n"),
-            ([], "p =\n"),
-            ([], "methods =\n"),
-            (["--n-max", "24"], "methods = hadamard\n"),
+            ["--seed", "-1"],
+            ["--restarts", "0"],
+            ["--p", "0"],
+            ["--shots", "0"],
+            ["--methods", "holcsu"],
+            ["--p"],
+            ["--methods"],
+            ["--n-max", "24", "--methods", "hadamard"],
         ],
-        ids=["seed", "restarts", "p", "shots", "file_methods", "file_empty_p", "file_empty_methods", "too_wide"],
+        ids=["seed", "restarts", "p", "shots", "methods", "empty_p", "empty_methods", "too_wide"],
     )
-    def test_bad_value_is_usage_error(self, tmp_path, capsys, flags, file_text):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(file_text)
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "bad.csv"
         with pytest.raises(SystemExit) as exc:
-            main(["single", "--config", str(cfg_file), "--out", str(out), *flags])
+            main(["single", "--out", str(out), *flags])
         assert exc.value.code == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "missing.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["single", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)])
-        assert exc.value.code == 2
-        assert not out.exists()
-        assert "absent.cfg" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "flags, shots",
-        [([], None), (["--shots", "500"], 500), (["--exact"], None), (["--shots", "500", "--exact"], None)],
+        "flags, over",
+        [
+            ([], {}),
+            (["--shots", "500"], {"shots": 500}),
+            (["--exact"], {"shots": None}),
+            (["--shots", "500", "--exact"], {"shots": None}),
+            (["--exact", "--shots", "500"], {"shots": None}),
+        ],
+        ids=["none", "shots", "exact", "shots_then_exact", "exact_then_shots"],
     )
-    def test_flags_override_file_exact(self, tmp_path, flags, shots):
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("exact = true\nshots = 64\n")
+    def test_exact_beats_shots(self, flags, over):
         parser = argparse.ArgumentParser()
         _add_run_flags(parser)
-        over = _collect_overrides(parser.parse_args(["--config", str(cfg_file), *flags]))
-        assert over == {"shots": shots}
+        assert _collect_overrides(parser.parse_args(flags)) == over

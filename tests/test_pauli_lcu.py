@@ -268,6 +268,12 @@ class TestGrouping:
         dec = from_ising(ising(2, [1.0, -1.0], {}))
         assert len(group_by_coefficient(dec)) == 2
 
+    @pytest.mark.parametrize("tol", [-1e-3, float("nan")], ids=["negative", "nan"])
+    def test_bad_tolerance_rejected(self, tol):
+        dec = from_ising(ising(2, [1.0, 1.0], {}))
+        with pytest.raises(ValueError, match="tolerance"):
+            group_by_coefficient(dec, tol=tol)
+
 
 class TestUniformPrep:
     def test_m4_nearest_neighbor_cost(self):

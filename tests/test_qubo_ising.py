@@ -95,6 +95,22 @@ class TestQuboToIsing:
             assert ising_energy(m, z) == pytest.approx(qubo_cost(q, bits), abs=1e-10)
 
 
+class TestIsingModel:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: IsingModel(2, np.array([0.5, bad]), {(0, 1): 1.0}),
+            lambda bad: IsingModel(2, np.zeros(2), {(0, 1): bad}),
+            lambda bad: IsingModel(2, np.zeros(2), {(0, 1): 1.0}, offset=bad),
+        ],
+        ids=["h", "J", "offset"],
+    )
+    def test_non_finite_coefficient_rejected(self, make, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make(bad)
+
+
 class TestIsingEnergy:
     def test_cancellation(self):
         m = IsingModel(2, np.array([1.0, -1.0]), {})
