@@ -73,12 +73,18 @@ EXACT = None
 REAL = "real"
 IMAGINARY = "imaginary"
 METHODS = ("raw", "hadamard", "holcus", "holcus_div")
+# Widest coefficient-grouping tolerance EstimatorConfig accepts.
+MAX_GROUPING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """shots is EXACT or the shots per circuit, an int in [1, MAX_SHOTS] (the
-    bound multinomial_draw enforces); seed is an int >= 0."""
+    bound multinomial_draw enforces); seed is an int >= 0. grouping_tol, in
+    [0, MAX_GROUPING_TOL], is how far a term's weight and phase may be from
+    those of its holcus_div group's first term, whose coefficient the group is
+    measured with. Merged coefficients thus differ by at most tol, so for Ising
+    terms (phase exactly 0 or pi) the bias is at most (number of terms) * tol."""
 
     method: str
     shots: int | None = EXACT
@@ -93,8 +99,8 @@ class EstimatorConfig:
             raise ValueError(f"shots must be EXACT or an int in [1, {MAX_SHOTS}], got {self.shots!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
-        if not self.grouping_tol >= 0:
-            raise ValueError(f"grouping_tol must be >= 0, got {self.grouping_tol}")
+        if not 0 <= self.grouping_tol <= MAX_GROUPING_TOL:
+            raise ValueError(f"grouping_tol must be in [0, {MAX_GROUPING_TOL}], got {self.grouping_tol}")
         if self.part not in (REAL, IMAGINARY):
             raise ValueError(f"part must be {REAL!r} or {IMAGINARY!r}")
         if self.method == "raw" and self.part == IMAGINARY:

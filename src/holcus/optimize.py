@@ -40,6 +40,12 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        # A zero scale never leaves the start point, and NaN or a negative
+        # tolerance would silently switch off the convergence stop.
+        if not 0 < self.initial_simplex_scale < np.inf:
+            raise ValueError(f"initial_simplex_scale must be finite and > 0, got {self.initial_simplex_scale!r}")
+        if not self.convergence_tol >= 0:
+            raise ValueError(f"convergence_tol must be >= 0, got {self.convergence_tol!r}")
 
 
 @dataclass

@@ -5,18 +5,22 @@ Qubit 0 is the least-significant bit of the basis index; bitstrings are
 rendered most-significant-qubit-first, so basis index 2 on two qubits is
 the string "10" (qubit 1 set, qubit 0 clear).
 
-Gate application works on a collapsed view of the amplitudes: one axis per
-touched qubit and one per run of untouched qubits, control and target axes
-transposed to the front, controls fixed by basic indexing. _layout computes
-that recipe once per (width, targets, controls) and caches it. A diagonal
-gate (every off-diagonal entry exactly 0: EXP_Z, EXP_ZZ, S, Z-string Paulis)
-multiplies the view in place by its phases, O(2^n) with no copy; any other
-gate updates it with 2^k x 2^k matrix products, O(2^n * 2^k): one on a block
-(the view with controls fixed) of at most CHUNK amplitudes, else one per slice
-of at most CHUNK amplitudes, so the temporaries stay small enough for the
-allocator to reuse instead of being page-faulted back on every gate. No
-2^n x 2^n operator is ever built. kernel_operand makes that choice once per
-matrix.
+Gate application works on a collapsed view of the amplitudes, with controls
+fixed by basic indexing; a recipe for it is computed once per (width,
+targets, controls) and cached. A diagonal gate (every off-diagonal entry
+exactly 0: EXP_Z, EXP_ZZ, S, Z-string Paulis) uses _diag_layout's view, in
+memory order: the low qubits, up to CHUNK amplitudes and below every control,
+form one contiguous last axis, and above them each touched qubit has an axis
+and each run of untouched ones another. The gate's phases, spread onto that
+view by a cached index array, multiply it in place, O(2^n) with no
+register-sized copy and an inner loop up to CHUNK long. Any other gate uses
+_layout's view, with one axis per touched qubit and one per untouched run,
+control and target axes transposed to the front, and is updated with 2^k x
+2^k matrix products, O(2^n * 2^k): one on a block (the view with controls
+fixed) of at most CHUNK amplitudes, else one per slice of at most CHUNK
+amplitudes, so the temporaries stay small enough for the allocator to reuse
+instead of being page-faulted back on every gate. No 2^n x 2^n operator is
+ever built. kernel_operand makes that choice once per matrix.
 apply_unitary checks its arguments first; circuit.run, whose gates were
 checked when they were built, calls the kernel directly.
 """
@@ -32,9 +36,11 @@ import numpy as np
 MAX_QUBITS = 24
 # numpy's int64 limit, the largest count its multinomial takes.
 MAX_SHOTS = 2**63 - 1
-# Bound on the (n, targets, controls) recipes _layout keeps; a plan uses a few hundred.
+# Bound on the (n, targets, controls) recipes each of _layout and _diag_layout keeps;
+# a plan uses a few hundred.
 LAYOUT_CACHE_SIZE = 4096
-# Most amplitudes one matrix product reads; larger blocks are updated slice by slice.
+# Most amplitudes one matrix product reads (larger blocks are updated slice by slice),
+# and the longest contiguous axis of a diagonal gate's view.
 CHUNK = 1 << 13
 
 OPEN = 0
@@ -181,7 +187,7 @@ def kernel_operand(matrix: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]):
-    """(shape, axes, index, diagonal shape, chunks) of a gate's view of an n-qubit
+    """(shape, axes, index, chunks) of a matrix gate's view of an n-qubit
     register: the controls first, then the targets most significant first (bit j
     of the operand index is targets[j]), then the untouched runs in memory order.
     chunks is None when the block (the view with controls fixed) holds at most
@@ -213,18 +219,58 @@ def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], .
         cuts[k + j] = [slice(i, i + width) for i in range(0, length, width)]
         size = size // length * width
     chunks = None if size == block_size else tuple(product(*cuts))
-    return tuple(shape), axes, index, (2,) * k + (1,) * len(runs), chunks
+    return tuple(shape), axes, index, chunks
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _diag_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]):
+    """(shape, index, spread) of a diagonal gate's view of an n-qubit register, in
+    memory order with no transpose. The qubits below w = min(n, log2 CHUNK, lowest
+    control) form the last axis, contiguous and up to CHUNK long; above w each
+    touched qubit has its own axis and each untouched run one. index fixes the
+    controls. spread broadcasts onto the indexed view and holds each entry's
+    operand index (bit j is targets[j]); its last axis is 2^w long only when a
+    target lies below w. Its type is the smallest unsigned one that holds 2^k - 1
+    (one byte for k <= 8), as intp would cost 64 KiB a recipe at w = 13."""
+    polarity = dict(controls)
+    w = min(n, CHUNK.bit_length() - 1, *polarity)
+    touched = set(polarity) | set(targets)
+    shape, index, weights = [], [], []
+    run = False
+    for q in range(n - 1, w - 1, -1):
+        if run and q not in touched:
+            shape[-1] *= 2
+            continue
+        shape.append(2)
+        run = q not in touched
+        if q in polarity:
+            index.append(polarity[q])
+        else:
+            index.append(slice(None))
+            weights.append((0, 1 << targets.index(q)) if q in targets else (0,))
+    shape.append(1 << w)
+    index.append(slice(None))
+    dtype = np.min_scalar_type((1 << len(targets)) - 1)
+    spread = np.zeros(1 << w if any(q < w for q in targets) else 1, dtype)
+    for j, q in enumerate(targets):
+        if q < w:
+            spread.reshape(-1, 2, 1 << q)[:, 1] += 1 << j
+    for weight in reversed(weights):
+        spread = np.add.outer(np.array(weight, dtype), spread)
+    return tuple(shape), tuple(index), spread
 
 
 def _apply_trusted(state: StateVector, operand: np.ndarray, targets: tuple[int, ...], controls) -> None:
     """apply_unitary without its checks: the qubits must be distinct and in range,
     each polarity the int OPEN or CLOSED, and operand, from kernel_operand, a
     2^k x 2^k matrix or a length-2^k diagonal for k targets."""
-    shape, axes, index, diag_shape, chunks = _layout(state.num_qubits, targets, controls)
-    block = state.amplitudes.reshape(shape).transpose(axes)[index]
     if operand.ndim == 1:
-        block *= operand.reshape(diag_shape)
-    elif chunks is None:
+        shape, index, spread = _diag_layout(state.num_qubits, targets, controls)
+        state.amplitudes.reshape(shape)[index] *= operand.take(spread)
+        return
+    shape, axes, index, chunks = _layout(state.num_qubits, targets, controls)
+    block = state.amplitudes.reshape(shape).transpose(axes)[index]
+    if chunks is None:
         block[...] = (operand @ block.reshape(len(operand), -1)).reshape(block.shape)
     else:
         for c in chunks:
@@ -245,7 +291,7 @@ def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> 
         if not 0 <= q < n:
             raise ValueError(f"qubit {q} out of range for {n}-qubit state")
     # The kernel's view with qubits as targets, reversed so qubits[0] leads.
-    shape, axes, _, _, _ = _layout(n, qubits[::-1], ())
+    shape, axes, _, _ = _layout(n, qubits[::-1], ())
     tensor = (np.abs(state.amplitudes) ** 2).reshape(shape).transpose(axes)
     return tensor.sum(axis=tuple(range(len(qubits), tensor.ndim))).reshape(-1)
 

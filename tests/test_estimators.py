@@ -23,7 +23,14 @@ from holcus.estimators import (
 from holcus.pauli_lcu import PauliString, from_ising, group_by_coefficient
 from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
-from holcus.statevector import LAYOUT_CACHE_SIZE, _layout, derive_seed, marginal_probabilities, sample_counts
+from holcus.statevector import (
+    LAYOUT_CACHE_SIZE,
+    _diag_layout,
+    _layout,
+    derive_seed,
+    marginal_probabilities,
+    sample_counts,
+)
 
 
 def model_of(n, h, J, offset=0.0):
@@ -228,12 +235,28 @@ class TestRunPlan:
         model, prep, _ = random_case(903, n_lo=4)
         cfg = EstimatorConfig(method=method)
         estimate(prep, model, cfg)
-        misses = _layout.cache_info().misses
+        misses = [cache.cache_info().misses for cache in (_layout, _diag_layout)]
         estimate(prep, model, cfg)
-        assert _layout.cache_info().misses == misses
+        assert [cache.cache_info().misses for cache in (_layout, _diag_layout)] == misses
 
     def test_layout_cache_is_bounded(self):
         assert _layout.cache_info().maxsize == LAYOUT_CACHE_SIZE
+        assert _diag_layout.cache_info().maxsize == LAYOUT_CACHE_SIZE
+
+    def test_diagonal_recipes_of_a_wide_plan_stay_small(self):
+        # Each diagonal recipe keeps a spread of up to 2^13 operand indices;
+        # stored as intp they would take several MB here.
+        model = qubo_to_ising(random_qubo(11, 1))
+        prep = build_ansatz(model, QaoaParams((0.3,), (0.7,)))
+        plan = compile_plan(model, EstimatorConfig(method="holcus"))
+        (meas,) = plan.measurements
+        keys = {
+            (meas.width, g.targets, g.controls)
+            for g in prep.gates + meas.gates
+            if g.operand.ndim == 1
+        }
+        assert len(keys) > 100
+        assert sum(_diag_layout(*key)[2].nbytes for key in keys) < 2 << 20
 
 
 class TestHolcusDiv:
@@ -358,7 +381,9 @@ class TestEstimatorConfig:
         assert EstimatorConfig(method="holcus", shots=MAX_SHOTS).shots == np.iinfo(np.int64).max
 
     @pytest.mark.parametrize("method", ["hadamard", "holcus_div"])
-    @pytest.mark.parametrize("tol", [-1e-9, float("nan")])
+    # 0.1 and inf merge distinct coefficients: holcus_div read 3.26867 and
+    # 0.05622 against the exact 3.18789 on random_qubo(4, 1).
+    @pytest.mark.parametrize("tol", [-1e-9, float("nan"), 0.1, float("inf")])
     def test_bad_grouping_tol_rejected(self, method, tol):
         with pytest.raises(ValueError, match="grouping_tol"):
             EstimatorConfig(method=method, grouping_tol=tol)

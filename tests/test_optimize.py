@@ -77,6 +77,24 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match=field):
             OptimizerConfig(**{field: value})
 
+    # A zero scale stopped training at the start point after 3 evaluations;
+    # NaN failed only at the first evaluation; a NaN or negative tolerance
+    # switched the convergence stop off.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("initial_simplex_scale", 0.0),
+            ("initial_simplex_scale", -0.5),
+            ("initial_simplex_scale", float("nan")),
+            ("initial_simplex_scale", float("inf")),
+            ("convergence_tol", -1.0),
+            ("convergence_tol", float("nan")),
+        ],
+    )
+    def test_bad_scale_or_tolerance_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OptimizerConfig(**{field: value})
+
 
 class TestTrainQaoa:
     def setup_method(self):

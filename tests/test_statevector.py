@@ -18,6 +18,7 @@ from holcus.statevector import (
     StateVector,
     UnitarityError,
     _apply_trusted,
+    _diag_layout,
     _layout,
     apply_unitary,
     derive_seed,
@@ -176,11 +177,13 @@ def _chunk_size(chunk):
     default = statevector.CHUNK
     statevector.CHUNK = chunk
     _layout.cache_clear()
+    _diag_layout.cache_clear()
     try:
         yield
     finally:
         statevector.CHUNK = default
         _layout.cache_clear()
+        _diag_layout.cache_clear()
 
 
 class TestCollapsedView:
@@ -201,28 +204,35 @@ class TestCollapsedView:
         want = StateVector(n, psi.copy())
         _per_qubit_kernel(want, operand, targets, controls)
         # At n <= 10 blocks fit the default CHUNK; 2^6 cuts them into chunks,
-        # along several runs when the touched qubits are spread out. Narrower
-        # chunks are not compared: BLAS rounds very narrow products differently.
+        # along several runs when the touched qubits are spread out, and ends
+        # a diagonal's low axis at qubit 6. Narrower chunks are not compared:
+        # BLAS rounds very narrow products differently.
         for chunk in (statevector.CHUNK, 1 << 6):
             got = StateVector(n, psi.copy())
             with _chunk_size(chunk):
                 _apply_trusted(got, operand, targets, controls)
             assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
-    def test_matrix_gate_temporaries_stay_below_one_register(self, rng):
+    def test_gate_temporaries_stay_below_one_register(self, rng):
         n = 16
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, psi / np.linalg.norm(psi))
         dense, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        z_string = np.diag([1, -1, -1, 1]).astype(np.complex128)
         gates = [
             Gate("H", (5,)),
             Gate("EXP_X", (9,), (0.3,)),
             Gate("DENSE", (2, 11), controls=((7, CLOSED),), matrix=dense),
             Gate("SWAP", (1, 14)),
             Gate("H", (n - 1,)),
+            Gate("EXP_Z", (0,), (0.3,)),
+            Gate("EXP_ZZ", (0, 9), (0.3,)),
+            Gate("DENSE", (1, 4), controls=((12, CLOSED), (13, OPEN)), matrix=z_string),
         ]
         operands = [g.operand for g in gates]
-        # An unchunked product makes two register-sized temporaries, 2 MiB here.
+        # An unchunked product makes two register-sized temporaries, 2 MiB
+        # here; a diagonal's spread operand is at most CHUNK entries per target
+        # above the low axis.
         tracemalloc.start()
         try:
             for g, operand in zip(gates, operands):
