@@ -38,9 +38,10 @@ dec = from_ising(model)
 print(f"n = {model.n} state qubits, M = {dec.num_terms} terms, "
       f"m = {dec.num_ancillas} ancillas, N = {dec.normalization:.4f}")
 
-# Build and run the single circuit; read one qubit.
+# Build and run the single circuit; read one qubit. The state sits on the low
+# qubits, the ancillas above it, and the measured Hadamard qubit on top.
 circ = holcus_circuit(prep, dec)
-hq = circ.register_map["hadamard"][0]
+hq = circ.num_qubits - 1
 p0 = marginal_probabilities(run(circ), [hq]).probabilities["0"]
 value = model.offset + dec.normalization * (2 * p0 - 1)
 print(f"P(0) = {p0:.6f}  ->  estimate {value:.10f}")

@@ -56,7 +56,6 @@ from .statevector import (
     OutcomeDistribution,
     ShotCounts,
     StateVector,
-    UnitarityError,
     apply_unitary,
     derive_seed,
     marginal_probabilities,

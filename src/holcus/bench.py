@@ -47,6 +47,10 @@ class ExperimentConfig:
             raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
         if not self.p_values or not self.methods:
             raise ValueError("p_values and methods must each name at least one value")
+        # A repeated value reruns its cells, and aggregate_speedup keeps one time per cell.
+        for name, values in (("p_values", self.p_values), ("methods", self.methods)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if any(p < 1 for p in self.p_values):
             raise ValueError(f"every p must be >= 1, got {self.p_values}")
         if self.master_seed < 0:

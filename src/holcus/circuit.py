@@ -5,10 +5,11 @@ explicit unitaries; one table (_KINDS) holds each kind's target count,
 parameter count and kernel-operand builder (the diagonal of EXP_Z, EXP_ZZ, S
 and S_DAGGER, else the matrix). Every gate may carry multi-controls with
 open/closed polarity. A Gate is checked when it is built and builds its kernel
-operand, and on request its matrix, once. Circuits are immutable, carry an
-optional register map naming non-empty, disjoint qubit spans, and check
+operand, and on request its matrix, once. Circuits are immutable and check
 every gate's qubits in one pass, so run hands each gate straight to the
-statevector kernel.
+statevector kernel. A built circuit carries no register names: the
+estimator builders place the state on the low qubits, the LCU ancillas
+above them and the Hadamard qubit on top (make_register_map).
 
 Rotation conventions: EXP_Z(phi) = e^{i phi Z}, EXP_X(phi) = e^{i phi X},
 EXP_ZZ(phi) = e^{i phi Z (x) Z}. These are the evolution operators directly,
@@ -63,6 +64,7 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "targets", tuple(self.targets))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity, num_params, _ = _KINDS[self.kind]
@@ -130,7 +132,7 @@ def swap(qubit_a: int, qubit_b: int) -> Gate:
 
 
 def dense(matrix: np.ndarray, targets, controls=()) -> Gate:
-    return Gate("DENSE", tuple(targets), controls=tuple(controls), matrix=np.asarray(matrix, dtype=np.complex128))
+    return Gate("DENSE", targets, controls=tuple(controls), matrix=np.asarray(matrix, dtype=np.complex128))
 
 
 def gate_matrix(gate: Gate) -> np.ndarray:
@@ -142,23 +144,13 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 class Circuit:
     num_qubits: int
     gates: tuple[Gate, ...] = ()
-    register_map: dict[str, range] | None = None
 
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("circuit needs at least one qubit")
+        object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             _check_gate_range(g, self.num_qubits)
-        if self.register_map is not None:
-            spans = sorted(self.register_map.values(), key=lambda r: r.start)
-            for r in spans:
-                if r.start >= r.stop:
-                    raise ValueError(f"register span {r} is empty")
-                if r.start < 0 or r.stop > self.num_qubits:
-                    raise ValueError(f"register span {r} out of range")
-            for a, b in zip(spans, spans[1:]):
-                if a.stop > b.start:
-                    raise ValueError("register spans must be disjoint")
 
     @property
     def gate_count(self) -> int:

@@ -12,7 +12,7 @@ and return an EstimateResult:
 
 Every method is first compiled, once per model, to an EstimatorPlan
 (compile_plan): the constant offset plus one Measurement per circuit, which
-holds the gates that follow the state preparation, the register, the measured
+holds the gates that follow the state preparation, the width, the measured
 qubits and a diagonal observable over their outcomes; the plan checks its
 gates once, when it is built. One builder (_lcu_measurement) makes every
 interference circuit: H (and S-dagger for the imaginary part) on the Hadamard
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,24 +74,23 @@ EXACT = None
 REAL = "real"
 IMAGINARY = "imaginary"
 METHODS = ("raw", "hadamard", "holcus", "holcus_div")
-# Widest coefficient-grouping tolerance EstimatorConfig accepts.
-MAX_GROUPING_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
     """shots is EXACT or the shots per circuit, an int in [1, MAX_SHOTS] (the
-    bound multinomial_draw enforces); seed is an int >= 0. grouping_tol, in
-    [0, MAX_GROUPING_TOL], is how far a term's weight and phase may be from
-    those of its holcus_div group's first term, whose coefficient the group is
-    measured with. Merged coefficients thus differ by at most tol, so for Ising
-    terms (phase exactly 0 or pi) the bias is at most (number of terms) * tol."""
+    bound multinomial_draw enforces); seed is an int >= 0. The class constant
+    grouping_tol is how far a term's weight and phase may be from those of its
+    holcus_div group's first term, whose coefficient the group is measured
+    with. Merged coefficients thus differ by at most tol, so for Ising terms
+    (phase exactly 0 or pi) the bias is at most (number of terms) * tol; it is
+    a constant because a wider value silently biases holcus_div."""
 
     method: str
     shots: int | None = EXACT
     seed: int = 0
     part: str = REAL
-    grouping_tol: float = 1e-9
+    grouping_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -99,8 +99,6 @@ class EstimatorConfig:
             raise ValueError(f"shots must be EXACT or an int in [1, {MAX_SHOTS}], got {self.shots!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
-        if not 0 <= self.grouping_tol <= MAX_GROUPING_TOL:
-            raise ValueError(f"grouping_tol must be in [0, {MAX_GROUPING_TOL}], got {self.grouping_tol}")
         if self.part not in (REAL, IMAGINARY):
             raise ValueError(f"part must be {REAL!r} or {IMAGINARY!r}")
         if self.method == "raw" and self.part == IMAGINARY:
@@ -128,7 +126,6 @@ class Measurement:
 
     gates: tuple[Gate, ...]
     width: int
-    register_map: dict[str, range]
     qubits: tuple[int, ...]
     values: np.ndarray
 
@@ -159,7 +156,7 @@ class EstimatorPlan:
 
 
 def _assemble(meas: Measurement, prep: Circuit) -> Circuit:
-    return Circuit(meas.width, prep.gates + meas.gates, dict(meas.register_map))
+    return Circuit(meas.width, prep.gates + meas.gates)
 
 
 def _single_term(unitary: PauliString) -> LcuDecomposition:
@@ -195,7 +192,7 @@ def _lcu_measurement(
     else:
         prepare = unprepare = ()
     gates += [*prepare, *build_select_circuit(dec, reg).gates, *unprepare, h(hq)]
-    return Measurement(tuple(gates), n + m + 1, reg, (hq,), np.array([scale, -scale]))
+    return Measurement(tuple(gates), n + m + 1, (hq,), np.array([scale, -scale]))
 
 
 def hadamard_test_circuit(prep: Circuit, unitary: PauliString, part: str = REAL) -> Circuit:
@@ -243,12 +240,11 @@ def _group_measurement(
 def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
     """Everything cfg.method needs that depends only on the model: the LCU
     decomposition, coefficient groups, prepare unitaries, select stage, and
-    raw's basis-state energies. The plan depends on the model, method, part
-    and grouping tolerance, never on shots or seed."""
+    raw's basis-state energies. The plan depends on the model, method and
+    part, never on shots or seed."""
     n = model.n
     if cfg.method == "raw":
-        reg = make_register_map(n, 0, hadamard=False)
-        meas = Measurement((), n, reg, tuple(range(n - 1, -1, -1)), ising_energies(model))
+        meas = Measurement((), n, tuple(range(n - 1, -1, -1)), ising_energies(model))
         return EstimatorPlan(n, 0.0, (meas,))
     dec = from_ising(model)
     if cfg.method == "holcus":

@@ -8,12 +8,13 @@ output back to physical units.
 Slot layouts for the ancilla register:
 
   dense   - slots 0..M-1 on m = ceil(log2(M)) ancillas (m >= 1), the
-            textbook arrangement; the term at slot 0 needs an extra closed
-            control on the Hadamard qubit in the select stage.
+            textbook arrangement, which holcus_div's power-of-two groups
+            fill; the term at slot 0 needs an extra closed control on the
+            Hadamard qubit in the select stage.
   shifted - slots 1..M on m = ceil(log2(M+1)) ancillas; slot 0 stays empty
             so no select gate ever touches the Hadamard qubit. This is the
-            default. When M is a power of two this costs one ancilla more
-            than dense.
+            default and the layout from_ising builds. When M is a power of
+            two it costs one ancilla more than dense.
 """
 
 from __future__ import annotations
@@ -111,10 +112,10 @@ def decomposition_from_terms(terms, layout: str = "shifted") -> LcuDecomposition
     return LcuDecomposition(terms, norm, m, layout, slots)
 
 
-def from_ising(model, layout: str = "shifted") -> LcuDecomposition:
-    """LCU terms of the spin Hamiltonian: one Z_i per field, one Z_i Z_j per
-    coupling. Negative coefficients become theta = pi; the constant offset is
-    excluded and must be re-added by the caller."""
+def from_ising(model) -> LcuDecomposition:
+    """LCU terms of the spin Hamiltonian, in the shifted layout: one Z_i per
+    field, one Z_i Z_j per coupling. Negative coefficients become theta = pi;
+    the constant offset is excluded and must be re-added by the caller."""
     terms = []
     for i in range(model.n):
         c = model.h[i]
@@ -125,7 +126,7 @@ def from_ising(model, layout: str = "shifted") -> LcuDecomposition:
             terms.append(LcuTerm(abs(c), math.pi if c < 0 else 0.0, PauliString({i: "Z", j: "Z"})))
     if not terms:
         raise ValueError("all-zero model has no LCU terms")
-    return decomposition_from_terms(terms, layout)
+    return decomposition_from_terms(terms)
 
 
 def _complete_unitary(column0: np.ndarray) -> np.ndarray:
@@ -192,7 +193,7 @@ def build_select_circuit(dec: LcuDecomposition, register_map: dict[str, range]) 
             raise ValueError(f"state register too small for {pauli}")
         targets = [state[q] for q in pauli.support]
         gates.append(dense(pauli.local_matrix(), targets, controls))
-    return Circuit(num_qubits, tuple(gates), dict(register_map))
+    return Circuit(num_qubits, gates)
 
 
 @dataclass(frozen=True)
@@ -251,4 +252,4 @@ def build_uniform_prep_circuit(
         for k in range(m):
             gates.append(h(anc[m - 1], controls=[(hq, CLOSED)]))
             gates += [swap(anc[j], anc[j - 1]) for j in range(m - 1, k, -1)]
-    return Circuit(num_qubits, tuple(gates), dict(register_map))
+    return Circuit(num_qubits, gates)

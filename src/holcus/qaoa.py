@@ -56,7 +56,7 @@ def build_ansatz(model: IsingModel, params: QaoaParams) -> Circuit:
             if c != 0.0:
                 gates.append(exp_zz(gamma * c, i, j))
         gates += [exp_x(beta, q) for q in range(model.n)]
-    return Circuit(model.n, tuple(gates))
+    return Circuit(model.n, gates)
 
 
 def exact_expectation(model: IsingModel, params: QaoaParams) -> float:

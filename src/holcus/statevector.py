@@ -53,10 +53,6 @@ class CapacityError(ValueError):
     """Requested problem size exceeds the simulator guard."""
 
 
-class UnitarityError(ValueError):
-    """A matrix failed the optional unitarity validation."""
-
-
 @dataclass
 class StateVector:
     """Dense n-qubit state: 2^n complex amplitudes, norm 1."""
@@ -121,13 +117,6 @@ def new_basis_state(num_qubits: int, basis_index: int = 0) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
-    dim = matrix.shape[0]
-    err = np.max(np.abs(matrix.conj().T @ matrix - np.eye(dim)))
-    if err > tol:
-        raise UnitarityError(f"matrix is not unitary (deviation {err:.2e})")
-
-
 def _checked_controls(targets: tuple[int, ...], controls) -> tuple[tuple[int, int], ...]:
     """controls with int polarities, which the kernel indexes with (a bool would
     select); ValueError if a qubit repeats or a polarity is not OPEN or CLOSED."""
@@ -149,7 +138,6 @@ def apply_unitary(
     matrix: np.ndarray,
     targets: list[int] | tuple[int, ...],
     controls: list[tuple[int, int]] | tuple[tuple[int, int], ...] = (),
-    validate: bool = False,
 ) -> StateVector:
     """Apply a 2^k x 2^k unitary to the target qubits, in place.
 
@@ -157,7 +145,7 @@ def apply_unitary(
     (LSB-first, consistent with the global qubit-0-is-LSB convention).
     Controls are (qubit, value) pairs: value 1 is a closed control, 0 an
     open control; the matrix acts only on basis components matching every
-    control, all other components are untouched.
+    control, all other components are untouched. Unitarity is not checked.
     """
     targets = tuple(targets)
     controls = _checked_controls(targets, tuple(controls))
@@ -169,8 +157,6 @@ def apply_unitary(
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {matrix.shape} does not match {k} targets")
-    if validate:
-        _check_unitary(matrix)
     _apply_trusted(state, kernel_operand(matrix), targets, controls)
     return state
 

@@ -67,7 +67,7 @@ def test_criterion_02_core_identity_against_dense_matrix():
         prep = random_prep_circuit(n, local, depth=12)
         dec = from_ising(model)
         circ = holcus_circuit(prep, dec)
-        hq = circ.register_map["hadamard"][0]
+        hq = circ.num_qubits - 1
         p0 = marginal_probabilities(run(circ), [hq]).probabilities.get("0", 0.0)
         psi = run(prep).amplitudes
         dense_value = (psi.conj() @ lcu_dense_matrix(dec, n) @ psi).real
@@ -159,7 +159,7 @@ def test_criterion_06_shot_statistics():
     exact_value = exact_expectation(model, params)
     dec = from_ising(model)
     circ = holcus_circuit(prep, dec)
-    hq = circ.register_map["hadamard"][0]
+    hq = circ.num_qubits - 1
     p0 = marginal_probabilities(run(circ), [hq]).probabilities["0"]
     theory_std = dec.normalization * math.sqrt(4 * p0 * (1 - p0) / 10_000)
 

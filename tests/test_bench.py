@@ -141,10 +141,13 @@ class TestExperimentConfig:
             {"instances_per_n": True},
             {"p_values": (1.5,)},
             {"master_seed": 1.5},
+            {"p_values": (1, 2, 1)},
+            {"methods": ("holcus", "holcus")},
         ],
         ids=[
             "master_seed", "methods", "restarts", "p_values", "shots", "empty_p", "empty_methods", "too_wide",
             "float_n_min", "float_n_max", "float_instances", "bool_instances", "float_p", "float_master_seed",
+            "duplicate_p", "duplicate_methods",
         ],
     )
     def test_bad_value_rejected_before_any_record(self, tmp_path, bad):
@@ -361,8 +364,13 @@ class TestCli:
             ["--p"],
             ["--methods"],
             ["--n-max", "24", "--methods", "hadamard"],
+            ["--p", "1", "1"],
+            ["--methods", "holcus", "holcus"],
         ],
-        ids=["seed", "restarts", "p", "shots", "methods", "empty_p", "empty_methods", "too_wide"],
+        ids=[
+            "seed", "restarts", "p", "shots", "methods", "empty_p", "empty_methods", "too_wide",
+            "duplicate_p", "duplicate_methods",
+        ],
     )
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flags):
         out = tmp_path / "bad.csv"

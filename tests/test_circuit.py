@@ -226,14 +226,10 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             Circuit(2, (h(2),))
 
-    def test_register_spans_must_be_disjoint(self):
-        with pytest.raises(ValueError):
-            Circuit(3, (), {"a": range(0, 2), "b": range(1, 3)})
-
-    @pytest.mark.parametrize("build", [lambda: Circuit(3, (), {"a": range(5, 2)})], ids=["reversed-range"])
-    def test_empty_register_span_rejected(self, build):
-        with pytest.raises(ValueError, match="empty"):
-            build()
+    def test_list_targets_stored_as_tuple(self):
+        g = Gate("H", [0])
+        assert g.targets == (0,)
+        assert Circuit(1, (g,)).gates[0].qubits == (0,)
 
 
 def _zz_select_gate() -> Gate:

@@ -70,14 +70,14 @@ class TestHadamardTestCircuit:
     def test_measures_one_extra_qubit(self):
         circ = hadamard_test_circuit(Circuit(3), PauliString({1: "Z"}))
         assert circ.num_qubits == 4
-        assert circ.register_map["hadamard"] == range(3, 4)
+        assert (circ.gates[0].kind, circ.gates[0].targets) == ("H", (3,))
 
 
 class TestHolcusCircuit:
     def test_single_term_z_on_zero(self):
         model = model_of(1, [1.0], {})
         circ = holcus_circuit(Circuit(1), from_ising(model))
-        hq = circ.register_map["hadamard"][0]
+        hq = circ.num_qubits - 1
         p0 = marginal_probabilities(run(circ), [hq]).probabilities.get("0", 0.0)
         assert p0 == pytest.approx(1.0, abs=1e-12)
 
@@ -90,7 +90,7 @@ class TestHolcusCircuit:
     def test_marginal_is_normalized(self, rng):
         model, prep, _ = random_case(3)
         circ = holcus_circuit(prep, from_ising(model))
-        hq = circ.register_map["hadamard"][0]
+        hq = circ.num_qubits - 1
         probs = marginal_probabilities(run(circ), [hq]).probabilities
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
@@ -103,7 +103,7 @@ class TestHolcusCircuit:
         prep = random_prep_circuit(n, local, depth=10)
         dec = from_ising(model)
         circ = holcus_circuit(prep, dec)
-        hq = circ.register_map["hadamard"][0]
+        hq = circ.num_qubits - 1
         p0 = marginal_probabilities(run(circ), [hq]).probabilities.get("0", 0.0)
         psi = run(prep).amplitudes
         expected = (psi.conj() @ lcu_dense_matrix(dec, n) @ psi).real
@@ -154,6 +154,15 @@ class TestExactModeAgreement:
         prep = build_ansatz(model, QaoaParams((), ()))
         res = estimate(prep, model, EstimatorConfig(method="raw"))
         assert res.value == pytest.approx(0.7, abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["raw", "hadamard", "holcus", "holcus_div"])
+    def test_prep_given_a_gate_list_runs(self, method):
+        model, prep, _ = random_case(504)
+        cfg = EstimatorConfig(method=method)
+        listed = Circuit(prep.num_qubits, list(prep.gates))
+        plan = compile_plan(model, cfg)
+        assert estimate(listed, model, cfg) == estimate(prep, model, cfg)
+        assert plan.resources(listed) == plan.resources(prep)
 
     def test_prep_width_must_match_model(self):
         model = model_of(2, [0.5, -0.25], {(0, 1): 1.5})
@@ -382,8 +391,10 @@ class TestEstimatorConfig:
 
     @pytest.mark.parametrize("method", ["hadamard", "holcus_div"])
     # 0.1 and inf merge distinct coefficients: holcus_div read 3.26867 and
-    # 0.05622 against the exact 3.18789 on random_qubo(4, 1).
+    # 0.05622 against the exact 3.18789 on random_qubo(4, 1). The tolerance
+    # is a class constant, so no value reaches the grouping.
     @pytest.mark.parametrize("tol", [-1e-9, float("nan"), 0.1, float("inf")])
     def test_bad_grouping_tol_rejected(self, method, tol):
-        with pytest.raises(ValueError, match="grouping_tol"):
+        with pytest.raises(TypeError, match="grouping_tol"):
             EstimatorConfig(method=method, grouping_tol=tol)
+        assert EstimatorConfig(method=method).grouping_tol == 1e-9

@@ -72,7 +72,7 @@ class TestFromIsing:
         assert sorted(dec.slot_of_term.values()) == [1, 2, 3]
 
     def test_dense_layout_slots(self):
-        dec = from_ising(ising(2, [1.0, 1.0], {(0, 1): 1.0}), layout="dense")
+        dec = decomposition_from_terms(from_ising(ising(2, [1.0, 1.0], {(0, 1): 1.0})).terms, "dense")
         assert dec.num_ancillas == 2
         assert sorted(dec.slot_of_term.values()) == [0, 1, 2]
 
@@ -180,7 +180,7 @@ class TestSelectCircuit:
     def test_hadamard_control_counts_per_layout(self):
         model = ising(2, [1.0, 1.0], {(0, 1): 1.0})
         for layout, expected in (("shifted", 0), ("dense", 1)):
-            dec = from_ising(model, layout=layout)
+            dec = decomposition_from_terms(from_ising(model).terms, layout)
             reg = make_register_map(2, dec.num_ancillas)
             circ = build_select_circuit(dec, reg)
             hq = reg["hadamard"][0]
@@ -213,7 +213,7 @@ class TestSelectCircuit:
                 if local.uniform() < 0.8
             }
             model = ising(n, h, J)
-            dec = from_ising(model, layout=layout)
+            dec = decomposition_from_terms(from_ising(model).terms, layout)
             m = dec.num_ancillas
             reg = make_register_map(n, m, hadamard=True)
             total = n + m + 1

@@ -16,7 +16,6 @@ from holcus.statevector import (
     MAX_SHOTS,
     OPEN,
     StateVector,
-    UnitarityError,
     _apply_trusted,
     _diag_layout,
     _layout,
@@ -131,13 +130,6 @@ class TestApplyUnitary:
         assert sv.amplitudes is amps
         expected = embed_full_matrix(local, targets, controls, n) @ psi
         assert np.allclose(amps, expected, rtol=0, atol=1e-12)
-
-    def test_non_unitary_rejected_under_validation(self):
-        sv = new_basis_state(1)
-        with pytest.raises(UnitarityError):
-            apply_unitary(sv, np.array([[1, 0], [0, 2]]), [0], validate=True)
-        # without the flag it goes through unchecked
-        apply_unitary(new_basis_state(1), np.array([[1, 0], [0, 2]]), [0])
 
     def test_norm_preserved_over_long_random_circuit(self, rng):
         circ = random_prep_circuit(12, rng, depth=1000)
