@@ -214,10 +214,9 @@ def resource_report(circuit: Circuit) -> ResourceReport:
 
 
 def make_register_map(num_state: int, num_ancilla: int, hadamard: bool = True) -> dict[str, range]:
-    """Standard layout: state in the low bits, LCU ancillas above, Hadamard qubit on top."""
-    reg = {"state": range(0, num_state)}
-    if num_ancilla:
-        reg["lcu_ancilla"] = range(num_state, num_state + num_ancilla)
+    """Standard layout: state in the low bits, LCU ancillas above (an empty
+    span when there are none), Hadamard qubit on top."""
+    reg = {"state": range(0, num_state), "lcu_ancilla": range(num_state, num_state + num_ancilla)}
     if hadamard:
         top = num_state + num_ancilla
         reg["hadamard"] = range(top, top + 1)

@@ -159,38 +159,33 @@ def _assemble(meas: Measurement, prep: Circuit) -> Circuit:
     return Circuit(meas.width, prep.gates + meas.gates)
 
 
-def _single_term(unitary: PauliString) -> LcuDecomposition:
-    """U alone as an LCU with no ancilla: its select stage is U controlled on
-    the Hadamard qubit, which makes the LCU measurement a Hadamard test."""
-    return LcuDecomposition((LcuTerm(1.0, 0.0, unitary),), 1.0, 0, "dense", {0: 0})
-
-
 def _lcu_measurement(
     n: int, dec: LcuDecomposition, part: str, scale: float, uniform: bool = False
 ) -> Measurement:
     """The gates that follow the state prep: H (and S-dagger for the imaginary
     part) on the Hadamard qubit, the controlled prepare stage, select, the
     controlled un-prepare and a final H; the Hadamard qubit reads
-    scale * (2 P(0) - 1). The prepare stage is the controlled-H ladder when
-    uniform is set, V and V_hat-dagger from build_prep_unitaries when the
-    decomposition has ancillas, and nothing when it has none."""
+    scale * (2 P(0) - 1). The prepare stage is nothing with no ancilla (one
+    dense term: the Hadamard test), else the controlled-H ladder if uniform,
+    else V and V_hat-dagger; the first two need equal, phase-free weights."""
     m = dec.num_ancillas
     reg = make_register_map(n, m, hadamard=True)
     hq = reg["hadamard"][0]
     gates = [h(hq)]
     if part == IMAGINARY:
         gates.append(s_dagger(hq))
-    if uniform:
-        if dec.layout != "dense" or dec.num_terms != 1 << m:
-            raise ValueError("uniform prep needs a dense layout filling every slot")
+    flat = all(t.alpha == dec.terms[0].alpha and t.theta == 0.0 for t in dec.terms)
+    if (uniform or not m) and not (flat and dec.layout == "dense" and dec.num_terms == 1 << m):
+        raise ValueError("a uniform or ancilla-free prepare needs a full dense layout, equal weights and zero phases")
+    if not m:
+        prepare = unprepare = ()
+    elif uniform:
         prepare = build_uniform_prep_circuit(m, register_map=reg).gates
         unprepare = prepare[::-1]
-    elif m:
+    else:
         v, v_hat = build_prep_unitaries(dec)
         prepare = (dense(v, reg["lcu_ancilla"], [(hq, CLOSED)]),)
         unprepare = (dense(v_hat.conj().T, reg["lcu_ancilla"], [(hq, CLOSED)]),)
-    else:
-        prepare = unprepare = ()
     gates += [*prepare, *build_select_circuit(dec, reg).gates, *unprepare, h(hq)]
     return Measurement(tuple(gates), n + m + 1, (hq,), np.array([scale, -scale]))
 
@@ -201,7 +196,7 @@ def hadamard_test_circuit(prep: Circuit, unitary: PauliString, part: str = REAL)
     Re[<U>] = 2 P(0) - 1 on the ancilla; with the S-dagger inserted the same
     statistic yields Im[<U>]. It is the LCU measurement of U alone.
     """
-    return _assemble(_lcu_measurement(prep.num_qubits, _single_term(unitary), part, 1.0), prep)
+    return holcus_circuit(prep, decomposition_from_terms([LcuTerm(1.0, 0.0, unitary)], "dense"), part)
 
 
 def holcus_circuit(
@@ -214,8 +209,9 @@ def holcus_circuit(
     controlled un-prepare, and a final H. Only the Hadamard qubit is measured.
 
     With uniform=True the prepare/un-prepare stages are the controlled-H
-    ladder (valid when the decomposition is dense with every slot weighted
-    equally, e.g. an equal-coefficient group of power-of-two size).
+    ladder; it raises ValueError unless the decomposition is dense, fills
+    every slot, and has equal weights and zero phases (e.g. an
+    equal-coefficient group of power-of-two size).
     """
     return _assemble(_lcu_measurement(prep.num_qubits, dec, part, dec.normalization, uniform), prep)
 
@@ -224,17 +220,15 @@ def _group_measurement(
     n: int, dec: LcuDecomposition, group: CoefficientGroup, part: str
 ) -> Measurement:
     """One coefficient group with its phase factored out front, so the
-    in-circuit preparation is real and uniform: scale N_g = |group| * alpha_g
-    * sign_g. A single term needs no ancilla, which makes a Hadamard test; a
-    power-of-two group fills a dense layout and takes the controlled-H ladder."""
+    in-circuit preparation is real and uniform: every member weighted
+    alpha_g, scale N_g = |group| * alpha_g * sign_g. A power-of-two group
+    fills a dense layout and takes the controlled-H ladder; a single term,
+    on no ancilla, is the Hadamard test."""
     size = len(group.term_indices)
     scale = size * group.common_alpha * float(np.cos(group.common_theta))
-    members = [dec.terms[k] for k in group.term_indices]
-    if size == 1:
-        return _lcu_measurement(n, _single_term(members[0].unitary), part, scale)
     layout = "dense" if size & (size - 1) == 0 else "shifted"
-    sub = decomposition_from_terms([LcuTerm(t.alpha, 0.0, t.unitary) for t in members], layout)
-    return _lcu_measurement(n, sub, part, scale, uniform=layout == "dense")
+    members = [LcuTerm(group.common_alpha, 0.0, dec.terms[k].unitary) for k in group.term_indices]
+    return _lcu_measurement(n, decomposition_from_terms(members, layout), part, scale, layout == "dense")
 
 
 def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:

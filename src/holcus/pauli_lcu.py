@@ -7,10 +7,11 @@ output back to physical units.
 
 Slot layouts for the ancilla register:
 
-  dense   - slots 0..M-1 on m = ceil(log2(M)) ancillas (m >= 1), the
-            textbook arrangement, which holcus_div's power-of-two groups
-            fill; the term at slot 0 needs an extra closed control on the
-            Hadamard qubit in the select stage.
+  dense   - slots 0..M-1 on m = ceil(log2(M)) ancillas, the textbook
+            arrangement, which holcus_div's power-of-two groups fill; the
+            term at slot 0 needs an extra closed control on the Hadamard
+            qubit in the select stage. One term needs no ancilla, and its
+            LCU measurement is the Hadamard test.
   shifted - slots 1..M on m = ceil(log2(M+1)) ancillas; slot 0 stays empty
             so no select gate ever touches the Hadamard qubit. This is the
             default and the layout from_ising builds. When M is a power of
@@ -20,11 +21,11 @@ Slot layouts for the ancilla register:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CLOSED, Circuit, dense, h, swap
+from .circuit import CLOSED, Circuit, dense, h, make_register_map, swap
 
 _PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -82,34 +83,41 @@ class LcuTerm:
 
 @dataclass(frozen=True)
 class LcuDecomposition:
+    """The terms and their slot layout; everything else is derived from them."""
+
     terms: tuple[LcuTerm, ...]
-    normalization: float
-    num_ancillas: int
     layout: str
-    slot_of_term: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not self.terms:
+            raise ValueError("decomposition needs at least one term")
+        if self.layout not in LAYOUTS:
+            raise ValueError(f"layout must be one of {LAYOUTS}, got {self.layout!r}")
 
     @property
     def num_terms(self) -> int:
         return len(self.terms)
 
+    @property
+    def normalization(self) -> float:
+        return float(sum(t.alpha for t in self.terms))
+
+    @property
+    def num_ancillas(self) -> int:
+        return ancillas_for(self.num_terms, self.layout)
+
+    @property
+    def slots(self) -> range:
+        """Each term's ancilla slot, in term order: from 0 when dense, from 1 when shifted."""
+        return range(self.layout == "shifted", self.num_terms + (self.layout == "shifted"))
+
 
 def ancillas_for(num_terms: int, layout: str) -> int:
-    if layout == "shifted":
-        return math.ceil(math.log2(num_terms + 1))
-    return max(1, math.ceil(math.log2(num_terms)))
+    return math.ceil(math.log2(num_terms + (layout == "shifted")))
 
 
 def decomposition_from_terms(terms, layout: str = "shifted") -> LcuDecomposition:
-    terms = tuple(terms)
-    if not terms:
-        raise ValueError("decomposition needs at least one term")
-    if layout not in LAYOUTS:
-        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
-    m = ancillas_for(len(terms), layout)
-    offset = 1 if layout == "shifted" else 0
-    slots = {k: k + offset for k in range(len(terms))}
-    norm = float(sum(t.alpha for t in terms))
-    return LcuDecomposition(terms, norm, m, layout, slots)
+    return LcuDecomposition(tuple(terms), layout)
 
 
 def from_ising(model) -> LcuDecomposition:
@@ -154,36 +162,40 @@ def build_prep_unitaries(dec: LcuDecomposition) -> tuple[np.ndarray, np.ndarray]
     dim = 1 << dec.num_ancillas
     col_v = np.zeros(dim, dtype=np.complex128)
     col_vhat = np.zeros(dim, dtype=np.complex128)
-    for k, term in enumerate(dec.terms):
-        slot = dec.slot_of_term[k]
-        amp = math.sqrt(term.alpha / dec.normalization)
+    norm = dec.normalization
+    for slot, term in zip(dec.slots, dec.terms):
+        amp = math.sqrt(term.alpha / norm)
         col_v[slot] = amp * np.exp(1j * term.theta)
         col_vhat[slot] = amp
-    for col in (col_v, col_vhat):
-        if abs(np.linalg.norm(col) - 1.0) > 1e-9:
-            raise RuntimeError("prep column is not normalized; decomposition is inconsistent")
     return _complete_unitary(col_v), _complete_unitary(col_vhat)
+
+
+def _ancilla_frame(register_map: dict[str, range], m: int) -> tuple[range, int]:
+    """The ancilla span (of at least m qubits) and width of a map whose spans share no qubit."""
+    anc = register_map["lcu_ancilla"]
+    if len(anc) < m:
+        raise ValueError(f"need {m} ancillas, register has {len(anc)}")
+    qubits = [q for span in register_map.values() for q in span]
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"register spans share a qubit: {register_map}")
+    return anc, max(span.stop for span in register_map.values())
 
 
 def build_select_circuit(dec: LcuDecomposition, register_map: dict[str, range]) -> Circuit:
     """Multiplexed Pauli application: term k fires when the ancilla register
-    holds slot_of_term[k], encoded by open/closed controls per binary digit.
+    holds dec.slots[k], encoded by open/closed controls per binary digit.
 
     In dense layout the slot-0 term additionally carries a closed control on
     the Hadamard qubit (that pattern would otherwise fire on the untouched
     |0...0> ancilla branch). Identity terms emit no gate.
     """
-    anc = register_map.get("lcu_ancilla", range(0))
+    anc, num_qubits = _ancilla_frame(register_map, dec.num_ancillas)
     state = register_map["state"]
-    if len(anc) < dec.num_ancillas:
-        raise ValueError(f"need {dec.num_ancillas} ancillas, register has {len(anc)}")
-    num_qubits = max(r.stop for r in register_map.values())
     gates = []
-    for k, term in enumerate(dec.terms):
+    for slot, term in zip(dec.slots, dec.terms):
         pauli = term.unitary
         if not pauli.ops:
             continue
-        slot = dec.slot_of_term[k]
         controls = [(anc[j], (slot >> j) & 1) for j in range(dec.num_ancillas)]
         if dec.layout == "dense" and slot == 0:
             if "hadamard" not in register_map:
@@ -239,12 +251,9 @@ def build_uniform_prep_circuit(
     if m < 1:
         raise ValueError(f"need at least one ancilla, got {m}")
     if register_map is None:
-        register_map = {"lcu_ancilla": range(m), "hadamard": range(m, m + 1)}
-    anc = register_map["lcu_ancilla"]
-    if len(anc) < m:
-        raise ValueError(f"need {m} ancillas, register has {len(anc)}")
+        register_map = make_register_map(0, m)
+    anc, num_qubits = _ancilla_frame(register_map, m)
     hq = register_map["hadamard"][0]
-    num_qubits = max(r.stop for r in register_map.values())
     if not nearest_neighbor:
         gates = [h(anc[j], controls=[(hq, CLOSED)]) for j in range(m)]
     else:

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, exp_x, exp_z, exp_zz, h, run
-from .qubo_ising import IsingModel, ising_energies
-from .statevector import MAX_QUBITS, CapacityError
+from .circuit import Circuit, exp_x, exp_z, exp_zz, h
+from .estimators import EstimatorConfig, estimate
+from .qubo_ising import IsingModel
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ def build_ansatz(model: IsingModel, params: QaoaParams) -> Circuit:
 
 
 def exact_expectation(model: IsingModel, params: QaoaParams) -> float:
-    """<psi|H_P|psi> on the ansatz output: the basis-state probabilities
-    against the model's energies, with no sampling."""
-    if model.n > MAX_QUBITS:
-        raise CapacityError(f"n = {model.n} exceeds simulator capacity {MAX_QUBITS}")
-    state = run(build_ansatz(model, params))
-    return float(np.abs(state.amplitudes) ** 2 @ ising_energies(model))
+    """<psi|H_P|psi> on the ansatz output: raw's exact estimate, the
+    basis-state probabilities against the model's energies, with no sampling."""
+    return estimate(build_ansatz(model, params), model, EstimatorConfig("raw")).value

@@ -4,7 +4,18 @@ Everything here recomputes expected values along an independent route:
 full matrices come from explicit basis-state enumeration (never from the
 package's gate kernel), rotations from scipy's expm (never from the
 package's closed forms), and Hamiltonians from Kronecker products.
+
+BLAS is pinned to one thread, as benchmark/run.py pins it, so the timing
+criterion runs the configuration the benchmark measures.
 """
+
+import os
+import sys
+
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was loaded before tests/conftest.py could pin BLAS to one thread")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

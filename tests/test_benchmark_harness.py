@@ -1,0 +1,31 @@
+"""The benchmark harness against this tree: its own tests, and one traced run
+whose replay drives all three estimators through the public builders that
+benchmark/layers.py calls (hadamard_test_circuit, holcus_circuit(uniform=),
+decomposition_from_terms, build_select_circuit, build_uniform_prep_circuit,
+gate_matrix, sample_counts). Both run in subprocesses: benchmark/ and tests/
+each have a conftest module, so one session cannot collect both."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True, timeout=300)
+
+
+def test_benchmark_tests_pass():
+    proc = _python("-m", "pytest", "-q", "-p", "no:cacheprovider", "benchmark")
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+
+
+def test_traced_degenerate_shots_run_is_correct(tmp_path):
+    proc = _python(
+        "benchmark/run.py", "--workload", "degenerate-shots", "--seed", "1",
+        "--seconds", "1", "--trace", "1", "--results", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True

@@ -20,7 +20,7 @@ from holcus.estimators import (
     holcus_circuit,
     run_plan,
 )
-from holcus.pauli_lcu import PauliString, from_ising, group_by_coefficient
+from holcus.pauli_lcu import LcuTerm, PauliString, decomposition_from_terms, from_ising, group_by_coefficient
 from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import (
@@ -122,6 +122,29 @@ class TestHolcusCircuit:
         success = 2.0 * np.sum(np.abs(amps[1, 0]) ** 2)
         orthogonal = 2.0 * np.sum(np.abs(amps[1, 1:]) ** 2)
         assert success + orthogonal == pytest.approx(1.0, abs=1e-9)
+
+    def test_uniform_rejects_unequal_weights_and_phases(self):
+        # Terms (1.0, 0, Z0) and (3.0, pi, Z1): the ladder weights them alike
+        # and drops the phase, which read +0.848 where the value is +0.550.
+        model = qubo_to_ising(random_qubo(2, 3))
+        prep = build_ansatz(model, QaoaParams((0.4,), (0.3,)))
+        terms = [LcuTerm(1.0, 0.0, PauliString({0: "Z"})), LcuTerm(3.0, np.pi, PauliString({1: "Z"}))]
+        dec = decomposition_from_terms(terms, "dense")
+        with pytest.raises(ValueError, match="equal weights and zero phases"):
+            holcus_circuit(prep, dec, uniform=True)
+        circ = holcus_circuit(prep, dec)
+        p0 = marginal_probabilities(run(circ), [circ.num_qubits - 1]).probabilities.get("0", 0.0)
+        psi = run(prep).amplitudes
+        expected = (psi.conj() @ lcu_dense_matrix(dec, 2) @ psi).real
+        assert expected == pytest.approx(0.5496, abs=1e-4)
+        assert dec.normalization * (2 * p0 - 1) == pytest.approx(expected, abs=1e-10)
+
+    def test_ancilla_free_term_must_have_zero_phase(self):
+        # With no ancilla there is no prepare stage to carry e^{i theta}.
+        dec = decomposition_from_terms([LcuTerm(2.0, np.pi, PauliString({0: "Z"}))], "dense")
+        assert dec.num_ancillas == 0
+        with pytest.raises(ValueError, match="zero phases"):
+            holcus_circuit(Circuit(1), dec)
 
 
 class TestExactModeAgreement:

@@ -9,6 +9,7 @@ from conftest import lcu_dense_matrix
 from holcus.circuit import make_register_map, resource_report, run
 from holcus.pauli_lcu import (
     LAYOUTS,
+    LcuDecomposition,
     LcuTerm,
     PauliString,
     build_prep_unitaries,
@@ -69,12 +70,19 @@ class TestFromIsing:
         dec = from_ising(ising(2, [1.0, 1.0], {(0, 1): 1.0}))
         assert dec.layout == "shifted"
         assert dec.num_ancillas == 2  # ceil(log2(3 + 1))
-        assert sorted(dec.slot_of_term.values()) == [1, 2, 3]
+        assert list(dec.slots) == [1, 2, 3]
 
     def test_dense_layout_slots(self):
         dec = decomposition_from_terms(from_ising(ising(2, [1.0, 1.0], {(0, 1): 1.0})).terms, "dense")
         assert dec.num_ancillas == 2
-        assert sorted(dec.slot_of_term.values()) == [0, 1, 2]
+        assert list(dec.slots) == [0, 1, 2]
+
+    def test_decomposition_checks_terms_and_layout(self):
+        term = LcuTerm(1.0, 0.0, PauliString({0: "Z"}))
+        with pytest.raises(ValueError, match="at least one term"):
+            LcuDecomposition((), "dense")
+        with pytest.raises(ValueError, match="layout"):
+            LcuDecomposition((term,), "sparse")
 
     def test_alphas_positive_with_sign_in_theta(self):
         dec = from_ising(ising(2, [-0.3, 0.4], {(0, 1): -0.1}))
@@ -100,10 +108,12 @@ class TestBuildPrepUnitaries:
         assert np.allclose(v[:, 0], [0.0, 1.0], atol=1e-12)
 
     def test_single_term_dense_uses_slot_zero(self):
+        # ceil(log2(1)) = 0: one dense term needs no ancilla (the Hadamard test).
         dec = decomposition_from_terms([LcuTerm(2.0, 0.0, PauliString({0: "Z"}))], layout="dense")
-        assert dec.num_ancillas == 1  # one ancilla even for a single term
+        assert dec.num_ancillas == 0
+        assert list(dec.slots) == [0]
         v, _ = build_prep_unitaries(dec)
-        assert np.allclose(v[:, 0], [1.0, 0.0], atol=1e-12)
+        assert np.allclose(v, [[1.0]], atol=1e-12)
 
     def test_random_six_terms_unitary(self, rng):
         # Oracle: direct matrix multiplication check V^dag V = I.
@@ -118,8 +128,7 @@ class TestBuildPrepUnitaries:
             assert np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))) < 1e-12
         v, _ = build_prep_unitaries(dec)
         norm = alphas.sum()
-        for k in range(6):
-            slot = dec.slot_of_term[k]
+        for k, slot in enumerate(dec.slots):
             assert abs(v[slot, 0]) ** 2 == pytest.approx(alphas[k] / norm, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
@@ -144,7 +153,7 @@ class TestBuildPrepUnitaries:
         dim = 1 << dec.num_ancillas
         col = np.zeros(dim, dtype=complex)
         for k, (a, t) in enumerate(coeffs):
-            col[dec.slot_of_term[k]] = np.sqrt(a / dec.normalization) * np.exp(1j * t)
+            col[dec.slots[k]] = np.sqrt(a / dec.normalization) * np.exp(1j * t)
         v, v_hat = build_prep_unitaries(dec)
         for mat, expected in ((v, col), (v_hat, np.abs(col))):
             assert np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) < 1e-12
@@ -191,6 +200,16 @@ class TestSelectCircuit:
         dec = from_ising(ising(3, [1.0, 1.0, 1.0], {(0, 1): 1.0, (0, 2): 1.0}))
         with pytest.raises(ValueError):
             build_select_circuit(dec, {"state": range(0, 3), "lcu_ancilla": range(3, 4)})
+
+    def test_overlapping_spans_rejected(self):
+        # The Hadamard span sits on state qubit 2, so the slot-0 gate would be
+        # controlled on a state qubit.
+        dec = decomposition_from_terms(from_ising(qubo_to_ising(random_qubo(3, 1))).terms, "dense")
+        reg = {"state": range(0, 3), "lcu_ancilla": range(3, 6), "hadamard": range(2, 3)}
+        with pytest.raises(ValueError, match="share a qubit"):
+            build_select_circuit(dec, reg)
+        with pytest.raises(ValueError, match="share a qubit"):
+            build_uniform_prep_circuit(3, register_map=reg)
 
     def test_state_register_too_small(self):
         dec = from_ising(qubo_to_ising(random_qubo(4, 1)))

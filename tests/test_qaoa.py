@@ -8,6 +8,7 @@ from conftest import PAULI, ising_dense_matrix
 from holcus.circuit import run
 from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
+from holcus.statevector import MAX_QUBITS, CapacityError
 
 
 def model_of(n, h, J, offset=0.0):
@@ -73,6 +74,12 @@ class TestBuildAnsatz:
 
 
 class TestExactExpectation:
+    def test_wider_than_capacity_raises(self):
+        n = MAX_QUBITS + 1
+        model = model_of(n, np.ones(n), {})
+        with pytest.raises(CapacityError):
+            exact_expectation(model, QaoaParams((0.1,), (0.2,)))
+
     def test_p0_equals_offset(self):
         for seed in range(5):
             model = qubo_to_ising(random_qubo(3, seed))
