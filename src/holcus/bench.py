@@ -14,11 +14,10 @@ counter splitting, independent of scheduling.
 import time
 from dataclasses import dataclass, fields
 
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, compile_plan
 from .optimize import OptimizerConfig, train_qaoa
-from .pauli_lcu import ancillas_for
 from .qaoa import exact_expectation
-from .qubo_ising import brute_force_min, qubo_to_ising, random_qubo
+from .qubo_ising import QuboInstance, brute_force_min, qubo_to_ising, random_qubo
 from .statevector import MAX_QUBITS, derive_seed
 
 @dataclass(frozen=True)
@@ -55,23 +54,26 @@ class ExperimentConfig:
             raise ValueError(f"every p must be >= 1, got {self.p_values}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        # The configs every cell builds, checked once before any record is written.
-        for method in self.methods:
-            EstimatorConfig(method=method, shots=self.shots)
         OptimizerConfig(max_evals=self.max_evals, restarts=self.restarts)
-        widest = max(_register_width(method, self.n_max) for method in self.methods)
-        if widest > MAX_QUBITS:
-            raise ValueError(f"n_max={self.n_max} needs a {widest}-qubit register, above the guard of {MAX_QUBITS}")
+        # Every method holds the n state qubits, so no wider n is compiled.
+        if self.n_max > MAX_QUBITS:
+            raise ValueError(f"n_max={self.n_max} is above the guard of {MAX_QUBITS} qubits")
+        # Every plan the sweep runs, compiled once before any record is written: each must fit the guard.
+        for n in range(self.n_min, self.n_max + 1):
+            for instance in range(self.instances_per_n):
+                model = qubo_to_ising(_instance(self.master_seed, n, instance)[1])
+                for method in self.methods:
+                    width = compile_plan(model, EstimatorConfig(method=method, shots=self.shots)).max_qubits
+                    if width > MAX_QUBITS:
+                        raise ValueError(
+                            f"{method} at n={n} needs a {width}-qubit register, above the guard of {MAX_QUBITS}"
+                        )
 
 
-def _register_width(method: str, n: int) -> int:
-    """Widest register method simulates for random_qubo(n). holcus holds all
-    n(n+1)/2 Ising terms on its ancillas; random_qubo's coefficients are
-    distinct, so every holcus_div group is one term with no ancilla, as in
-    hadamard; both add the Hadamard qubit. raw uses the state register alone."""
-    if method == "holcus":
-        return n + ancillas_for(n * (n + 1) // 2, "shifted") + 1
-    return n if method == "raw" else n + 1
+def _instance(master_seed: int, n: int, instance: int) -> tuple[int, QuboInstance]:
+    """The seed and QUBO of a grid cell's instance."""
+    seed = derive_seed(master_seed, n, instance)
+    return seed, random_qubo(n, seed)
 
 
 # The run grids holcus-bench names (desk scale): exp1 compares the per-term
@@ -133,10 +135,9 @@ def read_records(path) -> list[BenchmarkRecord]:
 
 
 def _run_one(cfg: ExperimentConfig, n: int, p: int, instance: int, method: str) -> BenchmarkRecord:
-    seed = derive_seed(cfg.master_seed, n, instance)
+    seed, qubo = _instance(cfg.master_seed, n, instance)
     rec = BenchmarkRecord(n=n, p=p, instance_seed=seed, method=method)
     try:
-        qubo = random_qubo(n, seed)
         model = qubo_to_ising(qubo)
         rec.brute_force_optimum = brute_force_min(qubo)[1]
         est_cfg = EstimatorConfig(method=method, shots=cfg.shots, seed=derive_seed(seed, p))

@@ -56,6 +56,7 @@ from .circuit import (
     s_dagger,
 )
 from .pauli_lcu import (
+    GROUPING_TOL,
     CoefficientGroup,
     LcuDecomposition,
     LcuTerm,
@@ -90,7 +91,7 @@ class EstimatorConfig:
     shots: int | None = EXACT
     seed: int = 0
     part: str = REAL
-    grouping_tol: ClassVar[float] = 1e-9
+    grouping_tol: ClassVar[float] = GROUPING_TOL
 
     def __post_init__(self):
         if self.method not in METHODS:

@@ -35,6 +35,9 @@ _PAULI_MATS = {
 
 LAYOUTS = ("dense", "shifted")
 
+# How far a term's weight and phase may be from its coefficient group's first term.
+GROUPING_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PauliString:
@@ -73,8 +76,8 @@ class LcuTerm:
     unitary: PauliString
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"term weight must be positive, got {self.alpha}")
+        if not (0 < self.alpha < math.inf and math.isfinite(self.theta)):  # also rejects NaN
+            raise ValueError(f"need a finite weight > 0 and a finite phase, got {self.alpha}, {self.theta}")
 
     @property
     def signed_coefficient(self) -> complex:
@@ -104,7 +107,7 @@ class LcuDecomposition:
 
     @property
     def num_ancillas(self) -> int:
-        return ancillas_for(self.num_terms, self.layout)
+        return math.ceil(math.log2(self.num_terms + (self.layout == "shifted")))
 
     @property
     def slots(self) -> range:
@@ -112,26 +115,18 @@ class LcuDecomposition:
         return range(self.layout == "shifted", self.num_terms + (self.layout == "shifted"))
 
 
-def ancillas_for(num_terms: int, layout: str) -> int:
-    return math.ceil(math.log2(num_terms + (layout == "shifted")))
-
-
 def decomposition_from_terms(terms, layout: str = "shifted") -> LcuDecomposition:
     return LcuDecomposition(tuple(terms), layout)
 
 
 def from_ising(model) -> LcuDecomposition:
-    """LCU terms of the spin Hamiltonian, in the shifted layout: one Z_i per
-    field, one Z_i Z_j per coupling. Negative coefficients become theta = pi;
+    """LCU terms of the spin Hamiltonian, in the shifted layout: a Z string on
+    each of model.terms(), in its order. Negative coefficients become theta = pi;
     the constant offset is excluded and must be re-added by the caller."""
-    terms = []
-    for i in range(model.n):
-        c = model.h[i]
-        if c != 0.0:
-            terms.append(LcuTerm(abs(c), math.pi if c < 0 else 0.0, PauliString({i: "Z"})))
-    for (i, j), c in sorted(model.J.items()):
-        if c != 0.0:
-            terms.append(LcuTerm(abs(c), math.pi if c < 0 else 0.0, PauliString({i: "Z", j: "Z"})))
+    terms = [
+        LcuTerm(abs(c), math.pi if c < 0 else 0.0, PauliString(dict.fromkeys(qubits, "Z")))
+        for qubits, c in model.terms()
+    ]
     if not terms:
         raise ValueError("all-zero model has no LCU terms")
     return decomposition_from_terms(terms)
@@ -215,7 +210,7 @@ class CoefficientGroup:
     term_indices: tuple[int, ...]
 
 
-def group_by_coefficient(dec: LcuDecomposition, tol: float = 1e-9) -> list[CoefficientGroup]:
+def group_by_coefficient(dec: LcuDecomposition, tol: float = GROUPING_TOL) -> list[CoefficientGroup]:
     """Partition term indices by (alpha, theta) within tol, first-occurrence order."""
     if not tol >= 0:  # also rejects NaN
         raise ValueError(f"tolerance must be >= 0, got {tol}")

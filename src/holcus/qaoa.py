@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, exp_x, exp_z, exp_zz, h
+from .circuit import Circuit, Gate, exp_x, h
 from .estimators import EstimatorConfig, estimate
 from .qubo_ising import IsingModel
 
@@ -41,20 +41,14 @@ def build_ansatz(model: IsingModel, params: QaoaParams) -> Circuit:
     e^{i gamma H_P} followed by the mixer e^{i beta X} on every qubit.
 
     Phase gates take the evolution angle directly: EXP_Z(gamma * h_i) and
-    EXP_ZZ(gamma * J_ij), quadratic terms in ascending (i, j) order.
+    EXP_ZZ(gamma * J_ij), in model.terms() order.
     """
     if model.n < 1:
         raise ValueError("model needs at least one spin")
+    phases = [("EXP_Z" if len(qubits) == 1 else "EXP_ZZ", qubits, c) for qubits, c in model.terms()]
     gates = [h(q) for q in range(model.n)]
-    for layer in range(params.p):
-        gamma = params.gammas[layer]
-        beta = params.betas[layer]
-        for i in range(model.n):
-            if model.h[i] != 0.0:
-                gates.append(exp_z(gamma * model.h[i], i))
-        for (i, j), c in sorted(model.J.items()):
-            if c != 0.0:
-                gates.append(exp_zz(gamma * c, i, j))
+    for gamma, beta in zip(params.gammas, params.betas):
+        gates += [Gate(kind, qubits, (float(gamma * c),)) for kind, qubits, c in phases]
         gates += [exp_x(beta, q) for q in range(model.n)]
     return Circuit(model.n, gates)
 

@@ -48,6 +48,12 @@ class IsingModel:
         if not np.all(np.isfinite([*self.h, *self.J.values(), self.offset])):
             raise ValueError("coefficients must be finite")
 
+    def terms(self) -> list[tuple[tuple[int, ...], float]]:
+        """(qubits, coefficient) of every nonzero field, in qubit order, then
+        of every nonzero coupling, in ascending (i, j) order."""
+        fields = [((i,), c) for i, c in enumerate(self.h) if c != 0.0]
+        return fields + [(ij, c) for ij, c in sorted(self.J.items()) if c != 0.0]
+
 
 def random_qubo(n: int, seed: int) -> QuboInstance:
     """Symmetric cost matrix with entries uniform in (-2, 2)."""
@@ -141,14 +147,10 @@ def _double(vec: np.ndarray, size: int, step) -> None:
     vec[:size] += step
 
 
-def bitstring_from_index(index: int, n: int) -> str:
-    return format(index, f"0{n}b")
-
-
 def brute_force_min(q: QuboInstance) -> tuple[str, float]:
     """Global minimum over all assignments, read from the Ising energies
     (equal to x^T Q x at every basis index); ties resolve to the lowest index."""
     energies = ising_energies(qubo_to_ising(q))
     best = int(np.argmin(energies))
-    return bitstring_from_index(best, q.n), float(energies[best])
+    return format(best, f"0{q.n}b"), float(energies[best])
 

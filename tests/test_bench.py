@@ -135,6 +135,7 @@ class TestExperimentConfig:
             {"p_values": ()},
             {"methods": ()},
             {"n_min": 15, "n_max": 16, "methods": ("holcus",)},
+            {"n_min": 25, "n_max": 25, "methods": ("raw",)},
             {"n_min": 2.5},
             {"n_max": 3.5},
             {"instances_per_n": 1.5},
@@ -145,7 +146,7 @@ class TestExperimentConfig:
             {"methods": ("holcus", "holcus")},
         ],
         ids=[
-            "master_seed", "methods", "restarts", "p_values", "shots", "empty_p", "empty_methods", "too_wide",
+            "master_seed", "methods", "restarts", "p_values", "shots", "empty_p", "empty_methods", "too_wide", "raw_too_wide",
             "float_n_min", "float_n_max", "float_instances", "bool_instances", "float_p", "float_master_seed",
             "duplicate_p", "duplicate_methods",
         ],
@@ -154,6 +155,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             tiny_config(tmp_path, **bad)
         assert not (tmp_path / "bench.csv").exists()
+
+    @pytest.mark.parametrize("method, widest_n", [("hadamard", 23), ("holcus", 15)])
+    def test_widest_plan_must_fit_the_guard(self, tmp_path, method, widest_n):
+        tiny_config(tmp_path, n_min=widest_n, n_max=widest_n, methods=(method,))
+        above = widest_n + 1
+        with pytest.raises(ValueError, match=f"{method} at n={above} needs a 25-qubit register"):
+            tiny_config(tmp_path, n_min=above, n_max=above, methods=(method,))
+
+    def test_n_above_guard_rejected_before_any_compile(self, tmp_path, monkeypatch):
+        def no_compile(*args):
+            raise AssertionError("compiled a plan")
+
+        monkeypatch.setattr(holcus.bench, "compile_plan", no_compile)
+        with pytest.raises(ValueError, match="n_max=1000"):
+            tiny_config(tmp_path, n_min=1000, n_max=1000)
 
     def test_exp1_config_is_the_exp1_preset(self):
         assert exp1_config() == ExperimentConfig(**PRESETS["exp1"])

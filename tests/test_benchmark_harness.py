@@ -1,14 +1,18 @@
-"""The benchmark harness against this tree: its own tests, and one traced run
-whose replay drives all three estimators through the public builders that
-benchmark/layers.py calls (hadamard_test_circuit, holcus_circuit(uniform=),
-decomposition_from_terms, build_select_circuit, build_uniform_prep_circuit,
-gate_matrix, sample_counts). Both run in subprocesses: benchmark/ and tests/
-each have a conftest module, so one session cannot collect both."""
+"""The benchmark harness against this tree: its own tests, and two traced
+runs. The degenerate-shots replay drives all three estimators through the
+public builders that benchmark/layers.py calls (hadamard_test_circuit,
+holcus_circuit(uniform=), decomposition_from_terms, build_select_circuit,
+build_uniform_prep_circuit, gate_matrix, sample_counts); exp1-exact runs
+bench.exp1_config, ExperimentConfig and run_experiment. All run in
+subprocesses: benchmark/ and tests/ each have a conftest module, so one
+session cannot collect both."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,9 +26,10 @@ def test_benchmark_tests_pass():
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
-def test_traced_degenerate_shots_run_is_correct(tmp_path):
+@pytest.mark.parametrize("workload", ["degenerate-shots", "exp1-exact"])
+def test_traced_run_is_correct(tmp_path, workload):
     proc = _python(
-        "benchmark/run.py", "--workload", "degenerate-shots", "--seed", "1",
+        "benchmark/run.py", "--workload", workload, "--seed", "1",
         "--seconds", "1", "--trace", "1", "--results", str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr[-3000:]

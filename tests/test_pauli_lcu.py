@@ -89,6 +89,19 @@ class TestFromIsing:
         assert all(t.alpha > 0 for t in dec.terms)
         assert all(t.theta in (0.0, np.pi) for t in dec.terms)
 
+    def test_terms_follow_model_terms(self):
+        model = ising(3, [0.5, 0.0, -1.0], {(1, 2): 2.0, (0, 2): 0.0, (0, 1): -0.25})
+        dec = from_ising(model)
+        assert [(t.unitary.support, t.alpha * np.cos(t.theta)) for t in dec.terms] == model.terms()
+
+    @pytest.mark.parametrize(
+        "alpha, theta", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)],
+        ids=["nan_weight", "inf_weight", "nan_phase", "inf_phase"],
+    )
+    def test_term_rejects_non_finite_coefficient(self, alpha, theta):
+        with pytest.raises(ValueError, match="finite"):
+            LcuTerm(alpha, theta, PauliString({0: "Z"}))
+
 
 class TestBuildPrepUnitaries:
     def test_two_equal_terms_with_phases(self):

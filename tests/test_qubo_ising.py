@@ -110,6 +110,10 @@ class TestIsingModel:
         with pytest.raises(ValueError, match="finite"):
             make(bad)
 
+    def test_terms_list_nonzero_fields_then_sorted_couplings(self):
+        m = IsingModel(3, np.array([0.5, 0.0, -1.0]), {(1, 2): 2.0, (0, 2): 0.0, (0, 1): -0.25})
+        assert m.terms() == [((0,), 0.5), ((2,), -1.0), ((0, 1), -0.25), ((1, 2), 2.0)]
+
 
 class TestIsingEnergy:
     def test_cancellation(self):
