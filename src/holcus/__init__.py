@@ -40,6 +40,7 @@ from .pauli_lcu import (
     decomposition_from_terms,
     from_ising,
     group_by_coefficient,
+    pauli_expectation,
 )
 from .qaoa import QaoaParams, build_ansatz, exact_expectation
 from .qubo_ising import (
@@ -60,7 +61,6 @@ from .statevector import (
     derive_seed,
     marginal_probabilities,
     new_basis_state,
-    pauli_expectation,
     sample_counts,
 )
 

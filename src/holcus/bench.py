@@ -13,6 +13,7 @@ counter splitting, independent of scheduling.
 
 import time
 from dataclasses import dataclass, fields
+from itertools import product
 
 from .estimators import EstimatorConfig, compile_plan
 from .optimize import OptimizerConfig, train_qaoa
@@ -134,12 +135,22 @@ def read_records(path) -> list[BenchmarkRecord]:
     return [record_from_csv_row(ln) for ln in lines[1:]]
 
 
-def _run_one(cfg: ExperimentConfig, n: int, p: int, instance: int, method: str) -> BenchmarkRecord:
-    seed, qubo = _instance(cfg.master_seed, n, instance)
+def _prepare(master_seed: int, n: int, instance: int) -> tuple[int, tuple | Exception]:
+    """The seed of a grid cell's instance and its (Ising model, brute-force
+    optimum), or in their place the exception that building them raised."""
+    seed, qubo = _instance(master_seed, n, instance)
+    try:
+        return seed, (qubo_to_ising(qubo), brute_force_min(qubo)[1])
+    except Exception as exc:  # kept, so that each cell of the instance becomes an error row
+        return seed, exc
+
+
+def _run_one(cfg: ExperimentConfig, n: int, p: int, method: str, seed: int, prepared) -> BenchmarkRecord:
     rec = BenchmarkRecord(n=n, p=p, instance_seed=seed, method=method)
     try:
-        model = qubo_to_ising(qubo)
-        rec.brute_force_optimum = brute_force_min(qubo)[1]
+        if isinstance(prepared, Exception):
+            raise prepared
+        model, rec.brute_force_optimum = prepared
         est_cfg = EstimatorConfig(method=method, shots=cfg.shots, seed=derive_seed(seed, p))
         opt_cfg = OptimizerConfig(
             max_evals=cfg.max_evals, restarts=cfg.restarts, seed=derive_seed(seed, p, 1)
@@ -159,16 +170,11 @@ def _run_one(cfg: ExperimentConfig, n: int, p: int, instance: int, method: str) 
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> list[BenchmarkRecord]:
-    """Full grid sweep; records are appended to cfg.output_path as they finish.
-    A missing or empty file gets the CSV header first; any other file that does
-    not start with it raises ValueError before a cell runs, and is left as is."""
-    tasks = [
-        (n, p, instance, method)
-        for n in range(cfg.n_min, cfg.n_max + 1)
-        for p in cfg.p_values
-        for instance in range(cfg.instances_per_n)
-        for method in cfg.methods
-    ]
+    """Full grid sweep in (n, p, instance, method) order; records are appended
+    to cfg.output_path as they finish. Each n's instances are built and
+    brute-forced once, before its first cell. A missing or empty file gets the
+    CSV header first; any other file that does not start with it raises
+    ValueError before a cell runs, and is left as is."""
     records = []
     with open(cfg.output_path, "a+") as fh:  # appends always go to the end, whatever was read
         fh.seek(0)
@@ -178,13 +184,15 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[BenchmarkRecord
         if not first:
             fh.write(BENCH_CSV_HEADER + "\n")
             fh.flush()
-        for task in tasks:
-            rec = _run_one(cfg, *task)
-            records.append(rec)
-            fh.write(record_to_csv_row(rec) + "\n")
-            fh.flush()
-            if progress:
-                progress(rec)
+        for n in range(cfg.n_min, cfg.n_max + 1):
+            instances = [_prepare(cfg.master_seed, n, i) for i in range(cfg.instances_per_n)]
+            for p, (seed, prepared), method in product(cfg.p_values, instances, cfg.methods):
+                rec = _run_one(cfg, n, p, method, seed, prepared)
+                records.append(rec)
+                fh.write(record_to_csv_row(rec) + "\n")
+                fh.flush()
+                if progress:
+                    progress(rec)
     return records
 
 

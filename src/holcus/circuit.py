@@ -23,7 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .statevector import CLOSED, OPEN, StateVector, _apply_trusted, _checked_controls, kernel_operand, new_basis_state
+from .statevector import CLOSED, OPEN, StateVector, _apply_trusted, _check_qubits, _checked_controls
+from .statevector import kernel_operand, new_basis_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -152,15 +153,9 @@ class Circuit:
         for g in self.gates:
             _check_gate_range(g, self.num_qubits)
 
-    @property
-    def gate_count(self) -> int:
-        return len(self.gates)
-
 
 def _check_gate_range(gate: Gate, num_qubits: int) -> None:
-    for q in gate.qubits:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"gate qubit {q} out of range for {num_qubits}-qubit circuit")
+    _check_qubits(gate.qubits, num_qubits)
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:

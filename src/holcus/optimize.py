@@ -148,27 +148,19 @@ def train_qaoa(
         raise ValueError("training needs p >= 1")
     plan = compile_plan(model, estimator_cfg)
     dim = 2 * p
-    best_trace = None
-    best_value = np.inf
-    total_circuits = 0
-    total_shots = 0
+    runs = []  # (best value, evaluations, best point) of each restart
     for r in range(opt_cfg.restarts):
         evals: list[tuple[np.ndarray, float, float]] = []
-        counter = 0
 
         def objective(vec):
-            nonlocal counter, total_circuits, total_shots
             params = QaoaParams.from_vector(vec)
             cfg = estimator_cfg
             if not cfg.exact:
-                cfg = replace(cfg, seed=derive_seed(estimator_cfg.seed, r, counter))
+                cfg = replace(cfg, seed=derive_seed(estimator_cfg.seed, r, len(evals)))
             t0 = time.perf_counter()
             result = run_plan(plan, build_ansatz(model, params), cfg)
             elapsed = time.perf_counter() - t0
             evals.append((np.array(vec, dtype=float), result.value, elapsed))
-            counter += 1
-            total_circuits += result.circuits_used
-            total_shots += result.shots_used
             return result.value
 
         if r == 0:
@@ -180,10 +172,11 @@ def train_qaoa(
             )
         restart_cfg = replace(opt_cfg, seed=derive_seed(opt_cfg.seed, r, 1))
         x_best, f_best = nelder_mead(objective, x0, restart_cfg)
-        if f_best < best_value:
-            best_value = f_best
-            best_trace = (evals, QaoaParams.from_vector(x_best))
-    evaluations, best_params = best_trace
+        runs.append((f_best, evals, x_best))
+    best_value, evaluations, x_best = min(runs, key=lambda run: run[0])  # the first restart on a tie
+    # Every run_plan of the plan runs each of its circuits once.
+    total_circuits = sum(len(run[1]) for run in runs) * len(plan.measurements)
+    total_shots = 0 if estimator_cfg.exact else total_circuits * estimator_cfg.shots
     return TrainingTrace(
-        evaluations, best_params, float(best_value), total_circuits, total_shots, plan.max_qubits
+        evaluations, QaoaParams.from_vector(x_best), float(best_value), total_circuits, total_shots, plan.max_qubits
     )

@@ -3,7 +3,8 @@
 A Hamiltonian A = sum_k alpha_k * e^{i theta_k} * U_k is held as a list of
 terms with alpha_k > 0, the phase split out as an angle theta_k, and U_k a
 Pauli string. The normalization N = sum_k alpha_k rescales the estimator
-output back to physical units.
+output back to physical units. _pauli_action is the one rule for how a Pauli
+string acts, shared by PauliString.local_matrix and pauli_expectation.
 
 Slot layouts for the ancilla register:
 
@@ -26,12 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CLOSED, Circuit, dense, h, make_register_map, swap
-
-_PAULI_MATS = {
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+from .statevector import StateVector, _check_qubits
 
 LAYOUTS = ("dense", "shifted")
 
@@ -49,7 +45,7 @@ class PauliString:
         for q, op in self.ops.items():
             if q < 0:
                 raise ValueError(f"negative qubit index {q}")
-            if op not in _PAULI_MATS:
+            if op not in ("X", "Y", "Z"):
                 raise ValueError(f"operator must be X, Y or Z, got {op!r}")
 
     @property
@@ -57,16 +53,39 @@ class PauliString:
         return tuple(sorted(self.ops))
 
     def local_matrix(self) -> np.ndarray:
-        """Dense matrix over just the support qubits, LSB-first target order."""
-        mat = np.eye(1, dtype=np.complex128)
-        for q in self.support:
-            mat = np.kron(_PAULI_MATS[self.ops[q]], mat)
+        """Dense matrix over just the support qubits, LSB-first target order:
+        bit j of the row and column index is support[j]."""
+        idx = np.arange(1 << len(self.ops))
+        flip, phases = _pauli_action([(j, self.ops[q]) for j, q in enumerate(self.support)], idx)
+        mat = np.zeros((len(idx), len(idx)), dtype=np.complex128)
+        mat[idx ^ flip, idx] = phases
         return mat
 
     def __str__(self) -> str:
         if not self.ops:
             return "I"
         return "*".join(f"{self.ops[q]}{q}" for q in self.support)
+
+
+def _pauli_action(pairs, idx: np.ndarray) -> tuple[int, np.ndarray]:
+    """(flip, phases) of the string with op on bit b for each (b, op) in pairs:
+    P|i> = phase * |i ^ flip> for each basis index i in idx, with phase
+    i^(#Y) * (-1)^popcount(i & the Y and Z bits); X and Y flip their bit."""
+    flip = sum(1 << bit for bit, op in pairs if op != "Z")
+    mask = sum(1 << bit for bit, op in pairs if op != "X")
+    num_y = sum(op == "Y" for _, op in pairs)
+    return flip, 1j**num_y * (1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1))
+
+
+def pauli_expectation(state: StateVector, pauli) -> complex:
+    """<psi|P|psi> for a PauliString or a plain {qubit: "X"|"Y"|"Z"} mapping,
+    computed without sampling."""
+    if not isinstance(pauli, PauliString):
+        pauli = PauliString(dict(pauli))
+    _check_qubits(pauli.ops, state.num_qubits)
+    idx = np.arange(state.dim)
+    flip, phases = _pauli_action(pauli.ops.items(), idx)
+    return complex(np.sum(phases * state.amplitudes * np.conj(state.amplitudes[idx ^ flip])))
 
 
 @dataclass(frozen=True)

@@ -46,8 +46,6 @@ CHUNK = 1 << 13
 OPEN = 0
 CLOSED = 1
 
-_PAULI_FLIPS = {"X": True, "Y": True, "Z": False}
-
 
 class CapacityError(ValueError):
     """Requested problem size exceeds the simulator guard."""
@@ -133,6 +131,13 @@ def _checked_controls(targets: tuple[int, ...], controls) -> tuple[tuple[int, in
     return tuple((q, int(v)) for q, v in controls)
 
 
+def _check_qubits(qubits, num_qubits: int) -> None:
+    """ValueError unless every qubit index lies in [0, num_qubits)."""
+    for q in qubits:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
+
+
 def apply_unitary(
     state: StateVector,
     matrix: np.ndarray,
@@ -149,11 +154,8 @@ def apply_unitary(
     """
     targets = tuple(targets)
     controls = _checked_controls(targets, tuple(controls))
-    n = state.num_qubits
     k = len(targets)
-    for q in targets + tuple(q for q, _ in controls):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
+    _check_qubits(targets + tuple(q for q, _ in controls), state.num_qubits)
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {matrix.shape} does not match {k} targets")
@@ -273,9 +275,7 @@ def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> 
         raise ValueError("qubit list must be non-empty")
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubits in {qubits}")
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
+    _check_qubits(qubits, n)
     # The kernel's view with qubits as targets, reversed so qubits[0] leads.
     shape, axes, _, _ = _layout(n, qubits[::-1], ())
     tensor = (np.abs(state.amplitudes) ** 2).reshape(shape).transpose(axes)
@@ -311,34 +311,6 @@ def sample_counts(distribution: OutcomeDistribution, shots: int, seed: int) -> S
     draws = multinomial_draw([distribution.probabilities[k] for k in keys], shots, seed)
     counts = {k: int(c) for k, c in zip(keys, draws) if c > 0}
     return ShotCounts(distribution.qubit_indices, counts, shots, seed)
-
-
-def pauli_expectation(state: StateVector, pauli) -> complex:
-    """<psi|P|psi> for a Pauli string, computed without sampling.
-
-    Accepts a PauliString or a plain {qubit: "X"|"Y"|"Z"} mapping.
-    """
-    ops = getattr(pauli, "ops", pauli)
-    n = state.num_qubits
-    for q, op in ops.items():
-        if not 0 <= q < n:
-            raise ValueError(f"pauli qubit {q} out of range for {n}-qubit state")
-        if op not in _PAULI_FLIPS:
-            raise ValueError(f"unknown pauli operator {op!r}")
-    flip = 0
-    sign_mask = 0
-    num_y = 0
-    for q, op in ops.items():
-        if _PAULI_FLIPS[op]:
-            flip |= 1 << q
-        if op in ("Z", "Y"):
-            sign_mask |= 1 << q
-        if op == "Y":
-            num_y += 1
-    idx = np.arange(state.dim, dtype=np.intp)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & sign_mask) & 1)
-    val = np.sum(signs * state.amplitudes * np.conj(state.amplitudes[idx ^ flip]))
-    return complex((1j ** num_y) * val)
 
 
 def derive_seed(master_seed: int, *path: int) -> int:

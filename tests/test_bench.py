@@ -99,6 +99,38 @@ class TestRunExperiment:
         assert read_records(cfg.output_path) == records
         assert main(["aggregate", cfg.output_path]) == 0
 
+    def test_each_instance_prepared_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = holcus.bench.brute_force_min
+
+        def counted(qubo):
+            calls.append(qubo)
+            return real(qubo)
+
+        monkeypatch.setattr(holcus.bench, "brute_force_min", counted)
+        cfg = tiny_config(tmp_path, n_max=4, p_values=(1, 2), instances_per_n=2)
+        records = run_experiment(cfg)
+        seeds = {(n, i): holcus.bench._instance(cfg.master_seed, n, i)[0] for n in (3, 4) for i in (0, 1)}
+        grid = [(n, p, i, m) for n in (3, 4) for p in (1, 2) for i in (0, 1) for m in cfg.methods]
+        assert [(r.n, r.p, r.instance_seed, r.method) for r in records] == [(n, p, seeds[n, i], m) for n, p, i, m in grid]
+        assert len(calls) == len(seeds)
+
+    def test_failed_instance_is_an_error_row_in_each_of_its_cells(self, tmp_path, monkeypatch):
+        real = holcus.bench.brute_force_min
+        cfg = tiny_config(tmp_path, p_values=(1, 2), instances_per_n=2)
+        failing = holcus.bench._instance(cfg.master_seed, 3, 1)[0]
+
+        def fails_on_one_instance(qubo):
+            if qubo.seed == failing:
+                raise ValueError("too wide, says the\nsolver")
+            return real(qubo)
+
+        monkeypatch.setattr(holcus.bench, "brute_force_min", fails_on_one_instance)
+        records = run_experiment(cfg)
+        assert len(records) == 2 * 2 * 2
+        for rec in records:
+            assert rec.error == ("ValueError: too wide; says the solver" if rec.instance_seed == failing else "")
+
     def test_empty_output_file_gets_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
         out.write_text("")

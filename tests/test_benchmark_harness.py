@@ -1,11 +1,13 @@
-"""The benchmark harness against this tree: its own tests, and two traced
-runs. The degenerate-shots replay drives all three estimators through the
-public builders that benchmark/layers.py calls (hadamard_test_circuit,
-holcus_circuit(uniform=), decomposition_from_terms, build_select_circuit,
-build_uniform_prep_circuit, gate_matrix, sample_counts); exp1-exact runs
-bench.exp1_config, ExperimentConfig and run_experiment. All run in
-subprocesses: benchmark/ and tests/ each have a conftest module, so one
-session cannot collect both."""
+"""The benchmark harness against this tree: its own tests, and a traced run
+of every workload. The degenerate-shots replay drives all three estimators
+through the public builders that benchmark/layers.py calls
+(hadamard_test_circuit, holcus_circuit(uniform=), decomposition_from_terms,
+build_select_circuit, build_uniform_prep_circuit, gate_matrix,
+sample_counts); exp1-exact runs bench.exp1_config, ExperimentConfig and
+run_experiment; estimate-wide times estimate() calls, each compiling a plan
+with a select stage, on 17-19 qubit registers. All run in subprocesses:
+benchmark/ and tests/ each have a conftest module, so one session cannot
+collect both."""
 
 import json
 import subprocess
@@ -26,7 +28,7 @@ def test_benchmark_tests_pass():
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
 
 
-@pytest.mark.parametrize("workload", ["degenerate-shots", "exp1-exact"])
+@pytest.mark.parametrize("workload", ["degenerate-shots", "exp1-exact", "estimate-wide"])
 def test_traced_run_is_correct(tmp_path, workload):
     proc = _python(
         "benchmark/run.py", "--workload", workload, "--seed", "1",

@@ -109,6 +109,27 @@ class TestHolcusCircuit:
         expected = (psi.conj() @ lcu_dense_matrix(dec, n) @ psi).real
         assert dec.normalization * (2 * p0 - 1) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("layout", ["shifted", "dense"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pauli_sum_with_phases_against_dense_operator(self, seed, layout):
+        # X, Y and Z strings with arbitrary phases: N (2 P(0) - 1) reads Re and,
+        # with the S-dagger, Im of <psi| A |psi>, A assembled densely.
+        local = np.random.default_rng(seed + 700)
+        n = int(local.integers(2, 4))
+        terms = []
+        for _ in range(int(local.integers(2, 7))):
+            qubits = local.choice(n, size=int(local.integers(1, n + 1)), replace=False)
+            ops = {int(q): str(local.choice(["X", "Y", "Z"])) for q in qubits}
+            terms.append(LcuTerm(float(local.uniform(0.1, 2.0)), float(local.uniform(-np.pi, np.pi)), PauliString(ops)))
+        dec = decomposition_from_terms(terms, layout)
+        prep = random_prep_circuit(n, local, depth=10)
+        psi = run(prep).amplitudes
+        want = psi.conj() @ lcu_dense_matrix(dec, n) @ psi
+        for part, expected in ((REAL, want.real), (IMAGINARY, want.imag)):
+            circ = holcus_circuit(prep, dec, part)
+            p0 = marginal_probabilities(run(circ), [circ.num_qubits - 1]).probabilities.get("0", 0.0)
+            assert dec.normalization * (2 * p0 - 1) == pytest.approx(expected, abs=1e-10)
+
     def test_branch_weights_sum_to_one(self, rng):
         # weight of the ancilla-|0> success branch plus the orthogonal branch,
         # extracted from the pre-measurement state, must account for all of

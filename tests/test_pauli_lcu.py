@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lcu_dense_matrix
+from conftest import lcu_dense_matrix, pauli_full_matrix
 from holcus.circuit import make_register_map, resource_report, run
 from holcus.pauli_lcu import (
     LAYOUTS,
@@ -35,6 +35,13 @@ class TestPauliString:
     def test_local_matrix_two_qubit(self):
         mat = PauliString({0: "Z", 2: "Z"}).local_matrix()
         assert np.allclose(mat, np.diag([1, -1, -1, 1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.integers(0, 30), st.sampled_from("XYZ"), min_size=1, max_size=4))
+    def test_local_matrix_is_the_kronecker_product(self, ops):
+        # Oracle: conftest's Kronecker product of the same letters on qubits 0..k-1.
+        letters = dict(enumerate(ops[q] for q in sorted(ops)))
+        assert np.array_equal(PauliString(ops).local_matrix(), pauli_full_matrix(letters, len(ops)))
 
     def test_rejects_bad_operator(self):
         with pytest.raises(ValueError):
@@ -315,7 +322,7 @@ class TestUniformPrep:
 
     def test_m1_single_controlled_h(self):
         circ = build_uniform_prep_circuit(1)
-        assert circ.gate_count == 1
+        assert len(circ.gates) == 1
         assert circ.gates[0].kind == "H"
         assert circ.gates[0].controls == ((1, 1),)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import PAULI, distinct_phase_diagonal, embed_full_matrix, pauli_full_matrix, random_prep_circuit
 from holcus import statevector
 from holcus.circuit import Gate, run
+from holcus.pauli_lcu import PauliString, pauli_expectation
 from holcus.statevector import (
     CLOSED,
     MAX_SHOTS,
@@ -25,7 +26,6 @@ from holcus.statevector import (
     marginal_probabilities,
     marginal_vector,
     new_basis_state,
-    pauli_expectation,
     sample_counts,
 )
 
@@ -359,6 +359,22 @@ class TestPauliExpectation:
     def test_out_of_range_qubit(self):
         with pytest.raises(ValueError):
             pauli_expectation(new_basis_state(2), {5: "Z"})
+
+    def test_pauli_string_or_mapping(self, rng):
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        sv = StateVector(3, amps / np.linalg.norm(amps))
+        ops = {0: "Y", 2: "X"}
+        got = pauli_expectation(sv, PauliString(ops))
+        assert got == pauli_expectation(sv, ops)
+        want = sv.amplitudes.conj() @ pauli_full_matrix(ops, 3) @ sv.amplitudes
+        assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        ("ops", "match"), [({0: "W"}, "X, Y or Z"), ({-1: "Z"}, "negative")], ids=["letter", "negative"]
+    )
+    def test_bad_string_rejected(self, ops, match):
+        with pytest.raises(ValueError, match=match):
+            pauli_expectation(new_basis_state(2), ops)
 
 
 class TestDeriveSeed:
