@@ -173,17 +173,19 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[BenchmarkRecord
     """Full grid sweep in (n, p, instance, method) order; records are appended
     to cfg.output_path as they finish. Each n's instances are built and
     brute-forced once, before its first cell. A missing or empty file gets the
-    CSV header first; any other file that does not start with it raises
-    ValueError before a cell runs, and is left as is."""
+    CSV header first, a last row without its newline gets one; a file that does
+    not start with the header raises ValueError before a cell runs, untouched."""
     records = []
     with open(cfg.output_path, "a+") as fh:  # appends always go to the end, whatever was read
         fh.seek(0)
-        first = fh.readline()
-        if first and first.strip() != BENCH_CSV_HEADER:
+        text = fh.read()
+        if text and text.partition("\n")[0].strip() != BENCH_CSV_HEADER:
             raise ValueError(f"{cfg.output_path} does not start with the benchmark CSV header")
-        if not first:
+        if not text:
             fh.write(BENCH_CSV_HEADER + "\n")
-            fh.flush()
+        elif not text.endswith("\n"):  # a last row cut short would merge with the first new one
+            fh.write("\n")
+        fh.flush()
         for n in range(cfg.n_min, cfg.n_max + 1):
             instances = [_prepare(cfg.master_seed, n, i) for i in range(cfg.instances_per_n)]
             for p, (seed, prepared), method in product(cfg.p_values, instances, cfg.methods):

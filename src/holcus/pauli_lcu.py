@@ -3,8 +3,8 @@
 A Hamiltonian A = sum_k alpha_k * e^{i theta_k} * U_k is held as a list of
 terms with alpha_k > 0, the phase split out as an angle theta_k, and U_k a
 Pauli string. The normalization N = sum_k alpha_k rescales the estimator
-output back to physical units. _pauli_action is the one rule for how a Pauli
-string acts, shared by PauliString.local_matrix and pauli_expectation.
+output back to physical units. PauliString.local_matrix is the one rule for
+how a Pauli string acts, for the select stage and pauli_expectation alike.
 
 Slot layouts for the ancilla register:
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CLOSED, Circuit, dense, h, make_register_map, swap
-from .statevector import StateVector, _check_qubits
+from .statevector import StateVector, apply_unitary
 
 LAYOUTS = ("dense", "shifted")
 
@@ -53,12 +53,14 @@ class PauliString:
         return tuple(sorted(self.ops))
 
     def local_matrix(self) -> np.ndarray:
-        """Dense matrix over just the support qubits, LSB-first target order:
-        bit j of the row and column index is support[j]."""
-        idx = np.arange(1 << len(self.ops))
-        flip, phases = _pauli_action([(j, self.ops[q]) for j, q in enumerate(self.support)], idx)
+        """Dense matrix over the support qubits (bit j of the row and column index is
+        support[j]): P|i> = i^(#Y) * (-1)^popcount(i & Y,Z bits) * |i ^ X,Y bits>."""
+        ops = [self.ops[q] for q in self.support]
+        flip = sum(1 << j for j, op in enumerate(ops) if op != "Z")
+        mask = sum(1 << j for j, op in enumerate(ops) if op != "X")
+        idx = np.arange(1 << len(ops))
         mat = np.zeros((len(idx), len(idx)), dtype=np.complex128)
-        mat[idx ^ flip, idx] = phases
+        mat[idx ^ flip, idx] = 1j ** ops.count("Y") * (1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1))
         return mat
 
     def __str__(self) -> str:
@@ -67,25 +69,13 @@ class PauliString:
         return "*".join(f"{self.ops[q]}{q}" for q in self.support)
 
 
-def _pauli_action(pairs, idx: np.ndarray) -> tuple[int, np.ndarray]:
-    """(flip, phases) of the string with op on bit b for each (b, op) in pairs:
-    P|i> = phase * |i ^ flip> for each basis index i in idx, with phase
-    i^(#Y) * (-1)^popcount(i & the Y and Z bits); X and Y flip their bit."""
-    flip = sum(1 << bit for bit, op in pairs if op != "Z")
-    mask = sum(1 << bit for bit, op in pairs if op != "X")
-    num_y = sum(op == "Y" for _, op in pairs)
-    return flip, 1j**num_y * (1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1))
-
-
 def pauli_expectation(state: StateVector, pauli) -> complex:
     """<psi|P|psi> for a PauliString or a plain {qubit: "X"|"Y"|"Z"} mapping,
-    computed without sampling."""
+    computed without sampling: P|psi> from the gate kernel, then one vdot."""
     if not isinstance(pauli, PauliString):
         pauli = PauliString(dict(pauli))
-    _check_qubits(pauli.ops, state.num_qubits)
-    idx = np.arange(state.dim)
-    flip, phases = _pauli_action(pauli.ops.items(), idx)
-    return complex(np.sum(phases * state.amplitudes * np.conj(state.amplitudes[idx ^ flip])))
+    p_psi = apply_unitary(state.copy(), pauli.local_matrix(), pauli.support)
+    return complex(np.vdot(state.amplitudes, p_psi.amplitudes))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ class QuboInstance:
     def __post_init__(self):
         if self.Q.shape != (self.n, self.n):
             raise ValueError(f"Q must be {self.n}x{self.n}, got {self.Q.shape}")
+        if not np.all(np.isfinite(self.Q)):  # NaN would also pass the symmetry check
+            raise ValueError("Q entries must be finite")
         if np.max(np.abs(self.Q - self.Q.T)) > 1e-12:
             raise ValueError("Q must be symmetric")
 

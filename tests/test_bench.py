@@ -144,6 +144,14 @@ class TestRunExperiment:
         second = run_experiment(cfg)
         assert read_records(cfg.output_path) == first + second
 
+    def test_last_row_without_newline_is_not_merged(self, tmp_path):
+        cfg = tiny_config(tmp_path, methods=("holcus",))
+        first = run_experiment(cfg)
+        out = Path(cfg.output_path)
+        out.write_text(out.read_text().rstrip("\n"))  # an edited or cut-off file
+        second = run_experiment(cfg)
+        assert read_records(cfg.output_path) == first + second
+
     def test_foreign_output_file_rejected_before_any_cell(self, tmp_path, monkeypatch):
         cells = []
         monkeypatch.setattr(holcus.bench, "_run_one", lambda *args: cells.append(args))

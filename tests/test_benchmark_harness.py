@@ -35,4 +35,7 @@ def test_traced_run_is_correct(tmp_path, workload):
         "--seconds", "1", "--trace", "1", "--results", str(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
-    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

@@ -51,6 +51,18 @@ class TestRandomQubo:
             random_qubo(0, 1)
 
 
+class TestQuboInstance:
+    # Q - Q.T is NaN at such an entry, which a symmetry check alone lets through.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("entries", [[(1, 1)], [(0, 1), (1, 0)]], ids=["diagonal", "symmetric-pair"])
+    def test_non_finite_entry_rejected(self, bad, entries):
+        Q = np.eye(2)
+        for ij in entries:
+            Q[ij] = bad
+        with pytest.raises(ValueError, match="finite"):
+            QuboInstance(2, Q)
+
+
 class TestQuboCost:
     def test_zero_vector(self):
         q = random_qubo(4, 3)

@@ -376,6 +376,31 @@ class TestPauliExpectation:
         with pytest.raises(ValueError, match=match):
             pauli_expectation(new_basis_state(2), ops)
 
+    def test_identity_string(self, rng):
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        sv = StateVector(4, amps / np.linalg.norm(amps))
+        for pauli in ({}, PauliString({})):
+            assert pauli_expectation(sv, pauli) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "ops",
+        [{3: "Z"}, {0: "Z", 15: "Z"}, {5: "X"}, {2: "Y", 11: "Z", 14: "X"}],
+        ids=["Z3", "Z0*Z15", "X5", "Y2*Z11*X14"],
+    )
+    def test_peak_memory_is_one_register_copy(self, ops, rng):
+        n = 16
+        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        sv = StateVector(n, amps / np.linalg.norm(amps))
+        # P|psi> takes one copy of the register; the kernel's own temporaries
+        # are a few multiples of CHUNK amplitudes, whatever 2^n is.
+        tracemalloc.start()
+        try:
+            pauli_expectation(sv, ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sv.amplitudes.nbytes
+
 
 class TestDeriveSeed:
     def test_deterministic_and_order_free(self):
