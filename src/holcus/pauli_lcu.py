@@ -70,11 +70,13 @@ class PauliString:
 
 
 def pauli_expectation(state: StateVector, pauli) -> complex:
-    """<psi|P|psi> for a PauliString or a plain {qubit: "X"|"Y"|"Z"} mapping,
-    computed without sampling: P|psi> from the gate kernel, then one vdot."""
+    """<psi|P|psi> for a PauliString or a plain {qubit: "X"|"Y"|"Z"} mapping, without
+    sampling: each letter's 1-qubit gate through the kernel on one copy, then one vdot."""
     if not isinstance(pauli, PauliString):
         pauli = PauliString(dict(pauli))
-    p_psi = apply_unitary(state.copy(), pauli.local_matrix(), pauli.support)
+    p_psi = state.copy()
+    for q in pauli.support:
+        apply_unitary(p_psi, PauliString({q: pauli.ops[q]}).local_matrix(), (q,))
     return complex(np.vdot(state.amplitudes, p_psi.amplitudes))
 
 

@@ -382,23 +382,40 @@ class TestPauliExpectation:
         for pauli in ({}, PauliString({})):
             assert pauli_expectation(sv, pauli) == pytest.approx(1.0, abs=1e-12)
 
+    @staticmethod
+    def _value_and_peak(sv, ops):
+        tracemalloc.start()
+        try:
+            value = pauli_expectation(sv, ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return value, peak
+
     @pytest.mark.parametrize(
         "ops",
-        [{3: "Z"}, {0: "Z", 15: "Z"}, {5: "X"}, {2: "Y", 11: "Z", 14: "X"}],
-        ids=["Z3", "Z0*Z15", "X5", "Y2*Z11*X14"],
+        [{3: "Z"}, {0: "Z", 15: "Z"}, {5: "X"}, {2: "Y", 11: "Z", 14: "X"}, dict.fromkeys(range(16), "Y")],
+        ids=["Z3", "Z0*Z15", "X5", "Y2*Z11*X14", "Y_all"],
     )
     def test_peak_memory_is_one_register_copy(self, ops, rng):
         n = 16
         amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         sv = StateVector(n, amps / np.linalg.norm(amps))
-        # P|psi> takes one copy of the register; the kernel's own temporaries
-        # are a few multiples of CHUNK amplitudes, whatever 2^n is.
-        tracemalloc.start()
-        try:
-            pauli_expectation(sv, ops)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # P|psi> takes one copy of the register; each letter is a 1-qubit gate, so
+        # the kernel's own temporaries are a few multiples of CHUNK amplitudes,
+        # whatever the string's weight and 2^n are.
+        _, peak = self._value_and_peak(sv, ops)
+        assert peak < 1.5 * sv.amplitudes.nbytes
+
+    @pytest.mark.parametrize("op", ["Z", "X"])
+    def test_string_on_every_qubit(self, op):
+        # Z on every qubit of |0..0> and X on every qubit of |+..+> both read 1.
+        n = 16
+        sv = new_basis_state(n)
+        if op == "X":
+            sv = StateVector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
+        value, peak = self._value_and_peak(sv, dict.fromkeys(range(n), op))
+        assert value == pytest.approx(1.0, abs=1e-12)
         assert peak < 1.5 * sv.amplitudes.nbytes
 
 
