@@ -4,7 +4,18 @@ The package bundles a dense statevector engine, a small gate IR with
 open/closed multi-controls, LCU decompositions of Ising Hamiltonians, the
 combined Hadamard+LCU estimator alongside per-term Hadamard-test and raw
 sampling baselines, and a QAOA training loop with a benchmark harness.
+
+Imported before numpy, it pins BLAS to one thread by default: it sets each of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that is unset to "1"
+(default BLAS threads slowed some processes' estimates 15-20x on 2 cores).
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 from .circuit import (
     CLOSED,

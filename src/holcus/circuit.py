@@ -6,8 +6,10 @@ parameter count and kernel-operand builder (the diagonal of EXP_Z, EXP_ZZ, S
 and S_DAGGER, else the matrix). Every gate may carry multi-controls with
 open/closed polarity. A Gate is checked when it is built and builds its kernel
 operand, and on request its matrix, once. Circuits are immutable and check
-every gate's qubits in one pass, so run hands each gate straight to the
-statevector kernel. A built circuit carries no register names: the
+every gate's qubits in one pass, so run hands each gate's (operand, targets,
+controls) triple (kernel_program) straight to the statevector kernel;
+gate_run makes such triples for a run of gates of one kind from the same
+table, without building Gates. A built circuit carries no register names: the
 estimator builders place the state on the low qubits, the LCU ancillas
 above them and the Hadamard qubit on top (make_register_map).
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from .statevector import CLOSED, OPEN, StateVector, _apply_trusted, _check_qubit
 from .statevector import kernel_operand, new_basis_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+_I = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _S_DIAG = np.array([1.0, 1.0j], dtype=np.complex128)
 _SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=np.complex128)
@@ -36,21 +40,21 @@ _ZZ_SIGNS = np.array([1j, -1j, -1j, 1j])
 
 
 def _exp_x(phi: float) -> np.ndarray:
-    matrix = np.cos(phi) * np.eye(2, dtype=np.complex128) + 1j * np.sin(phi) * _X
+    matrix = np.cos(phi) * _I + 1j * np.sin(phi) * _X
     # sin(phi) is exactly 0 only at phi = +-0, where the gate is diagonal.
     return kernel_operand(matrix) if phi == 0 else matrix
 
 
 # kind -> (target count, param count, kernel operand from the params).
-# DENSE takes any target count and carries its own matrix.
+# DENSE takes any target count and carries its own matrix; EXP_Z and EXP_ZZ map an angle array to rows.
 _KINDS = {
     "H": (1, 0, lambda: _H),
     "X": (1, 0, lambda: _X),
     "S": (1, 0, lambda: _S_DIAG),
     "S_DAGGER": (1, 0, lambda: _S_DIAG.conj()),
     "EXP_X": (1, 1, _exp_x),
-    "EXP_Z": (1, 1, lambda phi: np.exp(phi * _Z_SIGNS)),
-    "EXP_ZZ": (2, 1, lambda phi: np.exp(phi * _ZZ_SIGNS)),
+    "EXP_Z": (1, 1, lambda phi: np.exp(np.multiply.outer(phi, _Z_SIGNS))),
+    "EXP_ZZ": (2, 1, lambda phi: np.exp(np.multiply.outer(phi, _ZZ_SIGNS))),
     "SWAP": (2, 0, lambda: _SWAP),
     "DENSE": (None, 0, None),
 }
@@ -136,6 +140,23 @@ def dense(matrix: np.ndarray, targets, controls=()) -> Gate:
     return Gate("DENSE", targets, controls=tuple(controls), matrix=np.asarray(matrix, dtype=np.complex128))
 
 
+def kernel_program(gates) -> list[tuple]:
+    """The (operand, targets, controls) triple the kernel applies for each gate."""
+    return [(g.operand, g.targets, g.controls) for g in gates]
+
+
+def gate_run(kind: str, targets, angle=None) -> list[tuple]:
+    """The kernel program of uncontrolled `kind` gates on each entry of targets,
+    by the kind table's rule with no Gate built: angle is None for a kind without
+    a parameter, a number all the gates share (one operand), or for EXP_Z and
+    EXP_ZZ each gate's angle in an array."""
+    build = _KINDS[kind][2]
+    if np.ndim(angle):
+        return list(zip(build(angle), targets, repeat(())))
+    operand = build() if angle is None else build(angle)
+    return [(operand, t, ()) for t in targets]
+
+
 def gate_matrix(gate: Gate) -> np.ndarray:
     """Dense matrix of the gate on its targets (controls excluded)."""
     return gate.unitary
@@ -168,14 +189,14 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
                 f"state has {initial.num_qubits} qubits, circuit needs {circuit.num_qubits}"
             )
         state = initial.copy()
-    _apply_gates(state, circuit.gates)
+    _apply_program(state, kernel_program(circuit.gates))
     return state
 
 
-def _apply_gates(state: StateVector, gates: tuple[Gate, ...]) -> None:
-    """Apply gates already checked to be in range for the state, in order."""
-    for g in gates:
-        _apply_trusted(state, g.operand, g.targets, g.controls)
+def _apply_program(state: StateVector, program) -> None:
+    """Apply (operand, targets, controls) triples already checked to be in range for the state, in order."""
+    for operand, targets, controls in program:
+        _apply_trusted(state, operand, targets, controls)
 
 
 @dataclass(frozen=True)

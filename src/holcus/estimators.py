@@ -21,9 +21,11 @@ final H, all on the final register. The Hadamard test is its one-term,
 zero-ancilla case, so hadamard and each singleton group of holcus_div use it
 too. The Hadamard qubit is read with values [scale, -scale], whose mean is
 scale * (2 P(0) - 1); raw measures every state qubit with the basis-state
-energies. One executor (run_plan) only simulates and reads out: it applies
-the state prep and each measurement's gates to a fresh register and reads
-the observable's mean; estimate() is the two in sequence. The public circuit
+energies. One executor (run_program) only simulates and reads out: it applies
+the state prep, a kernel program of (operand, targets, controls) triples such
+as the one train_qaoa binds per evaluation, and each measurement's gates to a
+fresh register and reads the observable's mean. run_plan is its adapter for a
+prep Circuit; estimate() compiles a plan and runs it. The public circuit
 builders use the same builder, so they return exactly the executed circuits;
 EstimatorPlan.resources reports their resource counts on request.
 
@@ -47,10 +49,11 @@ from .circuit import (
     Circuit,
     Gate,
     ResourceReport,
-    _apply_gates,
+    _apply_program,
     _check_gate_range,
     dense,
     h,
+    kernel_program,
     make_register_map,
     resource_report,
     s_dagger,
@@ -274,25 +277,32 @@ def _readout(
     return mean, freqs @ (meas.values - mean) ** 2 / cfg.shots
 
 
-def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> EstimateResult:
-    """Run every measurement of the plan after prep on a fresh register:
-    value = offset + the sum of each circuit's mean observable. In finite mode
-    circuit k samples with derive_seed(cfg.seed, k)."""
-    if prep.num_qubits != plan.num_state_qubits:
-        raise ValueError(
-            f"prep has {prep.num_qubits} qubits, the plan's model has {plan.num_state_qubits}"
-        )
+def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) -> EstimateResult:
+    """The one executor: run every measurement of the plan on a fresh register
+    after the prep's kernel program, whose qubits must lie in the plan's state
+    register (unchecked): value = offset + the sum of each circuit's mean
+    observable. In finite mode circuit k samples with derive_seed(cfg.seed, k)."""
     value = plan.offset
     variance = 0.0
     for k, meas in enumerate(plan.measurements):
         state = new_basis_state(meas.width)
-        _apply_gates(state, prep.gates + meas.gates)
+        _apply_program(state, prep)
+        _apply_program(state, kernel_program(meas.gates))
         term, var = _readout(state, meas, cfg, k)
         value += term
         variance += var
     circuits = len(plan.measurements)
     shots = 0 if cfg.exact else circuits * cfg.shots
     return EstimateResult(float(value), math.sqrt(variance), circuits, shots, plan.max_qubits)
+
+
+def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> EstimateResult:
+    """run_program on the gates of a prep circuit of the plan's width."""
+    if prep.num_qubits != plan.num_state_qubits:
+        raise ValueError(
+            f"prep has {prep.num_qubits} qubits, the plan's model has {plan.num_state_qubits}"
+        )
+    return run_program(plan, kernel_program(prep.gates), cfg)
 
 
 def estimate(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> EstimateResult:

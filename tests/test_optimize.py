@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import holcus.estimators
+import holcus.optimize
+import holcus.qaoa
 from conftest import ising_dense_matrix
 from holcus.estimators import EXACT, METHODS, EstimatorConfig, estimate
 from holcus.optimize import (
@@ -18,7 +20,7 @@ from holcus.optimize import (
     train_qaoa,
 )
 from holcus.qaoa import QaoaParams, build_ansatz
-from holcus.qubo_ising import qubo_to_ising, random_qubo
+from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import derive_seed
 
 
@@ -156,12 +158,16 @@ class TestTrainQaoa:
     @given(
         method=st.sampled_from(METHODS),
         shots=st.sampled_from([EXACT, 64]),
-        n=st.integers(2, 4),
+        n=st.integers(1, 4),
         p=st.integers(1, 2),
         seed=st.integers(0, 2**16),
+        all_zero=st.booleans(),
     )
-    def test_trace_values_equal_fresh_estimates(self, method, shots, n, p, seed):
+    def test_trace_values_equal_fresh_estimates(self, method, shots, n, p, seed, all_zero):
         model = qubo_to_ising(random_qubo(n, seed))
+        if all_zero:  # only raw trains a model with no terms
+            assume(method == "raw")
+            model = IsingModel(n, np.zeros(n), {}, model.offset)
         est = EstimatorConfig(method=method, shots=shots, seed=seed)
         trace = train_qaoa(model, p, est, OptimizerConfig(max_evals=6, restarts=1, seed=seed))
         for k, (vec, value, _) in enumerate(trace.evaluations):
@@ -169,17 +175,47 @@ class TestTrainQaoa:
             assert estimate(build_ansatz(model, QaoaParams.from_vector(vec)), model, cfg).value == value
 
     def test_model_work_runs_once_per_call(self, monkeypatch):
-        calls = {"from_ising": 0, "build_prep_unitaries": 0}
-        for name in calls:
+        # build_ansatz compiles the ansatz too, so an evaluation that built
+        # its gates would count a compile here.
+        calls = {"from_ising": 0, "build_prep_unitaries": 0, "compile_ansatz": 0}
+        for module, name in [
+            (holcus.estimators, "from_ising"),
+            (holcus.estimators, "build_prep_unitaries"),
+            (holcus.optimize, "compile_ansatz"),
+            (holcus.qaoa, "compile_ansatz"),
+        ]:
 
-            def counted(*args, _real=getattr(holcus.estimators, name), _name=name):
+            def counted(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
 
-            monkeypatch.setattr(holcus.estimators, name, counted)
+            monkeypatch.setattr(module, name, counted)
         trace = train_qaoa(self.model, 1, self.est, OptimizerConfig(max_evals=10, restarts=2))
         assert len(trace.evaluations) > 1
-        assert calls == {"from_ising": 1, "build_prep_unitaries": 1}
+        assert calls == {"from_ising": 1, "build_prep_unitaries": 1, "compile_ansatz": 1}
+
+    def test_all_zero_model_trains_with_raw(self):
+        model = IsingModel(3, np.zeros(3), {(0, 2): 0.0}, 0.25)
+        trace = train_qaoa(model, 2, EstimatorConfig("raw"), OptimizerConfig(max_evals=20))
+        assert len(trace.evaluations) >= 2 * 2 + 1  # the initial simplex
+        assert all(value == pytest.approx(0.25, abs=1e-12) for _, value, _ in trace.evaluations)
+
+    @pytest.mark.parametrize("method", ["hadamard", "holcus", "holcus_div"])
+    def test_all_zero_model_rejected_before_any_ansatz_work(self, method, monkeypatch):
+        def no_compile(model):
+            raise AssertionError("ansatz compiled for a model the plan rejects")
+
+        monkeypatch.setattr(holcus.optimize, "compile_ansatz", no_compile)
+        model = IsingModel(3, np.zeros(3), {}, 0.25)
+        with pytest.raises(ValueError, match="all-zero model has no LCU terms"):
+            train_qaoa(model, 1, EstimatorConfig(method), OptimizerConfig(max_evals=5))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_spin_trains(self, method):
+        # H_P = 0.8 Z + 0.1 has ground energy -0.7; the zero-angle start reads 0.1.
+        model = IsingModel(1, np.array([0.8]), {}, 0.1)
+        trace = train_qaoa(model, 1, EstimatorConfig(method), OptimizerConfig(max_evals=40))
+        assert -0.7 - 1e-9 <= trace.best_value < -0.4
 
     def test_best_value_is_min_of_trace(self):
         trace = train_qaoa(self.model, 1, self.est, OptimizerConfig(max_evals=25, restarts=1))

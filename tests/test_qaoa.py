@@ -1,12 +1,16 @@
 """QAOA ansatz construction and the exact expectation oracle."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import PAULI, ising_dense_matrix
 from holcus.circuit import run
-from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
+from holcus.qaoa import QaoaParams, build_ansatz, compile_ansatz, exact_expectation
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import MAX_QUBITS, CapacityError
 
@@ -71,6 +75,42 @@ class TestBuildAnsatz:
             run(shuffled).amplitudes,
             atol=1e-12,
         )
+
+
+# Zero coefficients are common, so terms() skips fields and couplings often.
+_COEFFS = st.one_of(st.just(0.0), st.floats(-3.0, 3.0, allow_nan=False))
+_ANGLES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def ising_models(draw):
+    n = draw(st.integers(1, 6))
+    h = draw(st.lists(_COEFFS, min_size=n, max_size=n))
+    pairs = [ij for ij in combinations(range(n), 2) if draw(st.booleans())]
+    return model_of(n, h, {ij: draw(_COEFFS) for ij in pairs}, draw(_COEFFS))
+
+
+class TestCompiledAnsatz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=ising_models(),
+        vec=st.integers(1, 3).flatmap(lambda p: st.lists(_ANGLES, min_size=2 * p, max_size=2 * p)),
+    )
+    @example(model=model_of(3, [0.0, 0.0, 0.0], {(0, 2): 0.0}), vec=[0.0, -0.0, -2.5, 1e5])
+    @example(model=model_of(1, [0.8], {}), vec=[-0.0, 0.0])
+    @example(model=model_of(3, [0.0, 0.7, 0.0], {(0, 1): 0.4, (0, 2): 0.0, (1, 2): -1.1}), vec=[-3.0, 1e5, 0.0, -0.0])
+    def test_program_is_build_ansatz_operands(self, model, vec):
+        # Entry by entry, bit for bit: the same operands, targets, controls and order.
+        params = QaoaParams.from_vector(vec)
+        program = compile_ansatz(model).program(params)
+        gates = build_ansatz(model, params).gates
+        assert len(program) == len(gates)
+        for (operand, targets, controls), gate in zip(program, gates):
+            assert (targets, controls) == (gate.targets, gate.controls)
+            assert np.array_equal(operand, gate.operand)
+            assert (operand.dtype, operand.shape, operand.tobytes()) == (
+                gate.operand.dtype, gate.operand.shape, gate.operand.tobytes()
+            )
 
 
 class TestExactExpectation:
