@@ -9,17 +9,25 @@ training, never the QUBO -> Ising mapping or instance generation.
 Records append to the output CSV as they complete, so a crashed run keeps
 everything finished so far. Instance seeds derive from the master seed by
 counter splitting, independent of scheduling.
+
+profile times the gate kernel per gate kind and one exact estimate per method
+over a fixed grid, through public calls only, for the BENCH_*.json files.
 """
 
+import os
+import statistics
 import time
 from dataclasses import dataclass, fields
 from itertools import product
 
-from .estimators import EstimatorConfig, compile_plan
+import numpy as np
+
+from . import BLAS_THREAD_VARS, circuit
+from .estimators import METHODS, EstimatorConfig, compile_plan, estimate
 from .optimize import OptimizerConfig, train_qaoa
-from .qaoa import exact_expectation
+from .qaoa import QaoaParams, build_ansatz, exact_expectation
 from .qubo_ising import QuboInstance, brute_force_min, qubo_to_ising, random_qubo
-from .statevector import MAX_QUBITS, derive_seed
+from .statevector import MAX_QUBITS, StateVector, apply_unitary, derive_seed
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -256,3 +264,88 @@ def emit_plot_data(records: list[BenchmarkRecord], kind: str, path) -> None:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
+
+# holcus-bench profile: exact estimates of a p = 3 ansatz on random_qubo(n, 1)
+# at these n and angles, and one kernel call per gate kind at these widths.
+PROFILE_NS = (4, 6, 8, 10, 12)
+PROFILE_KERNEL_QUBITS = (16, 20)
+PROFILE_PARAMS = QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4))
+
+
+def _median_s(call, reps: int):
+    """The median seconds of reps calls, and the result of one untimed call
+    made first, which fills the caches."""
+    first = call()
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), first
+
+
+def _kernel_gates(q: int) -> dict[str, circuit.Gate]:
+    """One gate per kind on a q-qubit register (q >= 9), on middle qubits; CH has
+    one control and DENSE, like a select term, a random 2-qubit unitary with a
+    closed, an open and a closed control on the top qubits."""
+    t, u = q // 2, q // 2 + 1
+    rng = np.random.default_rng(q)
+    unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    controls = [(q - 1, circuit.CLOSED), (q - 2, circuit.OPEN), (q - 3, circuit.CLOSED)]
+    return {
+        "H": circuit.h(t),
+        "X": circuit.x(t),
+        "S": circuit.s(t),
+        "EXP_X": circuit.exp_x(0.3, t),
+        "EXP_Z": circuit.exp_z(0.3, t),
+        "EXP_ZZ": circuit.exp_zz(0.3, t, u),
+        "SWAP": circuit.swap(t, u),
+        "CH": circuit.h(t, controls=[(q - 1, circuit.CLOSED)]),
+        "DENSE": circuit.dense(unitary, [t, u], controls),
+    }
+
+
+def profile(ns=PROFILE_NS, kernel_qubits=PROFILE_KERNEL_QUBITS) -> dict:
+    """The BENCH_*.json record, through public calls only: the machine; the
+    median microseconds of one apply_unitary call per gate kind on a random state
+    of each width in kernel_qubits (15 calls, 5 from 20 qubits); and for each n
+    the median seconds of one exact estimate() per method, compile included (9
+    calls, 3 from n = 11), with each method's register width and circuit count
+    and the hadamard/holcus ratio. Every median follows one untimed call."""
+    kernel_us = {}
+    for q in kernel_qubits:
+        rng = np.random.default_rng(q)
+        amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
+        state = StateVector(q, amps / np.linalg.norm(amps))
+        reps = 15 if q < 20 else 5
+        kernel_us[str(q)] = {
+            kind: 1e6 * _median_s(lambda g=g: apply_unitary(state, g.unitary, g.targets, g.controls), reps)[0]
+            for kind, g in _kernel_gates(q).items()
+        }
+    estimate_s = {}
+    for n in ns:
+        model = qubo_to_ising(random_qubo(n, 1))
+        prep = build_ansatz(model, PROFILE_PARAMS)
+        row = {}
+        for method in METHODS:
+            cfg = EstimatorConfig(method)
+            seconds, result = _median_s(lambda: estimate(prep, model, cfg), 9 if n < 11 else 3)
+            row[method] = {"s": seconds, "qubits": result.max_qubits, "circuits": result.circuits_used}
+        row["hadamard/holcus"] = row["hadamard"]["s"] / row["holcus"]["s"]
+        estimate_s[str(n)] = row
+    return {
+        "schema": 1,
+        "machine": {
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+            "numpy": np.__version__,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        },
+        "kernel_us": kernel_us,
+        "estimate": {
+            "p": PROFILE_PARAMS.p,
+            "gammas": list(PROFILE_PARAMS.gammas),
+            "betas": list(PROFILE_PARAMS.betas),
+            "instance": "random_qubo(n, 1)",
+            "s": estimate_s,
+        },
+    }

@@ -26,7 +26,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .statevector import CLOSED, OPEN, StateVector, _apply_trusted, _check_qubits, _checked_controls
+from .statevector import CLOSED, OPEN, StateVector, _bind, _check_qubits, _checked_controls, _run
 from .statevector import kernel_operand, new_basis_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -189,14 +189,8 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
                 f"state has {initial.num_qubits} qubits, circuit needs {circuit.num_qubits}"
             )
         state = initial.copy()
-    _apply_program(state, kernel_program(circuit.gates))
+    _run(_bind(state, kernel_program(circuit.gates)))
     return state
-
-
-def _apply_program(state: StateVector, program) -> None:
-    """Apply (operand, targets, controls) triples already checked to be in range for the state, in order."""
-    for operand, targets, controls in program:
-        _apply_trusted(state, operand, targets, controls)
 
 
 @dataclass(frozen=True)

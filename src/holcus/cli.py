@@ -3,12 +3,14 @@
 Subcommands: exp1 (Hadamard vs single-circuit comparison), exp2 (scaling of
 the single-circuit method), single (one instance), each running its
 bench.PRESETS grid with the run flags over it; aggregate (speedup table from
-a CSV), plotdata (plot-ready series files).
+a CSV), plotdata (plot-ready series files), profile (the kernel and
+estimate timings of bench.profile, written as one BENCH_<label>.json file).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .bench import (
@@ -17,6 +19,7 @@ from .bench import (
     ExperimentConfig,
     aggregate_speedup,
     emit_plot_data,
+    profile,
     read_records,
     run_experiment,
 )
@@ -69,9 +72,16 @@ def main(argv=None) -> int:
     plot.add_argument("csv")
     plot.add_argument("kind", choices=PLOT_KINDS)
     plot.add_argument("--out", required=True)
+    prof = subs.add_parser("profile")
+    prof.add_argument("--out", required=True, help="the JSON file to write, by convention BENCH_<label>.json")
     args = parser.parse_args(argv)
     try:
-        if args.command == "aggregate":
+        if args.command == "profile":
+            record = profile()
+            with open(args.out, "w") as fh:
+                json.dump(record, fh, indent=1)
+                fh.write("\n")
+        elif args.command == "aggregate":
             rows, skipped = aggregate_speedup(read_records(args.csv))
         elif args.command == "plotdata":
             emit_plot_data(read_records(args.csv), args.kind, args.out)
@@ -87,7 +97,7 @@ def main(argv=None) -> int:
         if skipped:
             print(f"warning: {skipped} unpaired instances skipped", file=sys.stderr)
         return 0
-    if args.command == "plotdata":
+    if args.command in ("plotdata", "profile"):
         print(f"wrote {args.out}")
         return 0
     errored = sum(1 for r in records if r.error)

@@ -21,11 +21,17 @@ final H, all on the final register. The Hadamard test is its one-term,
 zero-ancilla case, so hadamard and each singleton group of holcus_div use it
 too. The Hadamard qubit is read with values [scale, -scale], whose mean is
 scale * (2 P(0) - 1); raw measures every state qubit with the basis-state
-energies. One executor (run_program) only simulates and reads out: it applies
-the state prep, a kernel program of (operand, targets, controls) triples such
-as the one train_qaoa binds per evaluation, and each measurement's gates to a
-fresh register and reads the observable's mean. run_plan is its adapter for a
-prep Circuit; estimate() compiles a plan and runs it. The public circuit
+energies. One executor (run_program) only simulates and reads out: each
+circuit starts from |0...0>, applies the state prep, a kernel program of
+(operand, targets, controls) triples such as the one train_qaoa binds per
+evaluation, then its measurement's kernel program (built once per plan), and
+reads the observable's mean. The circuits of one width run in turn on one
+register, reset to |0...0> before each; when there are several, the prep is
+bound to that register once (statevector._bind) and its diagonal multipliers
+are shared by them, as each Gate.operand is shared by the plan's
+measurements. Every circuit still applies every gate to every amplitude, so
+the values are those of a fresh register per circuit. run_plan is its adapter
+for a prep Circuit; estimate() compiles a plan and runs it. The public circuit
 builders use the same builder, so they return exactly the executed circuits;
 EstimatorPlan.resources reports their resource counts on request.
 
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -49,7 +56,6 @@ from .circuit import (
     Circuit,
     Gate,
     ResourceReport,
-    _apply_program,
     _check_gate_range,
     dense,
     h,
@@ -72,7 +78,16 @@ from .pauli_lcu import (
     group_by_coefficient,
 )
 from .qubo_ising import IsingModel, ising_energies
-from .statevector import MAX_SHOTS, StateVector, derive_seed, marginal_vector, multinomial_draw, new_basis_state
+from .statevector import (
+    MAX_SHOTS,
+    StateVector,
+    _bind,
+    _run,
+    derive_seed,
+    marginal_vector,
+    multinomial_draw,
+    new_basis_state,
+)
 
 EXACT = None
 REAL = "real"
@@ -132,6 +147,11 @@ class Measurement:
     width: int
     qubits: tuple[int, ...]
     values: np.ndarray
+
+    @cached_property
+    def program(self) -> list[tuple]:
+        """kernel_program(gates), built once per plan."""
+        return kernel_program(self.gates)
 
 
 @dataclass(frozen=True)
@@ -278,22 +298,44 @@ def _readout(
 
 
 def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) -> EstimateResult:
-    """The one executor: run every measurement of the plan on a fresh register
-    after the prep's kernel program, whose qubits must lie in the plan's state
-    register (unchecked): value = offset + the sum of each circuit's mean
-    observable. In finite mode circuit k samples with derive_seed(cfg.seed, k)."""
+    """The one executor: run every measurement of the plan from |0...0> after the
+    prep's kernel program, whose qubits must lie in the plan's state register
+    (unchecked): value = offset + the sum of each circuit's mean observable. In
+    finite mode circuit k samples with derive_seed(cfg.seed, k)."""
+    circuits = len(plan.measurements)
+    by_width = {}
+    for k, meas in enumerate(plan.measurements):
+        by_width.setdefault(meas.width, []).append(k)
+    reads = {}
+    for width, ks in by_width.items():
+        reads.update(_run_width(plan, width, ks, prep, cfg))
     value = plan.offset
     variance = 0.0
-    for k, meas in enumerate(plan.measurements):
-        state = new_basis_state(meas.width)
-        _apply_program(state, prep)
-        _apply_program(state, kernel_program(meas.gates))
-        term, var = _readout(state, meas, cfg, k)
+    for k in range(circuits):  # in circuit order, whatever order the widths ran in
+        term, var = reads[k]
         value += term
         variance += var
-    circuits = len(plan.measurements)
     shots = 0 if cfg.exact else circuits * cfg.shots
     return EstimateResult(float(value), math.sqrt(variance), circuits, shots, plan.max_qubits)
+
+
+def _run_width(plan: EstimatorPlan, width: int, ks: list[int], prep: list[tuple], cfg: EstimatorConfig):
+    """(k, _readout) for each measurement k of ks, all `width` qubits wide, run one
+    after another on one register, reset to |0...0> before each. With more than
+    one, the prep is bound once and its multipliers are shared; with one, it is
+    bound as it runs, so no multiplier outlives its gate. The register and the
+    bound prep are freed once the last readout is taken."""
+    state = new_basis_state(width)
+    amps = state.amplitudes
+    shared = list(_bind(state, prep)) if len(ks) > 1 else None
+    for i, k in enumerate(ks):
+        if i:
+            amps[:] = 0
+            amps[0] = 1
+        meas = plan.measurements[k]
+        _run(_bind(state, prep) if shared is None else shared)
+        _run(_bind(state, meas.program))
+        yield k, _readout(state, meas, cfg, k)
 
 
 def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> EstimateResult:

@@ -21,8 +21,16 @@ fixed) of at most CHUNK amplitudes, else one per slice of at most CHUNK
 amplitudes, so the temporaries stay small enough for the allocator to reuse
 instead of being page-faulted back on every gate. No 2^n x 2^n operator is
 ever built. kernel_operand makes that choice once per matrix.
-apply_unitary checks its arguments first; circuit.run, whose gates were
-checked when they were built, calls the kernel directly.
+
+The kernel has two steps. _bind resolves each (operand, targets, controls)
+triple of a program to views of one register: a diagonal becomes its view and
+its multiplier (the phases spread onto it), a matrix its block and chunks.
+_run applies bound steps in order. Run as it is bound, a program holds one
+multiplier at a time; bound once into a list, it runs again on the same
+register with no per-gate setup, which estimators.run_program does for a
+prep that several circuits of one width share. apply_unitary checks its
+arguments, then binds and runs its one gate; circuit.run, whose gates were
+checked when they were built, binds and runs them directly.
 """
 
 from __future__ import annotations
@@ -248,22 +256,43 @@ def _diag_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, in
     return tuple(shape), tuple(index), spread
 
 
+def _bind(state: StateVector, program):
+    """Each (operand, targets, controls) triple of program, trusted as for
+    _apply_trusted, resolved to a view of state's register, as _run takes it: a
+    diagonal becomes (view, multiplier), its operand spread onto _diag_layout's
+    view, and a matrix (block, matrix, chunks), _layout's view with the controls
+    fixed and its slices or None. A generator: run as it is bound, each multiplier
+    lives for one gate; a list of it binds the whole program once, for several runs
+    on the register, and keeps every multiplier."""
+    n = state.num_qubits
+    amps = state.amplitudes
+    for operand, targets, controls in program:
+        if operand.ndim == 1:
+            shape, index, spread = _diag_layout(n, targets, controls)
+            yield amps.reshape(shape)[index], operand.take(spread)
+        else:
+            shape, axes, index, chunks = _layout(n, targets, controls)
+            yield amps.reshape(shape).transpose(axes)[index], operand, chunks
+
+
+def _run(steps) -> None:
+    """Apply bound steps in order: a diagonal multiplies its view in place, a
+    matrix replaces its block, or each of its chunks, by one matrix product."""
+    for step in steps:
+        if len(step) == 2:
+            view, multiplier = step
+            view *= multiplier
+            continue
+        block, matrix, chunks = step
+        for sub in (block,) if chunks is None else (block[c] for c in chunks):
+            sub[...] = (matrix @ sub.reshape(len(matrix), -1)).reshape(sub.shape)
+
+
 def _apply_trusted(state: StateVector, operand: np.ndarray, targets: tuple[int, ...], controls) -> None:
     """apply_unitary without its checks: the qubits must be distinct and in range,
     each polarity the int OPEN or CLOSED, and operand, from kernel_operand, a
     2^k x 2^k matrix or a length-2^k diagonal for k targets."""
-    if operand.ndim == 1:
-        shape, index, spread = _diag_layout(state.num_qubits, targets, controls)
-        state.amplitudes.reshape(shape)[index] *= operand.take(spread)
-        return
-    shape, axes, index, chunks = _layout(state.num_qubits, targets, controls)
-    block = state.amplitudes.reshape(shape).transpose(axes)[index]
-    if chunks is None:
-        block[...] = (operand @ block.reshape(len(operand), -1)).reshape(block.shape)
-    else:
-        for c in chunks:
-            sub = block[c]
-            sub[...] = (operand @ sub.reshape(len(operand), -1)).reshape(sub.shape)
+    _run(_bind(state, ((operand, targets, controls),)))
 
 
 def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Benchmark harness, CSV plumbing, aggregation, plot data, and the CLI."""
 
 import argparse
+import json
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holcus.bench
+import holcus.cli
+from holcus import BLAS_THREAD_VARS
 from holcus.bench import (
     BENCH_CSV_HEADER,
     PRESETS,
@@ -17,12 +20,14 @@ from holcus.bench import (
     aggregate_speedup,
     emit_plot_data,
     exp1_config,
+    profile,
     read_records,
     record_from_csv_row,
     record_to_csv_row,
     run_experiment,
 )
 from holcus.cli import _add_run_flags, _collect_overrides, main
+from holcus.estimators import METHODS
 from holcus.optimize import OptimizationError
 
 
@@ -335,6 +340,37 @@ class TestPlotData:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot_data([], "time_vs_n", tmp_path / "x.dat")
+
+
+class TestProfile:
+    def test_schema_on_a_tiny_grid(self):
+        record = profile(ns=(2, 3), kernel_qubits=(9,))
+        assert json.loads(json.dumps(record)) == record
+        assert list(record) == ["schema", "machine", "kernel_us", "estimate"]
+        assert record["schema"] == 1
+        machine = record["machine"]
+        assert machine["nproc"] >= 1 and machine["numpy"] == np.__version__
+        assert machine["blas_threads"] == dict.fromkeys(BLAS_THREAD_VARS, "1")  # pinned by conftest
+        kinds = ["H", "X", "S", "EXP_X", "EXP_Z", "EXP_ZZ", "SWAP", "CH", "DENSE"]
+        assert list(record["kernel_us"]) == ["9"]
+        assert list(record["kernel_us"]["9"]) == kinds
+        assert all(us > 0 for us in record["kernel_us"]["9"].values())
+        grid = record["estimate"]
+        assert (grid["p"], grid["gammas"], grid["betas"]) == (3, [0.3, 0.5, 0.2], [0.7, 0.2, 0.4])
+        assert list(grid["s"]) == ["2", "3"]
+        for n, row in grid["s"].items():
+            assert list(row) == [*METHODS, "hadamard/holcus"]
+            assert all(list(row[m]) == ["s", "qubits", "circuits"] and row[m]["s"] > 0 for m in METHODS)
+            assert (row["raw"]["qubits"], row["hadamard"]["qubits"]) == (int(n), int(n) + 1)
+            assert row["holcus"]["circuits"] == row["raw"]["circuits"] == 1
+            assert row["hadamard/holcus"] == row["hadamard"]["s"] / row["holcus"]["s"]
+
+    def test_cli_writes_the_record_as_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(holcus.cli, "profile", lambda: {"schema": 1, "kernel_us": {}})
+        out = tmp_path / "BENCH_label.json"
+        assert main(["profile", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"schema": 1, "kernel_us": {}}
+        assert str(out) in capsys.readouterr().out
 
 
 class TestCli:

@@ -1,34 +1,43 @@
 """Estimator strategies: circuits, exact/finite modes, resource accounting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holcus.circuit
-from conftest import lcu_dense_matrix, random_prep_circuit
-from holcus.circuit import Circuit, resource_report, run
+from conftest import distinct_phase_diagonal, lcu_dense_matrix, random_prep_circuit
+from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, kernel_program, resource_report, run
 from holcus.estimators import (
     EXACT,
     IMAGINARY,
     MAX_SHOTS,
     REAL,
     EstimatorConfig,
+    EstimatorPlan,
+    Measurement,
+    _readout,
     compile_plan,
     estimate,
     hadamard_test_circuit,
     holcus_circuit,
     run_plan,
+    run_program,
 )
 from holcus.pauli_lcu import LcuTerm, PauliString, decomposition_from_terms, from_ising, group_by_coefficient
 from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import (
     LAYOUT_CACHE_SIZE,
+    _apply_trusted,
     _diag_layout,
     _layout,
     derive_seed,
     marginal_probabilities,
+    new_basis_state,
     sample_counts,
 )
 
@@ -310,6 +319,110 @@ class TestRunPlan:
         }
         assert len(keys) > 100
         assert sum(_diag_layout(*key)[2].nbytes for key in keys) < 2 << 20
+
+
+def _random_gate(data, rng, qubits) -> Gate:
+    """A DENSE gate on 1-3 of qubits with up to 3 open or closed controls among
+    the rest: a diagonal of distinct phases or a random unitary."""
+    k = data.draw(st.integers(1, min(3, len(qubits))))
+    order = data.draw(st.permutations(qubits))
+    c = data.draw(st.integers(0, min(3, len(qubits) - k)))
+    controls = tuple((q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in order[k : k + c])
+    if data.draw(st.booleans(), label="diagonal"):
+        matrix = distinct_phase_diagonal(rng, k)
+    else:
+        matrix, _ = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))
+    return Gate("DENSE", tuple(order[:k]), controls=controls, matrix=matrix)
+
+
+def _traced(call):
+    """(call's result, traced peak bytes, traced bytes still held after it)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak, current
+
+
+class TestRunProgram:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_gate_kernel_on_fresh_registers_bit_for_bit(self, data):
+        # Widths up to 16 put targets above qubit 13, spread diagonals over several
+        # axes and chunk matrix products; the first two circuits share a width,
+        # and each starts with H on every qubit, so a register that is not reset
+        # to |0...0> before the next circuit changes its value.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 14))
+        widths = data.draw(st.lists(st.integers(n, 16), min_size=1, max_size=2))
+        widths = [widths[0], widths[0]] + data.draw(st.lists(st.sampled_from(widths), max_size=3))
+        prep_gates = [_random_gate(data, rng, list(range(n))) for _ in range(data.draw(st.integers(0, 6)))]
+        measurements = []
+        for w in widths:
+            gates = [h(q) for q in range(w)]
+            gates += [_random_gate(data, rng, list(range(w))) for _ in range(data.draw(st.integers(0, 4)))]
+            qubits = tuple(data.draw(st.permutations(range(w)))[: data.draw(st.integers(1, min(3, w)))])
+            measurements.append(Measurement(tuple(gates), w, qubits, rng.normal(size=1 << len(qubits))))
+        plan = EstimatorPlan(n, float(rng.normal()), tuple(measurements))
+        prep = kernel_program(prep_gates)
+        shots = data.draw(st.sampled_from([EXACT, 1000]))
+        cfg = EstimatorConfig("holcus", shots=shots, seed=data.draw(st.integers(0, 2**32)))
+        value, variance = plan.offset, 0.0
+        for k, meas in enumerate(plan.measurements):
+            state = new_basis_state(meas.width)
+            for triple in prep + meas.program:
+                _apply_trusted(state, *triple)
+            term, var = _readout(state, meas, cfg, k)
+            value += term
+            variance += var
+        got = run_program(plan, prep, cfg)
+        assert got.value.hex() == float(value).hex()
+        assert got.std_error.hex() == math.sqrt(variance).hex()
+        assert (got.circuits_used, got.max_qubits) == (len(widths), max(widths))
+
+    def test_one_circuit_peak_stays_near_its_register(self):
+        # holcus runs one 17-qubit circuit at n = 10: its prep is bound as it runs,
+        # so beside the 2 MiB register only one gate's multiplier and the
+        # readout's probabilities are held at a time.
+        model = qubo_to_ising(random_qubo(10, 1))
+        prep = build_ansatz(model, QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4)))
+        cfg = EstimatorConfig(method="holcus")
+        plan = compile_plan(model, cfg)
+        run_plan(plan, prep, cfg)
+        _, peak, _ = _traced(lambda: run_plan(plan, prep, cfg))
+        assert plan.max_qubits == 17
+        assert peak < 1.6 * (16 << 17)
+
+    def test_shared_prep_holds_one_multiplier_per_diagonal_until_its_width_ends(self):
+        # hadamard runs M circuits of n + 1 qubits, so each prep diagonal's
+        # multiplier is built once and held: at n = 8 a diagonal on 9 qubits spreads
+        # over all 2^9 amplitudes, 8 KiB each. All are freed on return.
+        model = qubo_to_ising(random_qubo(8, 1))
+        prep = kernel_program(build_ansatz(model, QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4))).gates)
+        cfg = EstimatorConfig(method="hadamard")
+        plan = compile_plan(model, cfg)
+        run_program(plan, prep, cfg)
+        diagonals = sum(operand.ndim == 1 for operand, _, _ in prep)
+        multipliers = diagonals * (16 << 9)
+        _, peak, held = _traced(lambda: run_program(plan, prep, cfg))
+        assert diagonals == 3 * (8 + 28)
+        assert multipliers <= peak < multipliers + (64 << 10)
+        assert held < 4 << 10
+
+    def test_a_width_frees_its_prep_before_the_next_width_binds(self):
+        # Two circuits each on 12 and 13 qubits: the 13-qubit multipliers (128 KiB
+        # per diagonal) are bound only after the 12-qubit ones (64 KiB) are freed.
+        n = 8
+        prep = kernel_program(Gate("EXP_ZZ", (q, (q + 1) % n), (0.1 * q,)) for q in range(n))
+        values = np.array([1.0, -1.0])
+        measurements = tuple(Measurement((h(w - 1),), w, (w - 1,), values) for w in (12, 12, 13, 13))
+        plan = EstimatorPlan(n, 0.0, measurements)
+        cfg = EstimatorConfig("holcus")
+        run_program(plan, prep, cfg)
+        _, peak, _ = _traced(lambda: run_program(plan, prep, cfg))
+        assert n * (16 << 13) <= peak < n * (16 << 13) + 2 * (16 << 13) + (64 << 10)
 
 
 class TestHolcusDiv:
