@@ -305,15 +305,15 @@ def _kernel_gates(q: int) -> dict[str, circuit.Gate]:
     }
 
 
-def profile(ns=PROFILE_NS, kernel_qubits=PROFILE_KERNEL_QUBITS) -> dict:
+def profile() -> dict:
     """The BENCH_*.json record, through public calls only: the machine; the
     median microseconds of one apply_unitary call per gate kind on a random state
-    of each width in kernel_qubits (15 calls, 5 from 20 qubits); and for each n
-    the median seconds of one exact estimate() per method, compile included (9
-    calls, 3 from n = 11), with each method's register width and circuit count
-    and the hadamard/holcus ratio. Every median follows one untimed call."""
+    of each width in PROFILE_KERNEL_QUBITS (15 calls, 5 from 20 qubits); and for
+    each n in PROFILE_NS the median seconds of one exact estimate() per method,
+    compile included (9 calls, 3 from n = 11), with each method's width and
+    circuit count and the hadamard/holcus ratio. Each median follows an untimed call."""
     kernel_us = {}
-    for q in kernel_qubits:
+    for q in PROFILE_KERNEL_QUBITS:
         rng = np.random.default_rng(q)
         amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
         state = StateVector(q, amps / np.linalg.norm(amps))
@@ -323,7 +323,7 @@ def profile(ns=PROFILE_NS, kernel_qubits=PROFILE_KERNEL_QUBITS) -> dict:
             for kind, g in _kernel_gates(q).items()
         }
     estimate_s = {}
-    for n in ns:
+    for n in PROFILE_NS:
         model = qubo_to_ising(random_qubo(n, 1))
         prep = build_ansatz(model, PROFILE_PARAMS)
         row = {}

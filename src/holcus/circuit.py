@@ -5,13 +5,14 @@ explicit unitaries; one table (_KINDS) holds each kind's target count,
 parameter count and kernel-operand builder (the diagonal of EXP_Z, EXP_ZZ, S
 and S_DAGGER, else the matrix). Every gate may carry multi-controls with
 open/closed polarity. A Gate is checked when it is built and builds its kernel
-operand, and on request its matrix, once. Circuits are immutable and check
-every gate's qubits in one pass, so run hands each gate's (operand, targets,
-controls) triple (kernel_program) straight to the statevector kernel;
-gate_run makes such triples for a run of gates of one kind from the same
-table, without building Gates. A built circuit carries no register names: the
-estimator builders place the state on the low qubits, the LCU ancillas
-above them and the Hadamard qubit on top (make_register_map).
+operand, and on request its matrix, once. A Circuit, immutable, is the one
+form a circuit takes from its builder to the gate kernel: it checks every
+gate's qubits in one pass when built and builds its kernel program, each gate's
+(operand, targets, controls) triple, once (Circuit.program); gate_run makes
+such triples for a run of gates of one kind from the same table, without
+building Gates. A built circuit carries no register names: the estimator
+builders place the state on the low qubits, the LCU ancillas above them and the
+Hadamard qubit on top (make_register_map).
 
 Rotation conventions: EXP_Z(phi) = e^{i phi Z}, EXP_X(phi) = e^{i phi X},
 EXP_ZZ(phi) = e^{i phi Z (x) Z}. These are the evolution operators directly,
@@ -140,11 +141,6 @@ def dense(matrix: np.ndarray, targets, controls=()) -> Gate:
     return Gate("DENSE", targets, controls=tuple(controls), matrix=np.asarray(matrix, dtype=np.complex128))
 
 
-def kernel_program(gates) -> list[tuple]:
-    """The (operand, targets, controls) triple the kernel applies for each gate."""
-    return [(g.operand, g.targets, g.controls) for g in gates]
-
-
 def gate_run(kind: str, targets, angle=None) -> list[tuple]:
     """The kernel program of uncontrolled `kind` gates on each entry of targets,
     by the kind table's rule with no Gate built: angle is None for a kind without
@@ -172,11 +168,12 @@ class Circuit:
             raise ValueError("circuit needs at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            _check_gate_range(g, self.num_qubits)
+            _check_qubits(g.qubits, self.num_qubits)
 
-
-def _check_gate_range(gate: Gate, num_qubits: int) -> None:
-    _check_qubits(gate.qubits, num_qubits)
+    @cached_property
+    def program(self) -> list[tuple]:
+        """The (operand, targets, controls) triple the kernel applies for each gate, built once."""
+        return [(g.operand, g.targets, g.controls) for g in self.gates]
 
 
 def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
@@ -189,7 +186,7 @@ def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
                 f"state has {initial.num_qubits} qubits, circuit needs {circuit.num_qubits}"
             )
         state = initial.copy()
-    _run(_bind(state, kernel_program(circuit.gates)))
+    _run(_bind(state, circuit.program))
     return state
 
 

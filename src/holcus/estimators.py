@@ -12,27 +12,24 @@ and return an EstimateResult:
 
 Every method is first compiled, once per model, to an EstimatorPlan
 (compile_plan): the constant offset plus one Measurement per circuit, which
-holds the gates that follow the state preparation, the width, the measured
-qubits and a diagonal observable over their outcomes; the plan checks its
-gates once, when it is built. One builder (_lcu_measurement) makes every
-interference circuit: H (and S-dagger for the imaginary part) on the Hadamard
-qubit, a controlled prepare stage, select, the controlled un-prepare and a
-final H, all on the final register. The Hadamard test is its one-term,
-zero-ancilla case, so hadamard and each singleton group of holcus_div use it
-too. The Hadamard qubit is read with values [scale, -scale], whose mean is
-scale * (2 P(0) - 1); raw measures every state qubit with the basis-state
-energies. One executor (run_program) only simulates and reads out: each
-circuit starts from |0...0>, applies the state prep, a kernel program of
-(operand, targets, controls) triples such as the one train_qaoa binds per
-evaluation, then its measurement's kernel program (built once per plan), and
-reads the observable's mean. The circuits of one width run in turn on one
-register, reset to |0...0> before each; when there are several, the prep is
-bound to that register once (statevector._bind) and its diagonal multipliers
-are shared by them, as each Gate.operand is shared by the plan's
-measurements. Every circuit still applies every gate to every amplitude, so
-the values are those of a fresh register per circuit. run_plan is its adapter
-for a prep Circuit; estimate() compiles a plan and runs it. The public circuit
-builders use the same builder, so they return exactly the executed circuits;
+holds the Circuit that follows the state preparation (its suffix), the
+measured qubits and a diagonal observable over their outcomes. One builder
+(_lcu_measurement) makes every interference circuit: H (and S-dagger for the
+imaginary part) on the Hadamard qubit, a controlled prepare stage, select, the
+controlled un-prepare and a final H, all on the final register. The Hadamard
+test is its one-term, zero-ancilla case, so hadamard and each singleton group
+of holcus_div use it too. The Hadamard qubit is read with values
+[scale, -scale], whose mean is scale * (2 P(0) - 1); raw measures every state
+qubit with the basis-state energies. One executor (run_program) only
+simulates and reads out: each circuit starts from |0...0>, applies the state
+prep, a kernel program of (operand, targets, controls) triples such as the
+one train_qaoa binds per evaluation, then its suffix's Circuit.program, and
+reads the observable's mean. The circuits of one width share one register
+and, when there are several, one binding of the prep (statevector._bind);
+every circuit still applies every gate to every amplitude, so the values are
+those of a fresh register per circuit. run_plan is its adapter for a prep
+Circuit; estimate() compiles a plan and runs it. The public circuit builders
+use the same builder, so they return exactly the executed circuits;
 EstimatorPlan.resources reports their resource counts on request.
 
 Exact mode (shots=EXACT) reads marginal probabilities analytically, which
@@ -54,12 +51,9 @@ import numpy as np
 from .circuit import (
     CLOSED,
     Circuit,
-    Gate,
     ResourceReport,
-    _check_gate_range,
     dense,
     h,
-    kernel_program,
     make_register_map,
     resource_report,
     s_dagger,
@@ -70,8 +64,8 @@ from .pauli_lcu import (
     LcuDecomposition,
     LcuTerm,
     PauliString,
+    _select_gates,
     build_prep_unitaries,
-    build_select_circuit,
     build_uniform_prep_circuit,
     decomposition_from_terms,
     from_ising,
@@ -139,40 +133,39 @@ class EstimateResult:
 
 @dataclass(frozen=True)
 class Measurement:
-    """One circuit of a plan: the state prep followed by `gates` on `width`
-    qubits, read out as the mean of values[i] over outcomes i of `qubits`
-    (qubits[0] is the most significant bit of i)."""
+    """One circuit of a plan: the state prep followed by `suffix`, read out as
+    the mean of values[i] over outcomes i of `qubits` (qubits[0] is the most
+    significant bit of i)."""
 
-    gates: tuple[Gate, ...]
-    width: int
+    suffix: Circuit
     qubits: tuple[int, ...]
     values: np.ndarray
-
-    @cached_property
-    def program(self) -> list[tuple]:
-        """kernel_program(gates), built once per plan."""
-        return kernel_program(self.gates)
 
 
 @dataclass(frozen=True)
 class EstimatorPlan:
-    """The model-only part of an estimate; built by compile_plan. It checks
-    its gates once, when built, so run_plan applies them without checking."""
+    """The model-only part of an estimate; built by compile_plan."""
 
     num_state_qubits: int
     offset: float
     measurements: tuple[Measurement, ...]
 
     def __post_init__(self):
-        for meas in self.measurements:
-            if meas.width < self.num_state_qubits:
-                raise ValueError(f"a {meas.width}-qubit measurement cannot hold {self.num_state_qubits} state qubits")
-            for g in meas.gates:
-                _check_gate_range(g, meas.width)
+        for width in self.widths:
+            if width < self.num_state_qubits:
+                raise ValueError(f"a {width}-qubit measurement cannot hold {self.num_state_qubits} state qubits")
 
     @property
     def max_qubits(self) -> int:
-        return max(m.width for m in self.measurements)
+        return max(self.widths)
+
+    @cached_property
+    def widths(self) -> dict[int, list[int]]:
+        """The indices of the measurements of each register width, in plan order."""
+        by_width = {}
+        for k, meas in enumerate(self.measurements):
+            by_width.setdefault(meas.suffix.num_qubits, []).append(k)
+        return by_width
 
     def resources(self, prep: Circuit) -> tuple[ResourceReport, ...]:
         """The resource report of each circuit run_plan runs with this prep."""
@@ -180,7 +173,7 @@ class EstimatorPlan:
 
 
 def _assemble(meas: Measurement, prep: Circuit) -> Circuit:
-    return Circuit(meas.width, prep.gates + meas.gates)
+    return Circuit(meas.suffix.num_qubits, prep.gates + meas.suffix.gates)
 
 
 def _lcu_measurement(
@@ -210,8 +203,8 @@ def _lcu_measurement(
         v, v_hat = build_prep_unitaries(dec)
         prepare = (dense(v, reg["lcu_ancilla"], [(hq, CLOSED)]),)
         unprepare = (dense(v_hat.conj().T, reg["lcu_ancilla"], [(hq, CLOSED)]),)
-    gates += [*prepare, *build_select_circuit(dec, reg).gates, *unprepare, h(hq)]
-    return Measurement(tuple(gates), n + m + 1, (hq,), np.array([scale, -scale]))
+    gates += [*prepare, *_select_gates(dec, reg), *unprepare, h(hq)]
+    return Measurement(Circuit(n + m + 1, gates), (hq,), np.array([scale, -scale]))
 
 
 def hadamard_test_circuit(prep: Circuit, unitary: PauliString, part: str = REAL) -> Circuit:
@@ -262,7 +255,7 @@ def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
     part, never on shots or seed."""
     n = model.n
     if cfg.method == "raw":
-        meas = Measurement((), n, tuple(range(n - 1, -1, -1)), ising_energies(model))
+        meas = Measurement(Circuit(n), tuple(range(n - 1, -1, -1)), ising_energies(model))
         return EstimatorPlan(n, 0.0, (meas,))
     dec = from_ising(model)
     if cfg.method == "holcus":
@@ -301,50 +294,39 @@ def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) ->
     """The one executor: run every measurement of the plan from |0...0> after the
     prep's kernel program, whose qubits must lie in the plan's state register
     (unchecked): value = offset + the sum of each circuit's mean observable. In
-    finite mode circuit k samples with derive_seed(cfg.seed, k)."""
-    circuits = len(plan.measurements)
-    by_width = {}
-    for k, meas in enumerate(plan.measurements):
-        by_width.setdefault(meas.width, []).append(k)
-    reads = {}
-    for width, ks in by_width.items():
-        reads.update(_run_width(plan, width, ks, prep, cfg))
+    finite mode circuit k samples with derive_seed(cfg.seed, k). A width's
+    circuits run in turn on one register; with several, the prep is bound once
+    and shared, else it is bound as it runs. A width's register and bound prep
+    are freed before the next width's are allocated."""
+    reads = [None] * len(plan.measurements)
+    for width, ks in plan.widths.items():
+        state = new_basis_state(width)
+        shared = list(_bind(state, prep)) if len(ks) > 1 else None
+        for i, k in enumerate(ks):
+            if i:
+                state.amplitudes[:] = 0
+                state.amplitudes[0] = 1
+            meas = plan.measurements[k]
+            _run(_bind(state, prep) if shared is None else shared)
+            _run(_bind(state, meas.suffix.program))
+            reads[k] = _readout(state, meas, cfg, k)
+        del state, shared
     value = plan.offset
     variance = 0.0
-    for k in range(circuits):  # in circuit order, whatever order the widths ran in
-        term, var = reads[k]
+    for term, var in reads:
         value += term
         variance += var
-    shots = 0 if cfg.exact else circuits * cfg.shots
-    return EstimateResult(float(value), math.sqrt(variance), circuits, shots, plan.max_qubits)
-
-
-def _run_width(plan: EstimatorPlan, width: int, ks: list[int], prep: list[tuple], cfg: EstimatorConfig):
-    """(k, _readout) for each measurement k of ks, all `width` qubits wide, run one
-    after another on one register, reset to |0...0> before each. With more than
-    one, the prep is bound once and its multipliers are shared; with one, it is
-    bound as it runs, so no multiplier outlives its gate. The register and the
-    bound prep are freed once the last readout is taken."""
-    state = new_basis_state(width)
-    amps = state.amplitudes
-    shared = list(_bind(state, prep)) if len(ks) > 1 else None
-    for i, k in enumerate(ks):
-        if i:
-            amps[:] = 0
-            amps[0] = 1
-        meas = plan.measurements[k]
-        _run(_bind(state, prep) if shared is None else shared)
-        _run(_bind(state, meas.program))
-        yield k, _readout(state, meas, cfg, k)
+    shots = 0 if cfg.exact else len(reads) * cfg.shots
+    return EstimateResult(float(value), math.sqrt(variance), len(reads), shots, plan.max_qubits)
 
 
 def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> EstimateResult:
-    """run_program on the gates of a prep circuit of the plan's width."""
+    """run_program on the program of a prep circuit of the plan's width."""
     if prep.num_qubits != plan.num_state_qubits:
         raise ValueError(
             f"prep has {prep.num_qubits} qubits, the plan's model has {plan.num_state_qubits}"
         )
-    return run_program(plan, kernel_program(prep.gates), cfg)
+    return run_program(plan, prep.program, cfg)
 
 
 def estimate(prep: Circuit, model: IsingModel, cfg: EstimatorConfig) -> EstimateResult:

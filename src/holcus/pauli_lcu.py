@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CLOSED, Circuit, dense, h, make_register_map, swap
+from .circuit import CLOSED, Circuit, Gate, dense, h, make_register_map, swap
 from .statevector import StateVector, apply_unitary
 
 LAYOUTS = ("dense", "shifted")
@@ -195,8 +195,13 @@ def build_select_circuit(dec: LcuDecomposition, register_map: dict[str, range]) 
     the Hadamard qubit (that pattern would otherwise fire on the untouched
     |0...0> ancilla branch). Identity terms emit no gate.
     """
-    anc, num_qubits = _ancilla_frame(register_map, dec.num_ancillas)
-    state = register_map["state"]
+    return Circuit(_ancilla_frame(register_map, dec.num_ancillas)[1], _select_gates(dec, register_map))
+
+
+def _select_gates(dec: LcuDecomposition, register_map: dict[str, range]) -> list[Gate]:
+    """build_select_circuit's gates, not yet range-checked, on a map _ancilla_frame
+    accepts; the estimators put them straight into a suffix Circuit, which checks them."""
+    anc, state = register_map["lcu_ancilla"], register_map["state"]
     gates = []
     for slot, term in zip(dec.slots, dec.terms):
         pauli = term.unitary
@@ -211,7 +216,7 @@ def build_select_circuit(dec: LcuDecomposition, register_map: dict[str, range]) 
             raise ValueError(f"state register too small for {pauli}")
         targets = [state[q] for q in pauli.support]
         gates.append(dense(pauli.local_matrix(), targets, controls))
-    return Circuit(num_qubits, gates)
+    return gates
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """QAOA ansatz construction and the exact (noise-free) training oracle.
 
 compile_ansatz does a model's angle-free ansatz work once. The public Circuit
-(build_ansatz) and the kernel program that train_qaoa binds on every evaluation,
-with no Gate built, come from its one walk of the gate order (runs)."""
+(build_ansatz) and, bit for bit its Circuit.program with no Gate built, the
+kernel program train_qaoa binds per evaluation come from one walk (runs)."""
 
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ class CompiledAnsatz:
             yield "EXP_X", qubits, beta
 
     def program(self, params: QaoaParams) -> list[tuple]:
-        """kernel_program(build_ansatz(model, params).gates), with no Gate built."""
+        """build_ansatz(model, params).program, with no Gate built."""
         return [op for run in self.runs(params) for op in gate_run(*run)]
 
 

@@ -22,15 +22,15 @@ amplitudes, so the temporaries stay small enough for the allocator to reuse
 instead of being page-faulted back on every gate. No 2^n x 2^n operator is
 ever built. kernel_operand makes that choice once per matrix.
 
-The kernel has two steps. _bind resolves each (operand, targets, controls)
-triple of a program to views of one register: a diagonal becomes its view and
-its multiplier (the phases spread onto it), a matrix its block and chunks.
-_run applies bound steps in order. Run as it is bound, a program holds one
-multiplier at a time; bound once into a list, it runs again on the same
-register with no per-gate setup, which estimators.run_program does for a
-prep that several circuits of one width share. apply_unitary checks its
-arguments, then binds and runs its one gate; circuit.run, whose gates were
-checked when they were built, binds and runs them directly.
+The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
+resolves each (operand, targets, controls) triple of a program to views of one
+register: a diagonal becomes its view and its multiplier (the phases spread
+onto it), a matrix its block and chunks. _run applies bound steps in order.
+Run as it is bound, a program holds one multiplier at a time; bound once into
+a list, it runs again on the same register with no per-gate setup, which
+estimators.run_program does for a prep that several circuits of one width
+share. apply_unitary checks its arguments, then binds and runs its one gate;
+a Circuit's program was checked when the circuit was built.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def apply_unitary(
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {matrix.shape} does not match {k} targets")
-    _apply_trusted(state, kernel_operand(matrix), targets, controls)
+    _run(_bind(state, ((kernel_operand(matrix), targets, controls),)))
     return state
 
 
@@ -257,8 +257,10 @@ def _diag_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, in
 
 
 def _bind(state: StateVector, program):
-    """Each (operand, targets, controls) triple of program, trusted as for
-    _apply_trusted, resolved to a view of state's register, as _run takes it: a
+    """Each (operand, targets, controls) triple of program resolved to a view of
+    state's register, as _run takes it, unchecked: the qubits must be distinct
+    and in range, each polarity the int OPEN or CLOSED, and operand, from
+    kernel_operand, a 2^k x 2^k matrix or a length-2^k diagonal for k targets. A
     diagonal becomes (view, multiplier), its operand spread onto _diag_layout's
     view, and a matrix (block, matrix, chunks), _layout's view with the controls
     fixed and its slices or None. A generator: run as it is bound, each multiplier
@@ -286,13 +288,6 @@ def _run(steps) -> None:
         block, matrix, chunks = step
         for sub in (block,) if chunks is None else (block[c] for c in chunks):
             sub[...] = (matrix @ sub.reshape(len(matrix), -1)).reshape(sub.shape)
-
-
-def _apply_trusted(state: StateVector, operand: np.ndarray, targets: tuple[int, ...], controls) -> None:
-    """apply_unitary without its checks: the qubits must be distinct and in range,
-    each polarity the int OPEN or CLOSED, and operand, from kernel_operand, a
-    2^k x 2^k matrix or a length-2^k diagonal for k targets."""
-    _run(_bind(state, ((operand, targets, controls),)))
 
 
 def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:

@@ -343,8 +343,10 @@ class TestPlotData:
 
 
 class TestProfile:
-    def test_schema_on_a_tiny_grid(self):
-        record = profile(ns=(2, 3), kernel_qubits=(9,))
+    def test_schema_on_a_tiny_grid(self, monkeypatch):
+        monkeypatch.setattr(holcus.bench, "PROFILE_NS", (2, 3))
+        monkeypatch.setattr(holcus.bench, "PROFILE_KERNEL_QUBITS", (9,))
+        record = profile()
         assert json.loads(json.dumps(record)) == record
         assert list(record) == ["schema", "machine", "kernel_us", "estimate"]
         assert record["schema"] == 1

@@ -30,12 +30,20 @@ def test_benchmark_tests_pass():
 
 @pytest.mark.parametrize("workload", ["degenerate-shots", "exp1-exact", "estimate-wide"])
 def test_traced_run_is_correct(tmp_path, workload):
-    proc = _python(
+    args = [
         "benchmark/run.py", "--workload", workload, "--seed", "1",
         "--seconds", "1", "--trace", "1", "--results", str(tmp_path),
-    )
-    assert proc.returncode == 0, proc.stderr[-3000:]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    ]
+    proc = subprocess.Popen([sys.executable, *args], cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+        proc.wait()
+        # A traced run's record replay leaves this scratch CSV, named by the run's pid.
+        (ROOT / "benchmark" / "results" / "tmp" / f"record-{proc.pid}.csv").unlink(missing_ok=True)
+    assert proc.returncode == 0, stderr[-3000:]
+    result = json.loads(stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0

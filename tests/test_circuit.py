@@ -38,17 +38,29 @@ class TestBuildCost:
     def test_builders_check_each_gate_at_most_twice(self, monkeypatch):
         # A builder that appends gate by gate re-checks the whole prefix each time.
         calls = []
-        real = holcus.circuit._check_gate_range
+        real = holcus.circuit._check_qubits
 
-        def counted(gate, num_qubits):
-            calls.append(gate)
-            return real(gate, num_qubits)
+        def counted(qubits, num_qubits):
+            calls.append(qubits)
+            return real(qubits, num_qubits)
 
-        monkeypatch.setattr(holcus.circuit, "_check_gate_range", counted)
+        monkeypatch.setattr(holcus.circuit, "_check_qubits", counted)
         model = qubo_to_ising(random_qubo(8, 0))
         prep = build_ansatz(model, QaoaParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
         circ = holcus_circuit(prep, from_ising(model))
         assert len(calls) <= 2 * len(circ.gates)
+
+
+class TestProgram:
+    def test_is_each_gates_operand_targets_and_controls_built_once(self):
+        model = qubo_to_ising(random_qubo(4, 0))
+        circ = holcus_circuit(build_ansatz(model, QaoaParams((0.1,), (0.4,))), from_ising(model))
+        program = circ.program
+        assert len(program) == len(circ.gates) and any(g.controls for g in circ.gates)
+        for (operand, targets, controls), g in zip(program, circ.gates):
+            assert operand is g.operand
+            assert (targets, controls) == (g.targets, g.controls)
+        assert circ.program is program
 
 
 def _with_control(circuit: Circuit, qubit: int) -> Circuit:

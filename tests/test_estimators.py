@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import holcus.circuit
 from conftest import distinct_phase_diagonal, lcu_dense_matrix, random_prep_circuit
-from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, kernel_program, resource_report, run
+from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, resource_report, run
 from holcus.estimators import (
     EXACT,
     IMAGINARY,
@@ -32,9 +33,10 @@ from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import (
     LAYOUT_CACHE_SIZE,
-    _apply_trusted,
+    _bind,
     _diag_layout,
     _layout,
+    _run,
     derive_seed,
     marginal_probabilities,
     new_basis_state,
@@ -269,26 +271,54 @@ class TestResourceAccounting:
 class TestRunPlan:
     @pytest.mark.parametrize("method", ["hadamard", "holcus", "holcus_div"])
     def test_checks_and_builds_no_circuit(self, method, monkeypatch):
-        # The plan checked its gates when it was compiled; an evaluation only
-        # simulates and reads out.
+        # The plan's circuits checked their gates when they were compiled; an
+        # evaluation only simulates and reads out.
         model, prep, _ = random_case(902, n_lo=4)
         cfg = EstimatorConfig(method=method)
         plan = compile_plan(model, cfg)
         checks, builds = [], []
-        real_check, real_init = holcus.circuit._check_gate_range, Circuit.__post_init__
+        real_check, real_init = holcus.circuit._check_qubits, Circuit.__post_init__
 
-        def counted_check(gate, num_qubits):
-            checks.append(gate)
-            real_check(gate, num_qubits)
+        def counted_check(qubits, num_qubits):
+            checks.append(qubits)
+            real_check(qubits, num_qubits)
 
         def counted_init(self):
             builds.append(self)
             real_init(self)
 
-        monkeypatch.setattr(holcus.circuit, "_check_gate_range", counted_check)
+        monkeypatch.setattr(holcus.circuit, "_check_qubits", counted_check)
         monkeypatch.setattr(Circuit, "__post_init__", counted_init)
         run_plan(plan, prep, cfg)
         assert (len(checks), len(builds)) == (0, 0)
+
+    @pytest.mark.parametrize("method", ["raw", "hadamard", "holcus", "holcus_div"])
+    def test_second_run_builds_no_program(self, method, monkeypatch):
+        # The first run builds the prep's program and each suffix's, and their
+        # Circuits keep them for every later run.
+        model, prep, _ = random_case(904, n_lo=4)
+        cfg = EstimatorConfig(method=method)
+        plan = compile_plan(model, cfg)
+        built, real = [], Circuit.program.func
+
+        def counted(circuit):
+            built.append(circuit)
+            return real(circuit)
+
+        program = cached_property(counted)
+        program.__set_name__(Circuit, "program")
+        monkeypatch.setattr(Circuit, "program", program)
+        first = run_plan(plan, prep, cfg)
+        assert built == [prep] + [m.suffix for m in plan.measurements]
+        assert run_plan(plan, prep, cfg) == first
+        assert len(built) == 1 + len(plan.measurements)
+
+    def test_suffix_checks_its_gates_and_plan_its_widths(self):
+        values = np.array([1.0, -1.0])
+        with pytest.raises(ValueError, match="out of range"):
+            Measurement(Circuit(2, [h(2)]), (1,), values)
+        with pytest.raises(ValueError, match="cannot hold 3 state qubits"):
+            EstimatorPlan(3, 0.0, (Measurement(Circuit(2, [h(1)]), (1,), values),))
 
     @pytest.mark.parametrize("method", ["raw", "hadamard", "holcus", "holcus_div"])
     def test_repeat_estimate_computes_no_layout(self, method):
@@ -313,8 +343,8 @@ class TestRunPlan:
         plan = compile_plan(model, EstimatorConfig(method="holcus"))
         (meas,) = plan.measurements
         keys = {
-            (meas.width, g.targets, g.controls)
-            for g in prep.gates + meas.gates
+            (meas.suffix.num_qubits, g.targets, g.controls)
+            for g in prep.gates + meas.suffix.gates
             if g.operand.ndim == 1
         }
         assert len(keys) > 100
@@ -364,16 +394,16 @@ class TestRunProgram:
             gates = [h(q) for q in range(w)]
             gates += [_random_gate(data, rng, list(range(w))) for _ in range(data.draw(st.integers(0, 4)))]
             qubits = tuple(data.draw(st.permutations(range(w)))[: data.draw(st.integers(1, min(3, w)))])
-            measurements.append(Measurement(tuple(gates), w, qubits, rng.normal(size=1 << len(qubits))))
+            measurements.append(Measurement(Circuit(w, gates), qubits, rng.normal(size=1 << len(qubits))))
         plan = EstimatorPlan(n, float(rng.normal()), tuple(measurements))
-        prep = kernel_program(prep_gates)
+        prep = [(g.operand, g.targets, g.controls) for g in prep_gates]
         shots = data.draw(st.sampled_from([EXACT, 1000]))
         cfg = EstimatorConfig("holcus", shots=shots, seed=data.draw(st.integers(0, 2**32)))
         value, variance = plan.offset, 0.0
         for k, meas in enumerate(plan.measurements):
-            state = new_basis_state(meas.width)
-            for triple in prep + meas.program:
-                _apply_trusted(state, *triple)
+            state = new_basis_state(meas.suffix.num_qubits)
+            for triple in prep + [(g.operand, g.targets, g.controls) for g in meas.suffix.gates]:
+                _run(_bind(state, [triple]))
             term, var = _readout(state, meas, cfg, k)
             value += term
             variance += var
@@ -400,7 +430,7 @@ class TestRunProgram:
         # multiplier is built once and held: at n = 8 a diagonal on 9 qubits spreads
         # over all 2^9 amplitudes, 8 KiB each. All are freed on return.
         model = qubo_to_ising(random_qubo(8, 1))
-        prep = kernel_program(build_ansatz(model, QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4))).gates)
+        prep = build_ansatz(model, QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4))).program
         cfg = EstimatorConfig(method="hadamard")
         plan = compile_plan(model, cfg)
         run_program(plan, prep, cfg)
@@ -415,14 +445,37 @@ class TestRunProgram:
         # Two circuits each on 12 and 13 qubits: the 13-qubit multipliers (128 KiB
         # per diagonal) are bound only after the 12-qubit ones (64 KiB) are freed.
         n = 8
-        prep = kernel_program(Gate("EXP_ZZ", (q, (q + 1) % n), (0.1 * q,)) for q in range(n))
+        prep = Circuit(n, [Gate("EXP_ZZ", (q, (q + 1) % n), (0.1 * q,)) for q in range(n)]).program
         values = np.array([1.0, -1.0])
-        measurements = tuple(Measurement((h(w - 1),), w, (w - 1,), values) for w in (12, 12, 13, 13))
+        measurements = tuple(Measurement(Circuit(w, [h(w - 1)]), (w - 1,), values) for w in (12, 12, 13, 13))
         plan = EstimatorPlan(n, 0.0, measurements)
         cfg = EstimatorConfig("holcus")
         run_program(plan, prep, cfg)
         _, peak, _ = _traced(lambda: run_program(plan, prep, cfg))
         assert n * (16 << 13) <= peak < n * (16 << 13) + 2 * (16 << 13) + (64 << 10)
+
+
+    def test_shared_prep_holds_each_diagonal_by_the_multiplier_rule(self):
+        # hadamard at n = 14 runs 105 circuits of 15 qubits. Each prep diagonal
+        # holds 16 B x 2^min(width, 13) x 2^(its targets at qubit >= 13) until the
+        # width ends, or 16 B x 2^(its targets) when none lies below qubit 13:
+        # 91 diagonals of 128 KiB, 13 of 256 KiB and EXP_Z on qubit 13 of 32 B,
+        # against a 512 KiB register.
+        model = qubo_to_ising(random_qubo(14, 1))
+        prep = build_ansatz(model, QaoaParams((0.3,), (0.7,))).program
+        cfg = EstimatorConfig(method="hadamard")
+        plan = compile_plan(model, cfg)
+        run_program(plan, prep, cfg)
+        width = plan.max_qubits
+        held_by_rule = sum(
+            16 * (1 << min(width, 13) if min(targets) < 13 else 1) << sum(q >= 13 for q in targets)
+            for operand, targets, _ in prep
+            if operand.ndim == 1
+        )
+        _, peak, held = _traced(lambda: run_program(plan, prep, cfg))
+        assert (width, len(plan.measurements), held_by_rule) == (15, 105, 91 * (128 << 10) + 13 * (256 << 10) + 32)
+        assert held_by_rule <= peak < held_by_rule + 2 * (16 << width)
+        assert held < 4 << 10
 
 
 class TestHolcusDiv:

@@ -17,9 +17,10 @@ from holcus.statevector import (
     MAX_SHOTS,
     OPEN,
     StateVector,
-    _apply_trusted,
+    _bind,
     _diag_layout,
     _layout,
+    _run,
     apply_unitary,
     derive_seed,
     kernel_operand,
@@ -202,7 +203,7 @@ class TestCollapsedView:
         for chunk in (statevector.CHUNK, 1 << 6):
             got = StateVector(n, psi.copy())
             with _chunk_size(chunk):
-                _apply_trusted(got, operand, targets, controls)
+                _run(_bind(got, [(operand, targets, controls)]))
             assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
     def test_gate_temporaries_stay_below_one_register(self, rng):
@@ -228,7 +229,7 @@ class TestCollapsedView:
         tracemalloc.start()
         try:
             for g, operand in zip(gates, operands):
-                _apply_trusted(state, operand, g.targets, g.controls)
+                _run(_bind(state, [(operand, g.targets, g.controls)]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
