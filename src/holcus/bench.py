@@ -31,13 +31,13 @@ from .statevector import MAX_QUBITS, StateVector, apply_unitary, derive_seed
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    n_min: int = 3
-    n_max: int = 6
-    p_values: tuple[int, ...] = (1, 2, 3)
-    instances_per_n: int = 2
+    n_min: int
+    n_max: int
+    p_values: tuple[int, ...]
+    instances_per_n: int
+    methods: tuple[str, ...]
     shots: int | None = 10_000
     restarts: int = 3
-    methods: tuple[str, ...] = ("hadamard", "holcus")
     master_seed: int = 0
     output_path: str = "bench.csv"
     max_evals: int = 60

@@ -109,8 +109,8 @@ def h(qubit: int, controls=()) -> Gate:
     return Gate("H", (qubit,), controls=tuple(controls))
 
 
-def x(qubit: int, controls=()) -> Gate:
-    return Gate("X", (qubit,), controls=tuple(controls))
+def x(qubit: int) -> Gate:
+    return Gate("X", (qubit,))
 
 
 def s(qubit: int) -> Gate:

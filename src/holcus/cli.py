@@ -81,27 +81,24 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 json.dump(record, fh, indent=1)
                 fh.write("\n")
+            print(f"wrote {args.out}")
         elif args.command == "aggregate":
             rows, skipped = aggregate_speedup(read_records(args.csv))
+            print("n,p,mean_ratio,min_ratio,max_ratio,pairs")
+            for row in rows:
+                print(f"{row.n},{row.p},{row.mean_ratio:.4f},{row.min_ratio:.4f},{row.max_ratio:.4f},{row.pairs}")
+            if skipped:
+                print(f"warning: {skipped} unpaired instances skipped", file=sys.stderr)
         elif args.command == "plotdata":
             emit_plot_data(read_records(args.csv), args.kind, args.out)
+            print(f"wrote {args.out}")
         else:
             cfg = ExperimentConfig(**{**PRESETS[args.command], **_collect_overrides(args)})
             records = run_experiment(cfg, progress=_progress)
+            errored = sum(1 for r in records if r.error)
+            print(f"{len(records) - errored} records written to {cfg.output_path}" + (f" ({errored} errored)" if errored else ""))
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    if args.command == "aggregate":
-        print("n,p,mean_ratio,min_ratio,max_ratio,pairs")
-        for row in rows:
-            print(f"{row.n},{row.p},{row.mean_ratio:.4f},{row.min_ratio:.4f},{row.max_ratio:.4f},{row.pairs}")
-        if skipped:
-            print(f"warning: {skipped} unpaired instances skipped", file=sys.stderr)
-        return 0
-    if args.command in ("plotdata", "profile"):
-        print(f"wrote {args.out}")
-        return 0
-    errored = sum(1 for r in records if r.error)
-    print(f"{len(records) - errored} records written to {cfg.output_path}" + (f" ({errored} errored)" if errored else ""))
     return 0
 
 

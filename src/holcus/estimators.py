@@ -66,7 +66,6 @@ from .pauli_lcu import (
     PauliString,
     _select_gates,
     build_prep_unitaries,
-    build_uniform_prep_circuit,
     decomposition_from_terms,
     from_ising,
     group_by_coefficient,
@@ -196,8 +195,8 @@ def _lcu_measurement(
         raise ValueError("a uniform or ancilla-free prepare needs a full dense layout, equal weights and zero phases")
     if not m:
         prepare = unprepare = ()
-    elif uniform:
-        prepare = build_uniform_prep_circuit(m, register_map=reg).gates
+    elif uniform:  # build_uniform_prep_circuit's all-to-all ladder, on this register
+        prepare = [h(a, controls=[(hq, CLOSED)]) for a in reg["lcu_ancilla"]]
         unprepare = prepare[::-1]
     else:
         v, v_hat = build_prep_unitaries(dec)

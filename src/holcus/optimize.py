@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,10 +30,10 @@ class _BudgetSpent(Exception):
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_evals: int = 200
-    initial_simplex_scale: float = 0.5
     convergence_tol: float = 1e-6
     restarts: int = 1
     seed: int = 0
+    initial_simplex_scale: ClassVar[float] = 0.5  # the first simplex's step size, before its jitter
 
     def __post_init__(self):
         for name in ("max_evals", "restarts"):
@@ -41,10 +42,7 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
-        # A zero scale never leaves the start point, and NaN or a negative
-        # tolerance would silently switch off the convergence stop.
-        if not 0 < self.initial_simplex_scale < np.inf:
-            raise ValueError(f"initial_simplex_scale must be finite and > 0, got {self.initial_simplex_scale!r}")
+        # NaN or a negative tolerance would silently switch off the convergence stop.
         if not self.convergence_tol >= 0:
             raise ValueError(f"convergence_tol must be >= 0, got {self.convergence_tol!r}")
 

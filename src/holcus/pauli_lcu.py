@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CLOSED, Circuit, Gate, dense, h, make_register_map, swap
+from .circuit import CLOSED, Circuit, Gate, dense, h, swap
 from .statevector import StateVector, apply_unitary
 
 LAYOUTS = ("dense", "shifted")
@@ -245,31 +245,26 @@ def group_by_coefficient(dec: LcuDecomposition, tol: float = GROUPING_TOL) -> li
     ]
 
 
-def build_uniform_prep_circuit(
-    m: int, nearest_neighbor: bool = False, register_map: dict[str, range] | None = None
-) -> Circuit:
+def build_uniform_prep_circuit(m: int, nearest_neighbor: bool = False) -> Circuit:
     """Controlled uniform initialization: |0>^m -> 2^{-m/2} sum_k |k> on the
     ancillas whenever the Hadamard qubit is set, and the identity otherwise.
 
-    The gates act on register_map's "lcu_ancilla" and "hadamard" spans; the
-    default frame puts the ancillas on qubits 0..m-1 and the Hadamard qubit on
-    qubit m. All-to-all connectivity needs just m controlled-H gates. The
-    nearest-neighbor variant assumes the chain hadamard - a_{m-1} - ... - a_0,
-    so only the top ancilla can host the controlled-H; each prepared qubit is
-    then pushed down with swaps: m(m+1)/2 gates in total. Every gate is its own
-    inverse, so the gates in reverse order un-prepare.
+    The circuit has its own frame: the ancillas on qubits 0..m-1 and the
+    Hadamard qubit on qubit m. All-to-all connectivity needs just m
+    controlled-H gates. The nearest-neighbor variant assumes the chain
+    hadamard - a_{m-1} - ... - a_0, so only the top ancilla can host the
+    controlled-H; each prepared qubit is then pushed down with swaps:
+    m(m+1)/2 gates in total. Every gate is its own inverse, so the gates in
+    reverse order un-prepare.
     """
     if m < 1:
         raise ValueError(f"need at least one ancilla, got {m}")
-    if register_map is None:
-        register_map = make_register_map(0, m)
-    anc, num_qubits = _ancilla_frame(register_map, m)
-    hq = register_map["hadamard"][0]
+    control = [(m, CLOSED)]
     if not nearest_neighbor:
-        gates = [h(anc[j], controls=[(hq, CLOSED)]) for j in range(m)]
+        gates = [h(j, controls=control) for j in range(m)]
     else:
         gates = []
         for k in range(m):
-            gates.append(h(anc[m - 1], controls=[(hq, CLOSED)]))
-            gates += [swap(anc[j], anc[j - 1]) for j in range(m - 1, k, -1)]
-    return Circuit(num_qubits, gates)
+            gates.append(h(m - 1, controls=control))
+            gates += [swap(j, j - 1) for j in range(m - 1, k, -1)]
+    return Circuit(m + 1, gates)

@@ -75,10 +75,6 @@ class StateVector:
         if amps.shape != (1 << self.num_qubits,):
             raise ValueError(f"amplitudes shape {amps.shape} does not hold {self.num_qubits} qubits")
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

@@ -22,6 +22,7 @@ import pytest
 from scipy.linalg import expm
 
 from holcus.circuit import Circuit, Gate
+from holcus.qubo_ising import IsingModel
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -97,6 +98,11 @@ def circuit_full_matrix(circ: Circuit) -> np.ndarray:
     for g in circ.gates:
         mat = embed_full_matrix(local_gate_matrix(g), g.targets, g.controls, circ.num_qubits) @ mat
     return mat
+
+
+def model_of(n, h, J, offset=0.0) -> IsingModel:
+    """The Ising model with fields h (any sequence), couplings J and offset."""
+    return IsingModel(n, np.asarray(h, dtype=float), J, offset)
 
 
 def ising_dense_matrix(model) -> np.ndarray:

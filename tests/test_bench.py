@@ -410,6 +410,18 @@ class TestCli:
         assert rc == 0
         assert out.exists()
 
+    def test_aggregate_warns_of_unpaired_instances(self, tmp_path, capsys):
+        csv = tmp_path / "agg.csv"
+        rows = [BENCH_CSV_HEADER]
+        rows.append(record_to_csv_row(BenchmarkRecord(3, 1, 5, "hadamard", wall_time_seconds=2.0)))
+        rows.append(record_to_csv_row(BenchmarkRecord(3, 1, 5, "holcus", wall_time_seconds=1.0)))
+        rows.append(record_to_csv_row(BenchmarkRecord(3, 1, 6, "holcus", wall_time_seconds=1.0)))
+        csv.write_text("\n".join(rows) + "\n")
+        assert main(["aggregate", str(csv)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "n,p,mean_ratio,min_ratio,max_ratio,pairs\n3,1,2.0000,2.0000,2.0000,1\n"
+        assert captured.err == "warning: 1 unpaired instances skipped\n"
+
     def test_aggregate_missing_csv_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["aggregate", str(tmp_path / "absent.csv")])
@@ -489,3 +501,20 @@ class TestCli:
         parser = argparse.ArgumentParser()
         _add_run_flags(parser)
         assert _collect_overrides(parser.parse_args(flags)) == over
+
+
+# Each guard named by its message; no other test reaches these.
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda tmp: tiny_config(tmp, instances_per_n=0), "instances_per_n must be >= 1"),
+        (lambda tmp: tiny_config(tmp, n_min=0), r"bad n range \[0, 3\]"),
+        (lambda tmp: tiny_config(tmp, n_min=4, n_max=3), r"bad n range \[4, 3\]"),
+        (lambda tmp: record_from_csv_row("3,1,5,holcus"), "malformed record row"),
+        (lambda tmp: emit_plot_data([BenchmarkRecord(3, 1, 5, "holcus")], "pie", tmp / "x.dat"), "kind must be one of"),
+    ],
+    ids=["no_instances", "n_min_zero", "n_range_reversed", "short_csv_row", "unknown_plot_kind"],
+)
+def test_guard_rejects_bad_input(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path)

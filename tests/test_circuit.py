@@ -28,7 +28,14 @@ from holcus.circuit import (
     x,
 )
 from holcus.estimators import holcus_circuit
-from holcus.pauli_lcu import build_select_circuit, build_uniform_prep_circuit, from_ising
+from holcus.pauli_lcu import (
+    LcuTerm,
+    PauliString,
+    build_select_circuit,
+    build_uniform_prep_circuit,
+    decomposition_from_terms,
+    from_ising,
+)
 from holcus.qaoa import QaoaParams, build_ansatz
 from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import kernel_operand, new_basis_state
@@ -46,9 +53,14 @@ class TestBuildCost:
 
         monkeypatch.setattr(holcus.circuit, "_check_qubits", counted)
         model = qubo_to_ising(random_qubo(8, 0))
-        prep = build_ansatz(model, QaoaParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6)))
-        circ = holcus_circuit(prep, from_ising(model))
-        assert len(calls) <= 2 * len(circ.gates)
+        params = QaoaParams((0.1, 0.2, 0.3), (0.4, 0.5, 0.6))
+        # The model's LCU (prepare V), and eight equal Z terms filling a dense
+        # layout (m = 3), which take the controlled-H ladder.
+        equal = decomposition_from_terms([LcuTerm(1.0, 0.0, PauliString({q: "Z"})) for q in range(8)], "dense")
+        for dec, uniform in ((from_ising(model), False), (equal, True)):
+            calls.clear()
+            circ = holcus_circuit(build_ansatz(model, params), dec, uniform=uniform)
+            assert len(calls) <= 2 * len(circ.gates)
 
 
 class TestProgram:
@@ -204,7 +216,7 @@ class TestResourceReport:
         assert 0 < r.logical_depth <= r.gate_count == 30
 
     def test_controlled_count(self):
-        circ = Circuit(3, (h(0), x(1, controls=[(2, CLOSED)])))
+        circ = Circuit(3, (h(0), Gate("X", (1,), controls=((2, CLOSED),))))
         assert resource_report(circ).controlled_gate_count == 1
 
 
@@ -237,6 +249,20 @@ class TestGateValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Circuit(2, (h(2),))
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: Gate("DENSE", (0,)), "DENSE gate requires a matrix"),
+            (lambda: Gate("EXP_X", (0,)), r"EXP_X takes 1 params, got \(\)"),
+            (lambda: Gate("H", (0,), (0.5,)), r"H takes 0 params, got \(0.5,\)"),
+            (lambda: Circuit(0), "circuit needs at least one qubit"),
+        ],
+        ids=["dense_without_matrix", "missing_param", "extra_param", "no_qubits"],
+    )
+    def test_guard_rejects_bad_input(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
     def test_list_targets_stored_as_tuple(self):
         g = Gate("H", [0])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holcus.circuit
-from conftest import distinct_phase_diagonal, lcu_dense_matrix, random_prep_circuit
+from conftest import distinct_phase_diagonal, lcu_dense_matrix, model_of, random_prep_circuit
 from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, resource_report, run
 from holcus.estimators import (
     EXACT,
@@ -30,7 +30,7 @@ from holcus.estimators import (
 )
 from holcus.pauli_lcu import LcuTerm, PauliString, decomposition_from_terms, from_ising, group_by_coefficient
 from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
-from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
+from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import (
     LAYOUT_CACHE_SIZE,
     _bind,
@@ -42,10 +42,6 @@ from holcus.statevector import (
     new_basis_state,
     sample_counts,
 )
-
-
-def model_of(n, h, J, offset=0.0):
-    return IsingModel(n, np.asarray(h, dtype=float), J, offset)
 
 
 def random_case(seed, n_lo=2, n_hi=6, p_lo=1, p_hi=3):
@@ -579,6 +575,10 @@ class TestShotMode:
 
 
 class TestEstimatorConfig:
+    def test_unknown_part_rejected(self):
+        with pytest.raises(ValueError, match="part must be 'real' or 'imaginary'"):
+            EstimatorConfig(method="holcus", part="both")
+
     def test_raw_imaginary_part_rejected(self):
         with pytest.raises(ValueError, match="raw"):
             EstimatorConfig(method="raw", part=IMAGINARY)

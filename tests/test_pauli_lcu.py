@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lcu_dense_matrix, pauli_full_matrix
+from conftest import lcu_dense_matrix, model_of, pauli_full_matrix, random_prep_circuit
 from holcus.circuit import make_register_map, resource_report, run
+from holcus.estimators import holcus_circuit
 from holcus.pauli_lcu import (
     LAYOUTS,
     LcuDecomposition,
@@ -19,12 +20,8 @@ from holcus.pauli_lcu import (
     from_ising,
     group_by_coefficient,
 )
-from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
+from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import new_basis_state
-
-
-def ising(n, h, J, offset=0.0):
-    return IsingModel(n, np.asarray(h, dtype=float), J, offset)
 
 
 class TestPauliString:
@@ -51,19 +48,19 @@ class TestPauliString:
 class TestFromIsing:
     def test_three_terms_and_normalization(self):
         # N = sum of |coefficients| computed independently: 1 + 1 + 0.5
-        dec = from_ising(ising(2, [1.0, -1.0], {(0, 1): 0.5}))
+        dec = from_ising(model_of(2, [1.0, -1.0], {(0, 1): 0.5}))
         assert dec.num_terms == 3
         assert dec.normalization == pytest.approx(2.5)
         assert [t.theta for t in dec.terms] == pytest.approx([0.0, np.pi, 0.0])
 
     def test_single_field(self):
-        dec = from_ising(ising(1, [1.0], {}))
+        dec = from_ising(model_of(1, [1.0], {}))
         assert dec.num_terms == 1
         assert dec.normalization == pytest.approx(1.0)
         assert dec.terms[0].alpha / dec.normalization == pytest.approx(1.0)
 
     def test_negative_coupling_only(self):
-        dec = from_ising(ising(3, [0, 0, 0], {(1, 2): -2.0}))
+        dec = from_ising(model_of(3, [0, 0, 0], {(1, 2): -2.0}))
         assert dec.num_terms == 1
         assert dec.terms[0].theta == pytest.approx(np.pi)
         assert dec.normalization == pytest.approx(2.0)
@@ -71,16 +68,16 @@ class TestFromIsing:
 
     def test_all_zero_model_rejected(self):
         with pytest.raises(ValueError):
-            from_ising(ising(2, [0.0, 0.0], {}))
+            from_ising(model_of(2, [0.0, 0.0], {}))
 
     def test_shifted_layout_slots(self):
-        dec = from_ising(ising(2, [1.0, 1.0], {(0, 1): 1.0}))
+        dec = from_ising(model_of(2, [1.0, 1.0], {(0, 1): 1.0}))
         assert dec.layout == "shifted"
         assert dec.num_ancillas == 2  # ceil(log2(3 + 1))
         assert list(dec.slots) == [1, 2, 3]
 
     def test_dense_layout_slots(self):
-        dec = decomposition_from_terms(from_ising(ising(2, [1.0, 1.0], {(0, 1): 1.0})).terms, "dense")
+        dec = decomposition_from_terms(from_ising(model_of(2, [1.0, 1.0], {(0, 1): 1.0})).terms, "dense")
         assert dec.num_ancillas == 2
         assert list(dec.slots) == [0, 1, 2]
 
@@ -92,12 +89,12 @@ class TestFromIsing:
             LcuDecomposition((term,), "sparse")
 
     def test_alphas_positive_with_sign_in_theta(self):
-        dec = from_ising(ising(2, [-0.3, 0.4], {(0, 1): -0.1}))
+        dec = from_ising(model_of(2, [-0.3, 0.4], {(0, 1): -0.1}))
         assert all(t.alpha > 0 for t in dec.terms)
         assert all(t.theta in (0.0, np.pi) for t in dec.terms)
 
     def test_terms_follow_model_terms(self):
-        model = ising(3, [0.5, 0.0, -1.0], {(1, 2): 2.0, (0, 2): 0.0, (0, 1): -0.25})
+        model = model_of(3, [0.5, 0.0, -1.0], {(1, 2): 2.0, (0, 2): 0.0, (0, 1): -0.25})
         dec = from_ising(model)
         assert [(t.unitary.support, t.alpha * np.cos(t.theta)) for t in dec.terms] == model.terms()
 
@@ -182,7 +179,7 @@ class TestBuildPrepUnitaries:
 
 class TestSelectCircuit:
     def test_shifted_select_is_identity_on_zero_ancillas(self, rng):
-        model = ising(2, [0.7, -0.4], {(0, 1): 1.1})
+        model = model_of(2, [0.7, -0.4], {(0, 1): 1.1})
         dec = from_ising(model)
         reg = make_register_map(2, dec.num_ancillas)
         circ = build_select_circuit(dec, reg)
@@ -207,7 +204,7 @@ class TestSelectCircuit:
         assert controls[anc[0]] == 0 and controls[anc[1]] == 1
 
     def test_hadamard_control_counts_per_layout(self):
-        model = ising(2, [1.0, 1.0], {(0, 1): 1.0})
+        model = model_of(2, [1.0, 1.0], {(0, 1): 1.0})
         for layout, expected in (("shifted", 0), ("dense", 1)):
             dec = decomposition_from_terms(from_ising(model).terms, layout)
             reg = make_register_map(2, dec.num_ancillas)
@@ -217,7 +214,7 @@ class TestSelectCircuit:
             assert touching == expected
 
     def test_register_too_small(self):
-        dec = from_ising(ising(3, [1.0, 1.0, 1.0], {(0, 1): 1.0, (0, 2): 1.0}))
+        dec = from_ising(model_of(3, [1.0, 1.0, 1.0], {(0, 1): 1.0, (0, 2): 1.0}))
         with pytest.raises(ValueError):
             build_select_circuit(dec, {"state": range(0, 3), "lcu_ancilla": range(3, 4)})
 
@@ -228,8 +225,27 @@ class TestSelectCircuit:
         reg = {"state": range(0, 3), "lcu_ancilla": range(3, 6), "hadamard": range(2, 3)}
         with pytest.raises(ValueError, match="share a qubit"):
             build_select_circuit(dec, reg)
-        with pytest.raises(ValueError, match="share a qubit"):
-            build_uniform_prep_circuit(3, register_map=reg)
+
+    def test_dense_layout_needs_a_hadamard_register(self):
+        dec = decomposition_from_terms(from_ising(model_of(2, [1.0, 1.0], {(0, 1): 1.0})).terms, "dense")
+        with pytest.raises(ValueError, match="dense layout needs a hadamard register"):
+            build_select_circuit(dec, make_register_map(2, dec.num_ancillas, hadamard=False))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_identity_term_emits_no_gate(self, layout, rng):
+        # The identity acts on nothing, so its slot gets no select gate; the
+        # combined circuit still reads Re and Im of <psi| A |psi>, A assembled densely.
+        identity = LcuTerm(0.7, 0.4, PauliString({}))
+        terms = [LcuTerm(1.2, 0.0, PauliString({0: "Z"})), identity, LcuTerm(0.5, 2.0, PauliString({0: "X", 1: "Y"}))]
+        dec = decomposition_from_terms(terms, layout)
+        assert len(build_select_circuit(dec, make_register_map(2, dec.num_ancillas)).gates) == 2
+        prep = random_prep_circuit(2, rng, depth=10)
+        psi = run(prep).amplitudes
+        want = psi.conj() @ lcu_dense_matrix(dec, 2) @ psi
+        for part, expected in (("real", want.real), ("imaginary", want.imag)):
+            circ = holcus_circuit(prep, dec, part)
+            p0 = np.sum(np.abs(run(circ).amplitudes[: 1 << (circ.num_qubits - 1)]) ** 2)
+            assert dec.normalization * (2 * p0 - 1) == pytest.approx(expected, abs=1e-10)
 
     def test_state_register_too_small(self):
         dec = from_ising(qubo_to_ising(random_qubo(4, 1)))
@@ -251,7 +267,7 @@ class TestSelectCircuit:
                 for j in range(i + 1, n)
                 if local.uniform() < 0.8
             }
-            model = ising(n, h, J)
+            model = model_of(n, h, J)
             dec = decomposition_from_terms(from_ising(model).terms, layout)
             m = dec.num_ancillas
             reg = make_register_map(n, m, hadamard=True)
@@ -285,31 +301,31 @@ class TestSelectCircuit:
 
 class TestGrouping:
     def test_all_equal_single_group(self):
-        dec = from_ising(ising(3, [0.5, 0.5, 0.5], {(0, 1): 0.5}))
+        dec = from_ising(model_of(3, [0.5, 0.5, 0.5], {(0, 1): 0.5}))
         groups = group_by_coefficient(dec)
         assert len(groups) == 1
         assert len(groups[0].term_indices) == 4
 
     def test_all_distinct(self, rng):
         h = rng.uniform(0.1, 2.0, size=4)
-        dec = from_ising(ising(4, h, {}))
+        dec = from_ising(model_of(4, h, {}))
         groups = group_by_coefficient(dec)
         assert len(groups) == 4
         assert all(len(g.term_indices) == 1 for g in groups)
 
     def test_exact_partition_by_value(self):
         h = np.array([1.0, 1.0, 2.0, 2.0, 2.0]) / 8.0
-        dec = from_ising(ising(5, h, {}))
+        dec = from_ising(model_of(5, h, {}))
         groups = group_by_coefficient(dec, tol=1e-12)
         assert sorted(len(g.term_indices) for g in groups) == [2, 3]
 
     def test_sign_splits_groups(self):
-        dec = from_ising(ising(2, [1.0, -1.0], {}))
+        dec = from_ising(model_of(2, [1.0, -1.0], {}))
         assert len(group_by_coefficient(dec)) == 2
 
     @pytest.mark.parametrize("tol", [-1e-3, float("nan")], ids=["negative", "nan"])
     def test_bad_tolerance_rejected(self, tol):
-        dec = from_ising(ising(2, [1.0, 1.0], {}))
+        dec = from_ising(model_of(2, [1.0, 1.0], {}))
         with pytest.raises(ValueError, match="tolerance"):
             group_by_coefficient(dec, tol=tol)
 
@@ -350,30 +366,6 @@ class TestUniformPrep:
         fidelity = abs(np.vdot(v[:, 0], prepared)) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("nearest_neighbor", [False, True])
-    def test_on_final_register(self, nearest_neighbor, rng):
-        # State qubits below the ancillas: with the Hadamard qubit set the
-        # ancillas become uniform and the state register is untouched; with it
-        # clear the circuit is the identity.
-        n, m = 2, 3
-        reg = make_register_map(n, m)
-        circ = build_uniform_prep_circuit(m, nearest_neighbor, register_map=reg)
-        assert circ.num_qubits == n + m + 1
-        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        psi /= np.linalg.norm(psi)
-        for hbit in (0, 1):
-            init = new_basis_state(n + m + 1)
-            init.amplitudes[0] = 0.0
-            offset = hbit << (n + m)
-            init.amplitudes[offset : offset + (1 << n)] = psi
-            out = run(circ, init).amplitudes.reshape(2, 1 << m, 1 << n)
-            if hbit:
-                expected = np.outer(np.full(1 << m, 2 ** (-m / 2)), psi)
-                assert np.allclose(out[1], expected, atol=1e-12)
-                assert np.allclose(out[0], 0.0)
-            else:
-                assert np.allclose(out.reshape(-1), init.amplitudes, atol=1e-12)
-
     def test_m0_rejected(self):
         with pytest.raises(ValueError):
             build_uniform_prep_circuit(0)
@@ -384,7 +376,7 @@ class TestIsingDecompositionProperties:
         for seed in range(5):
             local = np.random.default_rng(seed + 100)
             n = int(local.integers(2, 5))
-            model = ising(
+            model = model_of(
                 n,
                 local.uniform(-2, 2, size=n),
                 {(i, j): float(local.uniform(-2, 2)) for i in range(n) for j in range(i + 1, n)},

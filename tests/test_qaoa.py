@@ -8,15 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import PAULI, ising_dense_matrix
+from conftest import PAULI, ising_dense_matrix, model_of
 from holcus.circuit import run
 from holcus.qaoa import QaoaParams, build_ansatz, compile_ansatz, exact_expectation
-from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
+from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import MAX_QUBITS, CapacityError
-
-
-def model_of(n, h, J, offset=0.0):
-    return IsingModel(n, np.asarray(h, dtype=float), J, offset)
 
 
 class TestQaoaParams:
@@ -58,7 +54,7 @@ class TestBuildAnsatz:
     def test_output_normalized(self):
         model = qubo_to_ising(random_qubo(4, 5))
         out = run(build_ansatz(model, QaoaParams((0.3, 0.9), (0.4, 0.1))))
-        assert out.dim == 16
+        assert out.amplitudes.shape == (16,)
         assert abs(out.norm() - 1.0) < 1e-12
 
     def test_commuting_phase_gates_order_irrelevant(self):
@@ -91,6 +87,10 @@ def ising_models(draw):
 
 
 class TestCompiledAnsatz:
+    def test_model_without_spins_rejected(self):
+        with pytest.raises(ValueError, match="at least one spin"):
+            compile_ansatz(model_of(0, [], {}))
+
     @settings(max_examples=60, deadline=None)
     @given(
         model=ising_models(),

@@ -206,3 +206,20 @@ class TestBruteForce:
         with pytest.raises(CapacityError):
             brute_force_min(QuboInstance(25, np.zeros((25, 25))))
 
+
+# Each guard named by its message; no other test reaches these.
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: QuboInstance(2, np.zeros((3, 3))), r"Q must be 2x2, got \(3, 3\)"),
+        (lambda: QuboInstance(2, np.array([[0.0, 1.0], [0.0, 0.0]])), "Q must be symmetric"),
+        (lambda: IsingModel(2, np.zeros(3), {}), "h must have length 2"),
+        (lambda: IsingModel(2, np.zeros(2), {(1, 0): 1.0}), r"coupling key \(1,0\)"),
+        (lambda: qubo_cost(random_qubo(2, 0), [0, 1, 0]), r"assignment length \(3,\) != n = 2"),
+        (lambda: ising_energy(IsingModel(2, np.zeros(2), {}), [1, 1, 1]), r"spin vector length \(3,\) != n = 2"),
+    ],
+    ids=["q_shape", "q_asymmetric", "h_length", "coupling_order", "assignment_length", "spin_length"],
+)
+def test_guard_rejects_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

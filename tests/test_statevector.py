@@ -14,8 +14,10 @@ from holcus.circuit import Gate, run
 from holcus.pauli_lcu import PauliString, pauli_expectation
 from holcus.statevector import (
     CLOSED,
+    MAX_QUBITS,
     MAX_SHOTS,
     OPEN,
+    CapacityError,
     StateVector,
     _bind,
     _diag_layout,
@@ -55,6 +57,16 @@ class TestNewBasisState:
         with pytest.raises(ValueError):
             new_basis_state(0, 0)
 
+    def test_capacity_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"num_qubits={MAX_QUBITS + 1} exceeds guard"):
+                new_basis_state(MAX_QUBITS + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the register would take 512 MiB
+
 
 class TestStateVector:
     @pytest.mark.parametrize(
@@ -63,6 +75,22 @@ class TestStateVector:
     def test_bad_amplitudes_rejected(self, amplitudes):
         with pytest.raises(ValueError, match="amplitudes"):
             StateVector(1, amplitudes)
+
+
+# Each guard named by its message; no other test reaches these.
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: apply_unitary(new_basis_state(2), np.eye(4), [0, 0]), r"duplicate target qubits in \(0, 0\)"),
+        (lambda: Gate("X", (0,), controls=((1, 2),)), "control polarity must be 0 .open. or 1 .closed., got 2"),
+        (lambda: apply_unitary(new_basis_state(2), np.eye(2), [0, 1]), r"matrix shape \(2, 2\) does not match 2 targets"),
+        (lambda: marginal_vector(new_basis_state(2), [1, 1]), r"duplicate qubits in \(1, 1\)"),
+    ],
+    ids=["duplicate_targets", "bad_polarity", "matrix_shape", "duplicate_marginal_qubits"],
+)
+def test_guard_rejects_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestApplyUnitary:
