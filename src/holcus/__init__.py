@@ -59,8 +59,6 @@ from .qubo_ising import (
     IsingModel,
     QuboInstance,
     brute_force_min,
-    ising_energy,
-    qubo_cost,
     qubo_to_ising,
     random_qubo,
 )

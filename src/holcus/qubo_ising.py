@@ -5,8 +5,9 @@ of the basis index, and bitstrings are rendered most-significant-variable
 first. The spin map is x_i = (1 - z_i)/2 with z_i = +1 for x_i = 0, i.e.
 the eigenvalue of Z on |x_i>.
 
-Every Z-basis quantity (the brute-force optimum, raw's energies, the exact
-training oracle) reads one vector: `ising_energies`, built in O(2^n) by
+`ising_energies` is the one energy rule, the only code that turns spins into
+an energy: every Z-basis quantity (the brute-force optimum, raw's energies,
+the exact training oracle) reads its one vector, built in O(2^n) by
 doubling, one qubit at a time.
 """
 
@@ -69,29 +70,10 @@ def random_qubo(n: int, seed: int) -> QuboInstance:
     return QuboInstance(n, Q, seed)
 
 
-def _as_bits(x, n: int) -> np.ndarray:
-    """Accept an MSB-first bitstring or a per-variable 0/1 sequence."""
-    if isinstance(x, str):
-        if len(x) != n:
-            raise ValueError(f"bitstring length {len(x)} != n = {n}")
-        return np.array([int(c) for c in reversed(x)], dtype=float)
-    bits = np.asarray(x, dtype=float)
-    if bits.shape != (n,):
-        raise ValueError(f"assignment length {bits.shape} != n = {n}")
-    return bits
-
-
-def qubo_cost(q: QuboInstance, x) -> float:
-    """x^T Q x for a bitstring (MSB-first) or 0/1 vector indexed by variable."""
-    bits = _as_bits(x, q.n)
-    return float(bits @ q.Q @ bits)
-
-
 def qubo_to_ising(q: QuboInstance) -> IsingModel:
     """Substitute x_i = (1 - z_i)/2; diagonal terms use x_i^2 = x_i.
 
-    The resulting (h, J, offset) satisfies qubo_cost(x) = ising_energy(z(x))
-    exactly for every assignment.
+    ising_energies of the result equals x^T Q x at every basis index.
     """
     n = q.n
     diag = np.diag(q.Q)
@@ -106,22 +88,9 @@ def qubo_to_ising(q: QuboInstance) -> IsingModel:
     return IsingModel(n, h, J, offset)
 
 
-def ising_energy(m: IsingModel, z) -> float:
-    """offset + sum_i h_i z_i + sum_{i<j} J_ij z_i z_j for spins z in {-1,+1}."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (m.n,):
-        raise ValueError(f"spin vector length {z.shape} != n = {m.n}")
-    if not np.all(np.abs(z) == 1.0):
-        raise ValueError("spins must be +1 or -1")
-    e = m.offset + float(m.h @ z)
-    for (i, j), c in m.J.items():
-        e += c * z[i] * z[j]
-    return float(e)
-
-
 def ising_energies(m: IsingModel) -> np.ndarray:
-    """ising_energy of every basis state, indexed by basis index (z_i = +1
-    when bit i is clear).
+    """offset + sum_i h_i z_i + sum_{i<j} J_ij z_i z_j of every basis state,
+    indexed by basis index (z_i = +1 when bit i is clear).
 
     Built by doubling: after qubit k the vector holds the energy of the
     terms on qubits 0..k over the 2^(k+1) lower-bit states. Qubit k adds its

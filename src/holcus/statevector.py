@@ -7,20 +7,21 @@ the string "10" (qubit 1 set, qubit 0 clear).
 
 Gate application works on a collapsed view of the amplitudes, with controls
 fixed by basic indexing; a recipe for it is computed once per (width,
-targets, controls) and cached. A diagonal gate (every off-diagonal entry
-exactly 0: EXP_Z, EXP_ZZ, S, Z-string Paulis) uses _diag_layout's view, in
-memory order: the low qubits, up to CHUNK amplitudes and below every control,
-form one contiguous last axis, and above them each touched qubit has an axis
-and each run of untouched ones another. The gate's phases, spread onto that
-view by a cached index array, multiply it in place, O(2^n) with no
-register-sized copy and an inner loop up to CHUNK long. Any other gate uses
-_layout's view, with one axis per touched qubit and one per untouched run,
-control and target axes transposed to the front, and is updated with 2^k x
-2^k matrix products, O(2^n * 2^k): one on a block (the view with controls
-fixed) of at most CHUNK amplitudes, else one per slice of at most CHUNK
-amplitudes, so the temporaries stay small enough for the allocator to reuse
-instead of being page-faulted back on every gate. No 2^n x 2^n operator is
-ever built. kernel_operand makes that choice once per matrix.
+targets, controls) and cached. Both recipes come from one memory-order axis
+walk, _axis_walk: each touched qubit gets its own axis, each run of untouched
+qubits collapses to one. They differ only in the low axis, the transpose and
+the chunks or spread. A diagonal gate (every off-diagonal entry exactly 0:
+EXP_Z, EXP_ZZ, S, Z-string Paulis) uses _diag_layout's untransposed view,
+whose low qubits, up to CHUNK amplitudes and below every control, form one
+contiguous last axis; its phases, spread onto that view by a cached index
+array, multiply it in place, O(2^n) with no register-sized copy and an inner
+loop up to CHUNK long. Any other gate uses _layout's view, walked down to
+qubit 0, with control and target axes transposed to the front, and is updated
+with 2^k x 2^k matrix products, O(2^n * 2^k): one on a block (the view with
+controls fixed) of at most CHUNK amplitudes, else one per chunk of at most
+CHUNK amplitudes, so the temporaries stay small enough for the allocator to
+reuse instead of being page-faulted back on every gate. No 2^n x 2^n operator
+is ever built. kernel_operand makes that choice once per matrix.
 
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
 resolves each (operand, targets, controls) triple of a program to views of one
@@ -136,8 +137,10 @@ def _checked_controls(targets: tuple[int, ...], controls) -> tuple[tuple[int, in
 
 
 def _check_qubits(qubits, num_qubits: int) -> None:
-    """ValueError unless every qubit index lies in [0, num_qubits)."""
+    """ValueError unless every qubit index is an int (or numpy integer) in [0, num_qubits)."""
     for q in qubits:
+        if not isinstance(q, (int, np.integer)):
+            raise ValueError(f"qubit index {q!r} is not an integer")
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
 
@@ -177,6 +180,20 @@ def kernel_operand(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _axis_walk(n: int, touched: set[int], low: int) -> tuple[list[int], list[int | None]]:
+    """(shape, qubits) of the memory-order axes of qubits n-1 down to low: each
+    touched qubit gets its own axis of length 2, each run of untouched qubits
+    collapses to one axis of length 2^run, whose qubit is None."""
+    shape, qubits = [], []
+    for q in range(n - 1, low - 1, -1):
+        if q not in touched and qubits and qubits[-1] is None:
+            shape[-1] *= 2
+        else:
+            shape.append(2)
+            qubits.append(q if q in touched else None)
+    return shape, qubits
+
+
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]):
     """(shape, axes, index, chunks) of a matrix gate's view of an n-qubit
@@ -185,18 +202,10 @@ def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], .
     chunks is None when the block (the view with controls fixed) holds at most
     CHUNK amplitudes; otherwise it is the block's slices of at most
     max(CHUNK, 2^k) amplitudes, cut along its longest untouched runs first."""
-    touched = {q for q, _ in controls} | set(targets)
-    shape, axis_of, runs = [], {}, []
-    for q in range(n - 1, -1, -1):
-        if q in touched:
-            axis_of[q] = len(shape)
-            shape.append(2)
-        elif runs and runs[-1] == len(shape) - 1:
-            shape[-1] *= 2
-        else:
-            runs.append(len(shape))
-            shape.append(2)
-    axes = tuple(axis_of[q] for q, _ in controls) + tuple(axis_of[q] for q in reversed(targets)) + tuple(runs)
+    shape, qubits = _axis_walk(n, {q for q, _ in controls} | set(targets), 0)
+    runs = [a for a, q in enumerate(qubits) if q is None]
+    front = [q for q, _ in controls] + list(reversed(targets))
+    axes = tuple(map(qubits.index, front)) + tuple(runs)
     index = tuple(v for _, v in controls) + (...,)
     k = len(targets)
     # Cut the longest run to the width that leaves CHUNK amplitudes per slice,
@@ -226,22 +235,10 @@ def _diag_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, in
     (one byte for k <= 8), as intp would cost 64 KiB a recipe at w = 13."""
     polarity = dict(controls)
     w = min(n, CHUNK.bit_length() - 1, *polarity)
-    touched = set(polarity) | set(targets)
-    shape, index, weights = [], [], []
-    run = False
-    for q in range(n - 1, w - 1, -1):
-        if run and q not in touched:
-            shape[-1] *= 2
-            continue
-        shape.append(2)
-        run = q not in touched
-        if q in polarity:
-            index.append(polarity[q])
-        else:
-            index.append(slice(None))
-            weights.append((0, 1 << targets.index(q)) if q in targets else (0,))
+    shape, qubits = _axis_walk(n, set(polarity) | set(targets), w)
     shape.append(1 << w)
-    index.append(slice(None))
+    index = [polarity.get(q, slice(None)) for q in qubits] + [slice(None)]
+    weights = [(0, 1 << targets.index(q)) if q in targets else (0,) for q in qubits if q not in polarity]
     dtype = np.min_scalar_type((1 << len(targets)) - 1)
     spread = np.zeros(1 << w if any(q < w for q in targets) else 1, dtype)
     for j, q in enumerate(targets):

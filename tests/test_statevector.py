@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import PAULI, distinct_phase_diagonal, embed_full_matrix, pauli_full_matrix, random_prep_circuit
 from holcus import statevector
-from holcus.circuit import Gate, run
+from holcus.circuit import Circuit, Gate, run
 from holcus.pauli_lcu import PauliString, pauli_expectation
 from holcus.statevector import (
     CLOSED,
@@ -91,6 +91,24 @@ class TestStateVector:
 def test_guard_rejects_bad_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# The range check alone let a float index through, to fail inside the kernel.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda q: run(Circuit(3, [Gate("H", (q,))])),
+        lambda q: apply_unitary(new_basis_state(3), X, [q]),
+        lambda q: apply_unitary(new_basis_state(3), X, [0], [(q, CLOSED)]),
+        lambda q: marginal_vector(new_basis_state(3), [q]),
+        lambda q: pauli_expectation(new_basis_state(3), {q: "X"}),
+    ],
+    ids=["circuit", "target", "control", "marginal", "pauli"],
+)
+def test_non_integer_qubit_rejected(call):
+    with pytest.raises(ValueError, match=r"qubit index 1\.5 is not an integer"):
+        call(1.5)
+    call(np.int64(1))  # numpy integers stay valid indices
 
 
 class TestApplyUnitary:
