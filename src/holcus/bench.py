@@ -266,10 +266,14 @@ def emit_plot_data(records: list[BenchmarkRecord], kind: str, path) -> None:
 
 
 # holcus-bench profile: exact estimates of a p = 3 ansatz on random_qubo(n, 1)
-# at these n and angles, and one kernel call per gate kind at these widths.
+# at these n and angles, one kernel call per gate kind at these widths (8 and 12
+# are dispatch-bound, 16 and 20 amplitude-bound), and exact p = 1 trainings of
+# PROFILE_TRAIN_EVALS evaluations at the PROFILE_TRAIN_NS.
 PROFILE_NS = (4, 6, 8, 10, 12)
-PROFILE_KERNEL_QUBITS = (16, 20)
+PROFILE_KERNEL_QUBITS = (8, 12, 16, 20)
 PROFILE_PARAMS = QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4))
+PROFILE_TRAIN_NS = (4, 5, 6)
+PROFILE_TRAIN_EVALS = 20
 
 
 def _median_s(call, reps: int):
@@ -285,10 +289,11 @@ def _median_s(call, reps: int):
 
 
 def _kernel_gates(q: int) -> dict[str, circuit.Gate]:
-    """One gate per kind on a q-qubit register (q >= 9), on middle qubits; CH has
-    one control and DENSE, like a select term, a random 2-qubit unitary with a
-    closed, an open and a closed control on the top qubits."""
-    t, u = q // 2, q // 2 + 1
+    """One gate per kind on a q-qubit register (q >= 6), on middle qubits below
+    the top three; CH has one control and DENSE, like a select term, a random
+    2-qubit unitary with a closed, an open and a closed control on the top qubits."""
+    t = min(q // 2, q - 5)
+    u = t + 1
     rng = np.random.default_rng(q)
     unitary, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     controls = [(q - 1, circuit.CLOSED), (q - 2, circuit.OPEN), (q - 3, circuit.CLOSED)]
@@ -311,7 +316,10 @@ def profile() -> dict:
     of each width in PROFILE_KERNEL_QUBITS (15 calls, 5 from 20 qubits); and for
     each n in PROFILE_NS the median seconds of one exact estimate() per method,
     compile included (9 calls, 3 from n = 11), with each method's width and
-    circuit count and the hadamard/holcus ratio. Each median follows an untimed call."""
+    circuit count and the hadamard/holcus ratio; and for each n in
+    PROFILE_TRAIN_NS the median seconds of one exact p = 1 train_qaoa per method
+    (one restart of PROFILE_TRAIN_EVALS evaluations, 5 calls) and the
+    hadamard/holcus ratio. Each median follows an untimed call."""
     kernel_us = {}
     for q in PROFILE_KERNEL_QUBITS:
         rng = np.random.default_rng(q)
@@ -333,6 +341,13 @@ def profile() -> dict:
             row[method] = {"s": seconds, "qubits": result.max_qubits, "circuits": result.circuits_used}
         row["hadamard/holcus"] = row["hadamard"]["s"] / row["holcus"]["s"]
         estimate_s[str(n)] = row
+    train_s = {}
+    opt_cfg = OptimizerConfig(max_evals=PROFILE_TRAIN_EVALS, restarts=1)
+    for n in PROFILE_TRAIN_NS:
+        model = qubo_to_ising(random_qubo(n, 1))
+        row = {m: _median_s(lambda m=m: train_qaoa(model, 1, EstimatorConfig(m), opt_cfg), 5)[0] for m in METHODS}
+        row["hadamard/holcus"] = row["hadamard"] / row["holcus"]
+        train_s[str(n)] = row
     return {
         "schema": 1,
         "machine": {
@@ -348,4 +363,5 @@ def profile() -> dict:
             "instance": "random_qubo(n, 1)",
             "s": estimate_s,
         },
+        "train": {"p": 1, "max_evals": PROFILE_TRAIN_EVALS, "instance": "random_qubo(n, 1)", "s": train_s},
     }

@@ -7,31 +7,35 @@ the string "10" (qubit 1 set, qubit 0 clear).
 
 Gate application works on a collapsed view of the amplitudes, with controls
 fixed by basic indexing; a recipe for it is computed once per (width,
-targets, controls) and cached. Both recipes come from one memory-order axis
+targets, controls) and cached. Every recipe comes from one memory-order axis
 walk, _axis_walk: each touched qubit gets its own axis, each run of untouched
-qubits collapses to one. They differ only in the low axis, the transpose and
-the chunks or spread. A diagonal gate (every off-diagonal entry exactly 0:
-EXP_Z, EXP_ZZ, S, Z-string Paulis) uses _diag_layout's untransposed view,
+qubits collapses to one. A diagonal gate (every off-diagonal entry exactly 0:
+EXP_Z, EXP_ZZ, S, Z-string Paulis) multiplies _diag_layout's untransposed view,
 whose low qubits, up to CHUNK amplitudes and below every control, form one
-contiguous last axis; its phases, spread onto that view by a cached index
-array, multiply it in place, O(2^n) with no register-sized copy and an inner
-loop up to CHUNK long. Any other gate uses _layout's view, walked down to
-qubit 0, with control and target axes transposed to the front, and is updated
-with 2^k x 2^k matrix products, O(2^n * 2^k): one on a block (the view with
-controls fixed) of at most CHUNK amplitudes, else one per chunk of at most
-CHUNK amplitudes, so the temporaries stay small enough for the allocator to
-reuse instead of being page-faulted back on every gate. No 2^n x 2^n operator
-is ever built. kernel_operand makes that choice once per matrix.
+contiguous last axis, in place by its phases, spread onto it by a cached index
+array. A one-target matrix gate [[a, b], [c, d]] (H, X, EXP_X, CH, a Pauli
+letter) sets _flip_layout's untransposed view, where the target has its own
+axis, to D0 x + D1 flip(x): D0 = diag(a, d) and D1 = diag(b, c) are scalars
+when their entries are equal (EXP_X, X, H's off-diagonal), else entry pairs
+along the target's axis, and flip(x) is one take along that axis (a reversed
+copy for a strided chunk, which take would first copy whole). A wider gate
+(SWAP, a multi-qubit DENSE) is a 2^k x 2^k matrix product on _layout's view,
+walked down to qubit 0 with control and target axes transposed to the front.
+A view or block above CHUNK amplitudes goes chunk by chunk (_cuts), so the
+temporaries stay small enough for the allocator to reuse instead of being
+page-faulted back on every gate; no 2^n x 2^n operator is ever built.
+kernel_operand chooses diagonal or matrix once per matrix, _bind the step by
+target count.
 
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
-resolves each (operand, targets, controls) triple of a program to views of one
-register: a diagonal becomes its view and its multiplier (the phases spread
-onto it), a matrix its block and chunks. _run applies bound steps in order.
-Run as it is bound, a program holds one multiplier at a time; bound once into
-a list, it runs again on the same register with no per-gate setup, which
+resolves each (operand, targets, controls) triple of a program to a bound step
+on one register; _run applies bound steps in order. Run as it is bound, a
+program holds one diagonal's multiplier at a time; bound once into a list, it
+runs again on the same register with no per-gate setup, which
 estimators.run_program does for a prep that several circuits of one width
-share. apply_unitary checks its arguments, then binds and runs its one gate;
-a Circuit's program was checked when the circuit was built.
+share, holding only the diagonals' multipliers. apply_unitary checks its
+arguments, then binds and runs its one gate; a Circuit's program was checked
+when the circuit was built.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -137,9 +142,10 @@ def _checked_controls(targets: tuple[int, ...], controls) -> tuple[tuple[int, in
 
 
 def _check_qubits(qubits, num_qubits: int) -> None:
-    """ValueError unless every qubit index is an int (or numpy integer) in [0, num_qubits)."""
+    """ValueError unless every qubit index is an int (or numpy integer), not a bool,
+    in [0, num_qubits)."""
     for q in qubits:
-        if not isinstance(q, (int, np.integer)):
+        if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
             raise ValueError(f"qubit index {q!r} is not an integer")
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
@@ -208,19 +214,25 @@ def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], .
     axes = tuple(map(qubits.index, front)) + tuple(runs)
     index = tuple(v for _, v in controls) + (...,)
     k = len(targets)
-    # Cut the longest run to the width that leaves CHUNK amplitudes per slice,
-    # or to width 1 and the next longest run too, until a slice fits.
-    cuts = [[slice(None)]] * (k + len(runs))
-    block_size = size = 1 << (n - len(controls))
-    for j in sorted(range(len(runs)), key=lambda j: -shape[runs[j]]):
-        if size <= CHUNK:
+    block = [2] * k + [shape[a] for a in runs]
+    cuts = _cuts(block, sorted(range(k, len(block)), key=lambda a: -block[a]), CHUNK)
+    return tuple(shape), axes, index, None if cuts is None else tuple(product(*cuts))
+
+
+def _cuts(shape: list[int], order, limit: int) -> list[list[slice]] | None:
+    """Per axis of an array of this shape, the slices that cut it into chunks of
+    at most limit amplitudes: each axis of order in turn is cut to the width that
+    leaves limit amplitudes per chunk, or to width 1 and the next one too, until a
+    chunk fits. None when the whole array fits."""
+    size = total = prod(shape)
+    cuts = [[slice(None)] for _ in shape]
+    for a in order:
+        if size <= limit:
             break
-        length = shape[runs[j]]
-        width = max(1, length * CHUNK // size)
-        cuts[k + j] = [slice(i, i + width) for i in range(0, length, width)]
-        size = size // length * width
-    chunks = None if size == block_size else tuple(product(*cuts))
-    return tuple(shape), axes, index, chunks
+        width = max(1, shape[a] * limit // size)
+        cuts[a] = [slice(i, i + width) for i in range(0, shape[a], width)]
+        size = size // shape[a] * width
+    return None if size == total else cuts
 
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
@@ -249,38 +261,93 @@ def _diag_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, in
     return tuple(shape), tuple(index), spread
 
 
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _flip_layout(n: int, target: int, controls: tuple[tuple[int, int], ...]):
+    """(shape, index, axis, flip, pair, cuts) of a one-target gate's view of an
+    n-qubit register, untransposed: _axis_walk's axes down to the lowest touched
+    qubit, then the qubits below it as one last axis. index fixes the controls,
+    axis is the target's in the indexed view, flip the two ways to flip its bit
+    (a take by [1, 0] along it, for a contiguous chunk, and a basic index that
+    reverses it, whose copy reads a strided chunk once), pair the shape of an
+    entry pair along it (None on the first axis, where _scale scales the
+    halves). cuts slices the view into chunks of at most CHUNK amplitudes,
+    outermost axes first and never the target's, or is None."""
+    polarity = dict(controls)
+    low = min((target, *polarity))
+    shape, qubits = _axis_walk(n, {target, *polarity}, low)
+    shape.append(1 << low)
+    qubits.append(None)
+    index = tuple(polarity.get(q, slice(None)) for q in qubits)
+    view = [(s, q) for s, q in zip(shape, qubits) if q not in polarity]
+    axis = [q for _, q in view].index(target)
+    pair = (2,) + (1,) * (len(view) - axis - 1) if axis else None
+    cuts = _cuts([s for s, _ in view], [a for a in range(len(view)) if a != axis], CHUNK)
+    flip = np.array([1, 0]), (slice(None),) * axis + (slice(None, None, -1),)
+    return tuple(shape), index, axis, flip, pair, cuts
+
+
 def _bind(state: StateVector, program):
     """Each (operand, targets, controls) triple of program resolved to a view of
     state's register, as _run takes it, unchecked: the qubits must be distinct
     and in range, each polarity the int OPEN or CLOSED, and operand, from
     kernel_operand, a 2^k x 2^k matrix or a length-2^k diagonal for k targets. A
     diagonal becomes (view, multiplier), its operand spread onto _diag_layout's
-    view, and a matrix (block, matrix, chunks), _layout's view with the controls
-    fixed and its slices or None. A generator: run as it is bound, each multiplier
-    lives for one gate; a list of it binds the whole program once, for several runs
-    on the register, and keeps every multiplier."""
+    view; a one-target matrix (view, D0, D1, axis, flip, cuts), _flip_layout's
+    view with D0 and D1 each a complex when its entries are equal, else its entry
+    pair as _scale takes it; a wider matrix (block, matrix, chunks), _layout's view
+    with the controls fixed and its slices or None. A generator: run as it is
+    bound, each multiplier lives for one gate; a list of it binds the whole program
+    once, for several runs on the register, and keeps every diagonal's multiplier."""
     n = state.num_qubits
     amps = state.amplitudes
     for operand, targets, controls in program:
         if operand.ndim == 1:
             shape, index, spread = _diag_layout(n, targets, controls)
             yield amps.reshape(shape)[index], operand.take(spread)
+        elif len(targets) == 1:
+            shape, index, axis, flip, pair, cuts = _flip_layout(n, *targets, controls)
+            (a, b), (c, d) = operand.tolist()
+            d0 = a if a == d else (a, d) if pair is None else np.array((a, d)).reshape(pair)
+            d1 = b if b == c else (b, c) if pair is None else np.array((b, c)).reshape(pair)
+            yield amps.reshape(shape)[index], d0, d1, axis, flip, cuts
         else:
             shape, axes, index, chunks = _layout(n, targets, controls)
             yield amps.reshape(shape).transpose(axes)[index], operand, chunks
 
 
 def _run(steps) -> None:
-    """Apply bound steps in order: a diagonal multiplies its view in place, a
-    matrix replaces its block, or each of its chunks, by one matrix product."""
+    """Apply bound steps in order: a diagonal multiplies its view in place; a
+    one-target gate [[a, b], [c, d]] sets its view, or each of its chunks, to
+    D0 x + D1 flip(x), D0 = diag(a, d) and D1 = diag(b, c); a wider matrix
+    replaces its block, or each of its chunks, by one matrix product."""
     for step in steps:
         if len(step) == 2:
             view, multiplier = step
             view *= multiplier
-            continue
-        block, matrix, chunks = step
-        for sub in (block,) if chunks is None else (block[c] for c in chunks):
-            sub[...] = (matrix @ sub.reshape(len(matrix), -1)).reshape(sub.shape)
+            del multiplier  # so that it is freed before the next step runs
+        elif len(step) == 6:
+            view, d0, d1, axis, (take, reverse), cuts = step
+            for sub in (view,) if cuts is None else (view[c] for c in product(*cuts)):
+                flipped = sub.take(take, axis=axis) if sub.flags.c_contiguous else sub[reverse].copy()
+                _scale(flipped, d1)
+                _scale(sub, d0)
+                sub += flipped
+                del flipped  # before the next chunk's is made
+        else:
+            block, matrix, chunks = step
+            for sub in (block,) if chunks is None else (block[c] for c in chunks):
+                sub[...] = (matrix @ sub.reshape(len(matrix), -1)).reshape(sub.shape)
+
+
+def _scale(x: np.ndarray, d) -> None:
+    """x *= D in place: a complex, an entry pair along the target's axis, or a
+    tuple pair, each half of x (along its first axis) times its entry; numpy
+    buffers a contiguous x of up to 8192 amplitudes to broadcast a pair."""
+    if type(d) is tuple:
+        x[0] *= d[0]
+        x[1] *= d[1]
+    else:
+        x *= d
 
 
 def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:

@@ -87,6 +87,27 @@ def embed_full_matrix(local: np.ndarray, targets, controls, n: int) -> np.ndarra
     return out
 
 
+def apply_full_matrix(local: np.ndarray, targets, controls, n: int, psi: np.ndarray) -> np.ndarray:
+    """embed_full_matrix(local, targets, controls, n) @ psi by the same column
+    enumeration, vectorised over the columns, without building the 2^n matrix."""
+    cols = np.arange(1 << n)
+    active = np.ones(1 << n, dtype=bool)
+    for q, v in controls:
+        active &= ((cols >> q) & 1) == v
+    out = np.where(active, 0, psi).astype(complex)
+    t_in = np.zeros(1 << n, dtype=int)
+    base = cols.copy()
+    for j, q in enumerate(targets):
+        t_in |= ((cols >> q) & 1) << j
+        base &= ~(1 << q)
+    for t_out in range(1 << len(targets)):
+        rows = base.copy()
+        for j, q in enumerate(targets):
+            rows |= ((t_out >> j) & 1) << q
+        np.add.at(out, rows[active], local[t_out, t_in[active]] * psi[active])
+    return out
+
+
 def distinct_phase_diagonal(rng: np.random.Generator, k: int) -> np.ndarray:
     """2^k x 2^k diagonal unitary whose phases are pairwise distinct, in random order."""
     dim = 1 << k

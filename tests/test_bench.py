@@ -345,18 +345,21 @@ class TestPlotData:
 class TestProfile:
     def test_schema_on_a_tiny_grid(self, monkeypatch):
         monkeypatch.setattr(holcus.bench, "PROFILE_NS", (2, 3))
-        monkeypatch.setattr(holcus.bench, "PROFILE_KERNEL_QUBITS", (9,))
+        monkeypatch.setattr(holcus.bench, "PROFILE_KERNEL_QUBITS", (6, 9))
+        monkeypatch.setattr(holcus.bench, "PROFILE_TRAIN_NS", (2,))
+        monkeypatch.setattr(holcus.bench, "PROFILE_TRAIN_EVALS", 3)
         record = profile()
         assert json.loads(json.dumps(record)) == record
-        assert list(record) == ["schema", "machine", "kernel_us", "estimate"]
+        assert list(record) == ["schema", "machine", "kernel_us", "estimate", "train"]
         assert record["schema"] == 1
         machine = record["machine"]
         assert machine["nproc"] >= 1 and machine["numpy"] == np.__version__
         assert machine["blas_threads"] == dict.fromkeys(BLAS_THREAD_VARS, "1")  # pinned by conftest
         kinds = ["H", "X", "S", "EXP_X", "EXP_Z", "EXP_ZZ", "SWAP", "CH", "DENSE"]
-        assert list(record["kernel_us"]) == ["9"]
-        assert list(record["kernel_us"]["9"]) == kinds
-        assert all(us > 0 for us in record["kernel_us"]["9"].values())
+        assert list(record["kernel_us"]) == ["6", "9"]
+        for width in ("6", "9"):
+            assert list(record["kernel_us"][width]) == kinds
+            assert all(us > 0 for us in record["kernel_us"][width].values())
         grid = record["estimate"]
         assert (grid["p"], grid["gammas"], grid["betas"]) == (3, [0.3, 0.5, 0.2], [0.7, 0.2, 0.4])
         assert list(grid["s"]) == ["2", "3"]
@@ -366,6 +369,12 @@ class TestProfile:
             assert (row["raw"]["qubits"], row["hadamard"]["qubits"]) == (int(n), int(n) + 1)
             assert row["holcus"]["circuits"] == row["raw"]["circuits"] == 1
             assert row["hadamard/holcus"] == row["hadamard"]["s"] / row["holcus"]["s"]
+        train = record["train"]
+        assert (train["p"], train["max_evals"], list(train["s"])) == (1, 3, ["2"])
+        row = train["s"]["2"]
+        assert list(row) == [*METHODS, "hadamard/holcus"]
+        assert all(row[m] > 0 for m in METHODS)
+        assert row["hadamard/holcus"] == row["hadamard"] / row["holcus"]
 
     def test_cli_writes_the_record_as_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(holcus.cli, "profile", lambda: {"schema": 1, "kernel_us": {}})

@@ -35,6 +35,7 @@ from holcus.statevector import (
     LAYOUT_CACHE_SIZE,
     _bind,
     _diag_layout,
+    _flip_layout,
     _layout,
     _run,
     derive_seed,
@@ -323,13 +324,14 @@ class TestRunPlan:
         model, prep, _ = random_case(903, n_lo=4)
         cfg = EstimatorConfig(method=method)
         estimate(prep, model, cfg)
-        misses = [cache.cache_info().misses for cache in (_layout, _diag_layout)]
+        caches = (_layout, _diag_layout, _flip_layout)
+        misses = [cache.cache_info().misses for cache in caches]
         estimate(prep, model, cfg)
-        assert [cache.cache_info().misses for cache in (_layout, _diag_layout)] == misses
+        assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_layout_cache_is_bounded(self):
-        assert _layout.cache_info().maxsize == LAYOUT_CACHE_SIZE
-        assert _diag_layout.cache_info().maxsize == LAYOUT_CACHE_SIZE
+        for cache in (_layout, _diag_layout, _flip_layout):
+            assert cache.cache_info().maxsize == LAYOUT_CACHE_SIZE
 
     def test_diagonal_recipes_of_a_wide_plan_stay_small(self):
         # Each diagonal recipe keeps a spread of up to 2^13 operand indices;

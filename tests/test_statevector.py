@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULI, distinct_phase_diagonal, embed_full_matrix, pauli_full_matrix, random_prep_circuit
+from conftest import (
+    PAULI,
+    apply_full_matrix,
+    distinct_phase_diagonal,
+    embed_full_matrix,
+    pauli_full_matrix,
+    random_prep_circuit,
+)
 from holcus import statevector
 from holcus.circuit import Circuit, Gate, run
 from holcus.pauli_lcu import PauliString, pauli_expectation
@@ -21,6 +28,7 @@ from holcus.statevector import (
     StateVector,
     _bind,
     _diag_layout,
+    _flip_layout,
     _layout,
     _run,
     apply_unitary,
@@ -93,7 +101,8 @@ def test_guard_rejects_bad_input(call, match):
         call()
 
 
-# The range check alone let a float index through, to fail inside the kernel.
+# The range check alone let a float index through, to fail inside the kernel, and a bool
+# through as qubit 0 or 1.
 @pytest.mark.parametrize(
     "call",
     [
@@ -108,6 +117,9 @@ def test_guard_rejects_bad_input(call, match):
 def test_non_integer_qubit_rejected(call):
     with pytest.raises(ValueError, match=r"qubit index 1\.5 is not an integer"):
         call(1.5)
+    # bool is an int subclass: True would address qubit 1.
+    with pytest.raises(ValueError, match=r"qubit index True is not an integer"):
+        call(True)
     call(np.int64(1))  # numpy integers stay valid indices
 
 
@@ -194,6 +206,20 @@ def _per_qubit_kernel(state, operand, targets, controls):
     block = tensor[tuple(v for _, v in controls) + (...,)]
     if operand.ndim == 1:
         block *= operand.reshape((2,) * k + (1,) * (block.ndim - k))
+    elif k == 1:
+        # The kernel's flip rule and arithmetic: D0 x + D1 flip(x), each of D0 and
+        # D1 a complex multiplying the whole when its entries are equal, else each
+        # half times its entry, in place (numpy rounds a complex product in the
+        # last bit differently by operand order, and for one amplitude in place).
+        (a, b), (c, d) = operand.tolist()
+        flipped = block[::-1].copy()
+        for x, (first, second) in ((flipped, (b, c)), (block, (a, d))):
+            if first == second:
+                x *= first
+            else:
+                x[0] *= first
+                x[1] *= second
+        block += flipped
     else:
         block[...] = (operand @ block.reshape(1 << k, -1)).reshape(block.shape)
 
@@ -217,12 +243,67 @@ def _chunk_size(chunk):
     statevector.CHUNK = chunk
     _layout.cache_clear()
     _diag_layout.cache_clear()
+    _flip_layout.cache_clear()
     try:
         yield
     finally:
         statevector.CHUNK = default
         _layout.cache_clear()
         _diag_layout.cache_clear()
+        _flip_layout.cache_clear()
+
+
+def _one_target_unitary(data, rng) -> np.ndarray:
+    """A 2x2 unitary [[a, b], [c, d]] of a drawn class: a = d (EXP_X-like; b = c
+    too when the drawn phase is 0), b = c (H-like), b = -c with a = d = 0
+    (Y-like), or a random QR unitary."""
+    kind = data.draw(st.sampled_from(["equal-diagonal", "equal-off-diagonal", "opposite", "general"]))
+    theta, phi = rng.uniform(0.1, 1.5), rng.uniform(-np.pi, np.pi)
+    c, s = np.cos(theta), np.sin(theta)
+    if kind == "equal-diagonal":
+        phase = np.exp(1j * phi) if data.draw(st.booleans(), label="phased") else 1.0
+        return np.array([[c, 1j * s * phase], [1j * s / phase, c]])
+    if kind == "equal-off-diagonal":
+        return np.array([[c, s], [s, -c]], dtype=complex)
+    if kind == "opposite":
+        return np.exp(1j * phi) * PAULI["Y"]
+    return np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+
+
+class TestOneTargetStep:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 16))
+    def test_matches_dense_oracle(self, data, n):
+        # Widths above 13 chunk the view at the default CHUNK too, and 2^6 chunks
+        # every view above 64 amplitudes; a control below the target ends the
+        # view's contiguous last axis at that control.
+        qubits = data.draw(st.permutations(range(n)))
+        c = data.draw(st.integers(0, min(3, n - 1)))
+        target = qubits[0]
+        controls = tuple((q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in qubits[1 : 1 + c])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        matrix = _one_target_unitary(data, rng)
+        assert kernel_operand(matrix) is matrix
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        want = apply_full_matrix(matrix, (target,), controls, n, psi)
+        for chunk in (statevector.CHUNK, 1 << 6):
+            got = StateVector(n, psi.copy())
+            with _chunk_size(chunk):
+                _run(_bind(got, [(matrix, (target,), controls)]))
+            assert np.allclose(got.amplitudes, want, rtol=0, atol=1e-12)
+
+    def test_one_target_gates_never_reach_the_matrix_product(self, rng):
+        # Only gates on two or more targets build _layout's recipe.
+        n = 15
+        state = StateVector(n, np.ones(1 << n, dtype=complex) / np.sqrt(1 << n))
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        with _chunk_size(statevector.CHUNK):
+            for q in range(n):
+                _run(_bind(state, [(H, (q,), ()), (u, (q,), (((q + 1) % n, CLOSED),))]))
+            assert _layout.cache_info().currsize == 0
+            _run(_bind(state, [(np.kron(u, u), (0, 1), ())]))
+            assert _layout.cache_info().currsize == 1
 
 
 class TestCollapsedView:
