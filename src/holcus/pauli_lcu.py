@@ -42,7 +42,11 @@ class PauliString:
     ops: dict[int, str]
 
     def __post_init__(self):
+        # statevector._check_qubits's type rule: a bool would address qubit 0 or 1,
+        # and a float would fail only once the string is applied.
         for q, op in self.ops.items():
+            if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
+                raise ValueError(f"qubit index {q!r} is not an integer")
             if q < 0:
                 raise ValueError(f"negative qubit index {q}")
             if op not in ("X", "Y", "Z"):

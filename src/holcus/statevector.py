@@ -5,27 +5,27 @@ Qubit 0 is the least-significant bit of the basis index; bitstrings are
 rendered most-significant-qubit-first, so basis index 2 on two qubits is
 the string "10" (qubit 1 set, qubit 0 clear).
 
-Gate application works on a collapsed view of the amplitudes, with controls
-fixed by basic indexing; a recipe for it is computed once per (width,
-targets, controls) and cached. Every recipe comes from one memory-order axis
-walk, _axis_walk: each touched qubit gets its own axis, each run of untouched
-qubits collapses to one. A diagonal gate (every off-diagonal entry exactly 0:
-EXP_Z, EXP_ZZ, S, Z-string Paulis) multiplies _diag_layout's untransposed view,
-whose low qubits, up to CHUNK amplitudes and below every control, form one
-contiguous last axis, in place by its phases, spread onto it by a cached index
-array. A one-target matrix gate [[a, b], [c, d]] (H, X, EXP_X, CH, a Pauli
-letter) sets _flip_layout's untransposed view, where the target has its own
-axis, to D0 x + D1 flip(x): D0 = diag(a, d) and D1 = diag(b, c) are scalars
-when their entries are equal (EXP_X, X, H's off-diagonal), else entry pairs
-along the target's axis, and flip(x) is one take along that axis (a reversed
-copy for a strided chunk, which take would first copy whole). A wider gate
-(SWAP, a multi-qubit DENSE) is a 2^k x 2^k matrix product on _layout's view,
-walked down to qubit 0 with control and target axes transposed to the front.
-A view or block above CHUNK amplitudes goes chunk by chunk (_cuts), so the
-temporaries stay small enough for the allocator to reuse instead of being
-page-faulted back on every gate; no 2^n x 2^n operator is ever built.
-kernel_operand chooses diagonal or matrix once per matrix, _bind the step by
-target count.
+Gate application works on a collapsed, untransposed view of the amplitudes,
+with controls fixed by basic indexing. There are two recipes for it, each
+computed once per (width, targets, controls) and cached, and both come from one
+memory-order axis walk, _axis_walk: each touched qubit gets its own axis, each
+run of untouched qubits collapses to one. A diagonal gate (every off-diagonal
+entry exactly 0: EXP_Z, EXP_ZZ, S, Z-string Paulis) multiplies _diag_layout's
+view, whose low qubits, up to CHUNK amplitudes and below every control, form
+one contiguous last axis, in place by its phases, spread onto it by a cached
+index array. Every matrix gate reads _matrix_layout's view, walked down to the
+lowest touched qubit. A one-target gate [[a, b], [c, d]] (H, X, EXP_X, CH, a
+Pauli letter) sets it to D0 x + D1 flip(x): D0 = diag(a, d) and D1 = diag(b, c)
+are scalars when their entries are equal (EXP_X, X, H's off-diagonal), else
+entry pairs along the target's axis, and flip(x) is one take along that axis (a
+reversed copy for a strided chunk, which take would first copy whole). A wider
+gate (SWAP, a multi-qubit DENSE) is a 2^k x 2^k matrix product on the view
+transposed to put its target axes first. marginal_vector sums the same view.
+A view above CHUNK amplitudes goes chunk by chunk, cut along its outermost
+non-target axes first (_cuts), so the temporaries stay small enough for the
+allocator to reuse instead of being page-faulted back on every gate; no
+2^n x 2^n operator is ever built. kernel_operand chooses diagonal or matrix
+once per matrix, _bind the step by target count.
 
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
 resolves each (operand, targets, controls) triple of a program to a bound step
@@ -50,12 +50,14 @@ import numpy as np
 MAX_QUBITS = 24
 # numpy's int64 limit, the largest count its multinomial takes.
 MAX_SHOTS = 2**63 - 1
-# Bound on the (n, targets, controls) recipes each of _layout and _diag_layout keeps;
-# a plan uses a few hundred.
+# Bound on the (n, targets, controls) recipes each of _diag_layout and _matrix_layout
+# keeps; a plan uses a few hundred.
 LAYOUT_CACHE_SIZE = 4096
-# Most amplitudes one matrix product reads (larger blocks are updated slice by slice),
-# and the longest contiguous axis of a diagonal gate's view.
+# Most amplitudes one matrix gate reads at a time (larger views are updated chunk by
+# chunk), and the longest contiguous axis of a diagonal gate's view.
 CHUNK = 1 << 13
+# take's index that flips a target's bit along its axis.
+_FLIP = np.array([1, 0])
 
 OPEN = 0
 CLOSED = 1
@@ -200,30 +202,11 @@ def _axis_walk(n: int, touched: set[int], low: int) -> tuple[list[int], list[int
     return shape, qubits
 
 
-@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]):
-    """(shape, axes, index, chunks) of a matrix gate's view of an n-qubit
-    register: the controls first, then the targets most significant first (bit j
-    of the operand index is targets[j]), then the untouched runs in memory order.
-    chunks is None when the block (the view with controls fixed) holds at most
-    CHUNK amplitudes; otherwise it is the block's slices of at most
-    max(CHUNK, 2^k) amplitudes, cut along its longest untouched runs first."""
-    shape, qubits = _axis_walk(n, {q for q, _ in controls} | set(targets), 0)
-    runs = [a for a, q in enumerate(qubits) if q is None]
-    front = [q for q, _ in controls] + list(reversed(targets))
-    axes = tuple(map(qubits.index, front)) + tuple(runs)
-    index = tuple(v for _, v in controls) + (...,)
-    k = len(targets)
-    block = [2] * k + [shape[a] for a in runs]
-    cuts = _cuts(block, sorted(range(k, len(block)), key=lambda a: -block[a]), CHUNK)
-    return tuple(shape), axes, index, None if cuts is None else tuple(product(*cuts))
-
-
-def _cuts(shape: list[int], order, limit: int) -> list[list[slice]] | None:
-    """Per axis of an array of this shape, the slices that cut it into chunks of
-    at most limit amplitudes: each axis of order in turn is cut to the width that
-    leaves limit amplitudes per chunk, or to width 1 and the next one too, until a
-    chunk fits. None when the whole array fits."""
+def _cuts(shape: list[int], order, limit: int) -> tuple[tuple[slice, ...], ...] | None:
+    """The index tuples that cut an array of this shape into chunks of at most limit
+    amplitudes: each axis of order in turn is cut to the width that leaves limit
+    amplitudes per chunk, or to width 1 and the next one too, until a chunk fits.
+    None when the whole array fits."""
     size = total = prod(shape)
     cuts = [[slice(None)] for _ in shape]
     for a in order:
@@ -232,7 +215,7 @@ def _cuts(shape: list[int], order, limit: int) -> list[list[slice]] | None:
         width = max(1, shape[a] * limit // size)
         cuts[a] = [slice(i, i + width) for i in range(0, shape[a], width)]
         size = size // shape[a] * width
-    return None if size == total else cuts
+    return None if size == total else tuple(product(*cuts))
 
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
@@ -262,28 +245,30 @@ def _diag_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, in
 
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _flip_layout(n: int, target: int, controls: tuple[tuple[int, int], ...]):
-    """(shape, index, axis, flip, pair, cuts) of a one-target gate's view of an
+def _matrix_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, int], ...]):
+    """(shape, index, perm, chunks, reverse, pair) of a matrix gate's view of an
     n-qubit register, untransposed: _axis_walk's axes down to the lowest touched
-    qubit, then the qubits below it as one last axis. index fixes the controls,
-    axis is the target's in the indexed view, flip the two ways to flip its bit
-    (a take by [1, 0] along it, for a contiguous chunk, and a basic index that
-    reverses it, whose copy reads a strided chunk once), pair the shape of an
-    entry pair along it (None on the first axis, where _scale scales the
-    halves). cuts slices the view into chunks of at most CHUNK amplitudes,
-    outermost axes first and never the target's, or is None."""
+    qubit, then the qubits below it as one last axis. index fixes the controls.
+    perm orders the indexed view's axes as the targets, most significant first
+    (bit j of the operand index is targets[j]), then the others in memory order.
+    chunks is None when the indexed view holds at most CHUNK amplitudes, else its
+    _cuts into chunks of at most max(CHUNK, 2^k), outermost non-target axes
+    first. For a one-target gate's flip, on the axis perm[0]: reverse is a basic
+    index that reverses it, pair the shape of an entry pair along it (None on the
+    first axis, where _scale scales the halves)."""
     polarity = dict(controls)
-    low = min((target, *polarity))
-    shape, qubits = _axis_walk(n, {target, *polarity}, low)
+    low = min((*targets, *polarity))
+    shape, qubits = _axis_walk(n, {*targets, *polarity}, low)
     shape.append(1 << low)
     qubits.append(None)
     index = tuple(polarity.get(q, slice(None)) for q in qubits)
     view = [(s, q) for s, q in zip(shape, qubits) if q not in polarity]
-    axis = [q for _, q in view].index(target)
-    pair = (2,) + (1,) * (len(view) - axis - 1) if axis else None
-    cuts = _cuts([s for s, _ in view], [a for a in range(len(view)) if a != axis], CHUNK)
-    flip = np.array([1, 0]), (slice(None),) * axis + (slice(None, None, -1),)
-    return tuple(shape), index, axis, flip, pair, cuts
+    front = [[q for _, q in view].index(t) for t in reversed(targets)]
+    rest = [a for a in range(len(view)) if a not in front]
+    chunks = _cuts([s for s, _ in view], rest, CHUNK)
+    reverse = (slice(None),) * front[0] + (slice(None, None, -1),)
+    pair = (2,) + (1,) * (len(view) - front[0] - 1) if front[0] else None
+    return tuple(shape), index, tuple(front + rest), chunks, reverse, pair
 
 
 def _bind(state: StateVector, program):
@@ -292,10 +277,10 @@ def _bind(state: StateVector, program):
     and in range, each polarity the int OPEN or CLOSED, and operand, from
     kernel_operand, a 2^k x 2^k matrix or a length-2^k diagonal for k targets. A
     diagonal becomes (view, multiplier), its operand spread onto _diag_layout's
-    view; a one-target matrix (view, D0, D1, axis, flip, cuts), _flip_layout's
-    view with D0 and D1 each a complex when its entries are equal, else its entry
-    pair as _scale takes it; a wider matrix (block, matrix, chunks), _layout's view
-    with the controls fixed and its slices or None. A generator: run as it is
+    view. A matrix reads _matrix_layout's view with the controls fixed: on one
+    target it becomes (view, D0, D1, axis, reverse, chunks), axis the target's and
+    D0 and D1 each a complex when its entries are equal, else its entry pair as
+    _scale takes it; on more, (view, matrix, perm, chunks). A generator: run as it is
     bound, each multiplier lives for one gate; a list of it binds the whole program
     once, for several runs on the register, and keeps every diagonal's multiplier."""
     n = state.num_qubits
@@ -304,38 +289,42 @@ def _bind(state: StateVector, program):
         if operand.ndim == 1:
             shape, index, spread = _diag_layout(n, targets, controls)
             yield amps.reshape(shape)[index], operand.take(spread)
-        elif len(targets) == 1:
-            shape, index, axis, flip, pair, cuts = _flip_layout(n, *targets, controls)
-            (a, b), (c, d) = operand.tolist()
-            d0 = a if a == d else (a, d) if pair is None else np.array((a, d)).reshape(pair)
-            d1 = b if b == c else (b, c) if pair is None else np.array((b, c)).reshape(pair)
-            yield amps.reshape(shape)[index], d0, d1, axis, flip, cuts
-        else:
-            shape, axes, index, chunks = _layout(n, targets, controls)
-            yield amps.reshape(shape).transpose(axes)[index], operand, chunks
+            continue
+        shape, index, perm, chunks, reverse, pair = _matrix_layout(n, targets, controls)
+        view = amps.reshape(shape)[index]
+        if len(targets) > 1:
+            yield view, operand, perm, chunks
+            continue
+        (a, b), (c, d) = operand.tolist()
+        d0 = a if a == d else (a, d) if pair is None else np.array((a, d)).reshape(pair)
+        d1 = b if b == c else (b, c) if pair is None else np.array((b, c)).reshape(pair)
+        yield view, d0, d1, perm[0], reverse, chunks
 
 
 def _run(steps) -> None:
     """Apply bound steps in order: a diagonal multiplies its view in place; a
     one-target gate [[a, b], [c, d]] sets its view, or each of its chunks, to
     D0 x + D1 flip(x), D0 = diag(a, d) and D1 = diag(b, c); a wider matrix
-    replaces its block, or each of its chunks, by one matrix product."""
+    replaces each chunk, transposed to put its targets first, by one matrix
+    product."""
     for step in steps:
         if len(step) == 2:
             view, multiplier = step
             view *= multiplier
             del multiplier  # so that it is freed before the next step runs
         elif len(step) == 6:
-            view, d0, d1, axis, (take, reverse), cuts = step
-            for sub in (view,) if cuts is None else (view[c] for c in product(*cuts)):
-                flipped = sub.take(take, axis=axis) if sub.flags.c_contiguous else sub[reverse].copy()
+            view, d0, d1, axis, reverse, chunks = step
+            for sub in (view,) if chunks is None else (view[c] for c in chunks):
+                # take would first copy a strided chunk whole; a reversed slice reads it once.
+                flipped = sub.take(_FLIP, axis=axis) if sub.flags.c_contiguous else sub[reverse].copy()
                 _scale(flipped, d1)
                 _scale(sub, d0)
                 sub += flipped
                 del flipped  # before the next chunk's is made
         else:
-            block, matrix, chunks = step
-            for sub in (block,) if chunks is None else (block[c] for c in chunks):
+            view, matrix, perm, chunks = step
+            for sub in (view,) if chunks is None else (view[c] for c in chunks):
+                sub = sub.transpose(perm)
                 sub[...] = (matrix @ sub.reshape(len(matrix), -1)).reshape(sub.shape)
 
 
@@ -361,8 +350,8 @@ def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> 
         raise ValueError(f"duplicate qubits in {qubits}")
     _check_qubits(qubits, n)
     # The kernel's view with qubits as targets, reversed so qubits[0] leads.
-    shape, axes, _, _ = _layout(n, qubits[::-1], ())
-    tensor = (np.abs(state.amplitudes) ** 2).reshape(shape).transpose(axes)
+    shape, _, perm, *_ = _matrix_layout(n, qubits[::-1], ())
+    tensor = (np.abs(state.amplitudes) ** 2).reshape(shape).transpose(perm)
     return tensor.sum(axis=tuple(range(len(qubits), tensor.ndim))).reshape(-1)
 
 

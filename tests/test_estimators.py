@@ -35,8 +35,7 @@ from holcus.statevector import (
     LAYOUT_CACHE_SIZE,
     _bind,
     _diag_layout,
-    _flip_layout,
-    _layout,
+    _matrix_layout,
     _run,
     derive_seed,
     marginal_probabilities,
@@ -324,13 +323,13 @@ class TestRunPlan:
         model, prep, _ = random_case(903, n_lo=4)
         cfg = EstimatorConfig(method=method)
         estimate(prep, model, cfg)
-        caches = (_layout, _diag_layout, _flip_layout)
+        caches = (_diag_layout, _matrix_layout)
         misses = [cache.cache_info().misses for cache in caches]
         estimate(prep, model, cfg)
         assert [cache.cache_info().misses for cache in caches] == misses
 
     def test_layout_cache_is_bounded(self):
-        for cache in (_layout, _diag_layout, _flip_layout):
+        for cache in (_diag_layout, _matrix_layout):
             assert cache.cache_info().maxsize == LAYOUT_CACHE_SIZE
 
     def test_diagonal_recipes_of_a_wide_plan_stay_small(self):

@@ -18,6 +18,7 @@ from conftest import (
 )
 from holcus import statevector
 from holcus.circuit import Circuit, Gate, run
+from holcus.estimators import hadamard_test_circuit
 from holcus.pauli_lcu import PauliString, pauli_expectation
 from holcus.statevector import (
     CLOSED,
@@ -28,8 +29,7 @@ from holcus.statevector import (
     StateVector,
     _bind,
     _diag_layout,
-    _flip_layout,
-    _layout,
+    _matrix_layout,
     _run,
     apply_unitary,
     derive_seed,
@@ -111,8 +111,9 @@ def test_guard_rejects_bad_input(call, match):
         lambda q: apply_unitary(new_basis_state(3), X, [0], [(q, CLOSED)]),
         lambda q: marginal_vector(new_basis_state(3), [q]),
         lambda q: pauli_expectation(new_basis_state(3), {q: "X"}),
+        lambda q: hadamard_test_circuit(Circuit(3), PauliString({q: "Z"})),
     ],
-    ids=["circuit", "target", "control", "marginal", "pauli"],
+    ids=["circuit", "target", "control", "marginal", "pauli", "select"],
 )
 def test_non_integer_qubit_rejected(call):
     with pytest.raises(ValueError, match=r"qubit index 1\.5 is not an integer"):
@@ -241,16 +242,14 @@ def _chunk_size(chunk):
     """Run the kernel with statevector.CHUNK = chunk, with no recipe cached across the change."""
     default = statevector.CHUNK
     statevector.CHUNK = chunk
-    _layout.cache_clear()
     _diag_layout.cache_clear()
-    _flip_layout.cache_clear()
+    _matrix_layout.cache_clear()
     try:
         yield
     finally:
         statevector.CHUNK = default
-        _layout.cache_clear()
         _diag_layout.cache_clear()
-        _flip_layout.cache_clear()
+        _matrix_layout.cache_clear()
 
 
 def _one_target_unitary(data, rng) -> np.ndarray:
@@ -274,36 +273,42 @@ class TestOneTargetStep:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(1, 16))
     def test_matches_dense_oracle(self, data, n):
-        # Widths above 13 chunk the view at the default CHUNK too, and 2^6 chunks
-        # every view above 64 amplitudes; a control below the target ends the
-        # view's contiguous last axis at that control.
+        # One target takes the flip step, two or three the matrix product on the
+        # same view. Widths above 13 chunk the view at the default CHUNK too, and
+        # 2^6 chunks every view above 64 amplitudes; a control below a target
+        # ends the view's contiguous last axis at that control.
         qubits = data.draw(st.permutations(range(n)))
-        c = data.draw(st.integers(0, min(3, n - 1)))
-        target = qubits[0]
-        controls = tuple((q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in qubits[1 : 1 + c])
+        k = data.draw(st.integers(1, min(3, n)))
+        c = data.draw(st.integers(0, min(3, n - k)))
+        targets = tuple(qubits[:k])
+        controls = tuple((q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in qubits[k : k + c])
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        matrix = _one_target_unitary(data, rng)
+        if k == 1:
+            matrix = _one_target_unitary(data, rng)
+        else:
+            matrix = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))[0]
         assert kernel_operand(matrix) is matrix
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
-        want = apply_full_matrix(matrix, (target,), controls, n, psi)
+        want = apply_full_matrix(matrix, targets, controls, n, psi)
         for chunk in (statevector.CHUNK, 1 << 6):
             got = StateVector(n, psi.copy())
             with _chunk_size(chunk):
-                _run(_bind(got, [(matrix, (target,), controls)]))
+                _run(_bind(got, [(matrix, targets, controls)]))
             assert np.allclose(got.amplitudes, want, rtol=0, atol=1e-12)
 
     def test_one_target_gates_never_reach_the_matrix_product(self, rng):
-        # Only gates on two or more targets build _layout's recipe.
+        # A one-target gate binds to the flip step, which holds no 2x2 matrix;
+        # only gates on two or more targets bind to the product with their matrix.
         n = 15
         state = StateVector(n, np.ones(1 << n, dtype=complex) / np.sqrt(1 << n))
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-        with _chunk_size(statevector.CHUNK):
-            for q in range(n):
-                _run(_bind(state, [(H, (q,), ()), (u, (q,), (((q + 1) % n, CLOSED),))]))
-            assert _layout.cache_info().currsize == 0
-            _run(_bind(state, [(np.kron(u, u), (0, 1), ())]))
-            assert _layout.cache_info().currsize == 1
+        for q in range(n):
+            for step in _bind(state, [(H, (q,), ()), (u, (q,), (((q + 1) % n, CLOSED),))]):
+                assert not any(isinstance(x, np.ndarray) and x.shape == (2, 2) for x in step)
+        wide = np.kron(u, u)
+        (step,) = _bind(state, [(wide, (0, 1), ())])
+        assert any(x is wide for x in step)
 
 
 class TestCollapsedView:
