@@ -176,16 +176,9 @@ class Circuit:
         return [(g.operand, g.targets, g.controls) for g in self.gates]
 
 
-def run(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Execute the circuit on a copy of the initial state (default |0...0>)."""
-    if initial is None:
-        state = new_basis_state(circuit.num_qubits)
-    else:
-        if initial.num_qubits != circuit.num_qubits:
-            raise ValueError(
-                f"state has {initial.num_qubits} qubits, circuit needs {circuit.num_qubits}"
-            )
-        state = initial.copy()
+def run(circuit: Circuit) -> StateVector:
+    """Execute the circuit on a new register in |0...0>."""
+    state = new_basis_state(circuit.num_qubits)
     _run(_bind(state, circuit.program))
     return state
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bench import (
@@ -77,6 +78,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "profile":
+            # The profile takes seconds; an unwritable --out fails before it, creating nothing.
+            if os.path.isdir(args.out) or not os.access(os.path.dirname(args.out) or ".", os.W_OK):
+                raise OSError(f"cannot write {args.out}")
             record = profile()
             with open(args.out, "w") as fh:
                 json.dump(record, fh, indent=1)

@@ -12,15 +12,15 @@ and return an EstimateResult:
 
 Every method is first compiled, once per model, to an EstimatorPlan
 (compile_plan): the constant offset plus one Measurement per circuit, which
-holds the Circuit that follows the state preparation (its suffix), the
-measured qubits and a diagonal observable over their outcomes. One builder
+holds the Circuit that follows the state preparation (its suffix) and a
+diagonal observable over the outcomes of its register's top qubits. One builder
 (_lcu_measurement) makes every interference circuit: H (and S-dagger for the
 imaginary part) on the Hadamard qubit, a controlled prepare stage, select, the
 controlled un-prepare and a final H, all on the final register. The Hadamard
 test is its one-term, zero-ancilla case, so hadamard and each singleton group
-of holcus_div use it too. The Hadamard qubit is read with values
-[scale, -scale], whose mean is scale * (2 P(0) - 1); raw measures every state
-qubit with the basis-state energies. One executor (run_program) only
+of holcus_div use it too. The Hadamard qubit, on top, is read with values
+[scale, -scale], whose mean is scale * (2 P(0) - 1); raw reads all n state
+qubits with the basis-state energies. One executor (run_program) only
 simulates and reads out: each circuit starts from |0...0>, applies the state
 prep, a kernel program of (operand, targets, controls) triples such as the
 one train_qaoa binds per evaluation, then its suffix's Circuit.program, and
@@ -34,7 +34,7 @@ EstimatorPlan.resources reports their resource counts on request.
 
 Exact mode (shots=EXACT) reads marginal probabilities analytically, which
 separates method error from shot noise; finite mode draws seeded multinomial
-samples of the measured qubits. Imaginary-part estimates (the S-dagger
+samples of the read qubits. Imaginary-part estimates (the S-dagger
 pathway) omit the real constant offset; raw has no interference circuit and
 reads the real part only.
 """
@@ -77,7 +77,6 @@ from .statevector import (
     _bind,
     _run,
     derive_seed,
-    marginal_vector,
     multinomial_draw,
     new_basis_state,
 )
@@ -133,11 +132,10 @@ class EstimateResult:
 @dataclass(frozen=True)
 class Measurement:
     """One circuit of a plan: the state prep followed by `suffix`, read out as
-    the mean of values[i] over outcomes i of `qubits` (qubits[0] is the most
-    significant bit of i)."""
+    the mean of values[i] over outcomes i of the top k = log2(len(values))
+    qubits of its register, the top qubit the most significant bit of i."""
 
     suffix: Circuit
-    qubits: tuple[int, ...]
     values: np.ndarray
 
 
@@ -150,6 +148,10 @@ class EstimatorPlan:
     measurements: tuple[Measurement, ...]
 
     def __post_init__(self):
+        for i, meas in enumerate(self.measurements):
+            size, width = len(meas.values), meas.suffix.num_qubits
+            if size < 2 or size & (size - 1) or size > 1 << width:
+                raise ValueError(f"measurement {i} has {size} values, not 2^k for 1 <= k <= {width}, its width")
         for width in self.widths:
             if width < self.num_state_qubits:
                 raise ValueError(f"a {width}-qubit measurement cannot hold {self.num_state_qubits} state qubits")
@@ -203,7 +205,7 @@ def _lcu_measurement(
         prepare = (dense(v, reg["lcu_ancilla"], [(hq, CLOSED)]),)
         unprepare = (dense(v_hat.conj().T, reg["lcu_ancilla"], [(hq, CLOSED)]),)
     gates += [*prepare, *_select_gates(dec, reg), *unprepare, h(hq)]
-    return Measurement(Circuit(n + m + 1, gates), (hq,), np.array([scale, -scale]))
+    return Measurement(Circuit(n + m + 1, gates), np.array([scale, -scale]))
 
 
 def hadamard_test_circuit(prep: Circuit, unitary: PauliString, part: str = REAL) -> Circuit:
@@ -254,7 +256,7 @@ def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
     part, never on shots or seed."""
     n = model.n
     if cfg.method == "raw":
-        meas = Measurement(Circuit(n), tuple(range(n - 1, -1, -1)), ising_energies(model))
+        meas = Measurement(Circuit(n), ising_energies(model))
         return EstimatorPlan(n, 0.0, (meas,))
     dec = from_ising(model)
     if cfg.method == "holcus":
@@ -272,16 +274,18 @@ def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
 def _readout(
     state: StateVector, meas: Measurement, cfg: EstimatorConfig, k: int
 ) -> tuple[float, float]:
-    """The mean of meas.values over the marginal of meas.qubits, and the
-    variance of that mean. The marginal is exact in exact mode and a draw
-    seeded with derive_seed(cfg.seed, k) otherwise.
+    """The mean of meas.values over the marginal of the register's top
+    log2(len(meas.values)) qubits, and the variance of that mean. The marginal
+    is exact in exact mode and a draw seeded with derive_seed(cfg.seed, k)
+    otherwise. As qubit 0 is the least significant bit of an amplitude's
+    index, outcome i of the top qubits owns one contiguous row of amplitudes.
 
     For an Ising model every part=IMAGINARY interference circuit has
     P(0) = 1/2 exactly, so a seeded draw sits on a tie: a kernel change that
     moves the last bit of P(0) can mirror its counts (+x becomes -x). Each
     draw is still within its sigma, but the seeded shot estimate of an
     imaginary part is not stable across kernel changes."""
-    probs = marginal_vector(state, meas.qubits)
+    probs = (np.abs(state.amplitudes) ** 2).reshape(len(meas.values), -1).sum(axis=1)
     if cfg.exact:
         return probs @ meas.values, 0.0
     freqs = multinomial_draw(probs, cfg.shots, derive_seed(cfg.seed, k)) / cfg.shots

@@ -113,17 +113,14 @@ class ShotCounts:
     seed: int
 
 
-def new_basis_state(num_qubits: int, basis_index: int = 0) -> StateVector:
-    """Computational basis state |basis_index> on num_qubits qubits."""
+def new_basis_state(num_qubits: int) -> StateVector:
+    """The basis state |0...0> on num_qubits qubits."""
     if num_qubits < 1:
         raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
     if num_qubits > MAX_QUBITS:
         raise CapacityError(f"num_qubits={num_qubits} exceeds guard of {MAX_QUBITS}")
-    dim = 1 << num_qubits
-    if not 0 <= basis_index < dim:
-        raise ValueError(f"basis_index {basis_index} out of range for {num_qubits} qubits")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[basis_index] = 1.0
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[0] = 1.0
     return StateVector(num_qubits, amps)
 
 

@@ -3,7 +3,9 @@
 Everything here recomputes expected values along an independent route:
 full matrices come from explicit basis-state enumeration (never from the
 package's gate kernel), rotations from scipy's expm (never from the
-package's closed forms), and Hamiltonians from Kronecker products.
+package's closed forms), and Hamiltonians from Kronecker products. run_from
+is the one exception: it runs the package's kernel, from a chosen start
+state, for a test to compare with an oracle.
 
 BLAS is pinned to one thread, as benchmark/run.py pins it, so the timing
 criterion runs the configuration the benchmark measures.
@@ -23,6 +25,7 @@ from scipy.linalg import expm
 
 from holcus.circuit import Circuit, Gate
 from holcus.qubo_ising import IsingModel
+from holcus.statevector import StateVector, _bind, _run
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -119,6 +122,14 @@ def circuit_full_matrix(circ: Circuit) -> np.ndarray:
     for g in circ.gates:
         mat = embed_full_matrix(local_gate_matrix(g), g.targets, g.controls, circ.num_qubits) @ mat
     return mat
+
+
+def run_from(circ: Circuit, psi: np.ndarray) -> np.ndarray:
+    """The amplitudes of circ run by the package's kernel on a copy of psi, as
+    holcus.circuit.run does from |0...0>."""
+    state = StateVector(circ.num_qubits, np.array(psi, dtype=np.complex128))
+    _run(_bind(state, circ.program))
+    return state.amplitudes
 
 
 def model_of(n, h, J, offset=0.0) -> IsingModel:

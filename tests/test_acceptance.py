@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import ising_dense_matrix, lcu_dense_matrix, random_prep_circuit
-from holcus.circuit import Circuit, resource_report, run
+from holcus.circuit import Circuit, resource_report, run, x
 from holcus.estimators import (
     IMAGINARY,
     EstimatorConfig,
@@ -142,9 +142,7 @@ def test_criterion_05_uniform_ladder_cost_and_amplitudes():
     r = resource_report(circ)
     assert r.gate_count == 10, f"gate_count {r.gate_count}"
     assert r.logical_depth == 8, f"logical_depth {r.logical_depth}"
-    from holcus.statevector import new_basis_state
-
-    out = run(circ, new_basis_state(5, 0b10000))  # control qubit set
+    out = run(Circuit(5, (x(4), *circ.gates)))  # control qubit set
     prepared = out.amplitudes[16:]
     assert np.max(np.abs(prepared - 0.25)) <= 1e-12
     assert np.max(np.abs(out.amplitudes[:16])) == 0.0

@@ -383,6 +383,16 @@ class TestProfile:
         assert json.loads(out.read_text()) == {"schema": 1, "kernel_us": {}}
         assert str(out) in capsys.readouterr().out
 
+    @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+    def test_cli_rejects_an_unwritable_out_before_profiling(self, where, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(holcus.cli, "profile", lambda: pytest.fail("profiled before checking --out"))
+        out = tmp_path / "missing" / "BENCH_label.json" if where == "missing_dir" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCli:
     def test_single_subcommand(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holcus.circuit
-from conftest import PAULI, circuit_full_matrix, distinct_phase_diagonal, random_prep_circuit
+from conftest import PAULI, circuit_full_matrix, distinct_phase_diagonal, random_prep_circuit, run_from
 from holcus.circuit import (
     CLOSED,
     Circuit,
@@ -38,7 +38,7 @@ from holcus.pauli_lcu import (
 )
 from holcus.qaoa import QaoaParams, build_ansatz
 from holcus.qubo_ising import qubo_to_ising, random_qubo
-from holcus.statevector import kernel_operand, new_basis_state
+from holcus.statevector import kernel_operand
 
 
 class TestBuildCost:
@@ -94,9 +94,7 @@ class TestAddControl:
             block[4:, 4:] = u_sub  # qubit 2 set = upper half of the index range
             amps = rng.normal(size=8) + 1j * rng.normal(size=8)
             amps /= np.linalg.norm(amps)
-            init = new_basis_state(3)
-            init.amplitudes[:] = amps
-            assert np.allclose(run(controlled, init).amplitudes, block @ amps, atol=1e-12)
+            assert np.allclose(run_from(controlled, amps), block @ amps, atol=1e-12)
 
     def test_double_control_matches_explicit_matrix(self, rng):
         sub = random_prep_circuit(3, rng, depth=8)
@@ -106,9 +104,7 @@ class TestAddControl:
         full[24:, 24:] = u_sub  # qubits 3 and 4 both set
         amps = rng.normal(size=32) + 1j * rng.normal(size=32)
         amps /= np.linalg.norm(amps)
-        init = new_basis_state(5)
-        init.amplitudes[:] = amps
-        assert np.allclose(run(twice, init).amplitudes, full @ amps, atol=1e-12)
+        assert np.allclose(run_from(twice, amps), full @ amps, atol=1e-12)
 
 
 class TestRun:
@@ -119,40 +115,31 @@ class TestRun:
         p0 = abs(out.amplitudes[0b00]) ** 2 + abs(out.amplitudes[0b01]) ** 2
         assert p0 == pytest.approx(1.0, abs=1e-12)
 
-    def test_empty_circuit_returns_initial(self, rng):
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        init = new_basis_state(2)
-        init.amplitudes[:] = amps
-        assert np.allclose(run(Circuit(2), init).amplitudes, amps)
+    def test_empty_circuit_returns_initial(self):
+        # Every run starts at |0...0>.
+        assert np.array_equal(run(Circuit(2)).amplitudes, [1, 0, 0, 0])
 
     def test_exp_z_eigenvalue_on_one(self):
-        circ = Circuit(1, (exp_z(0.7, 0),))
-        out = run(circ, new_basis_state(1, 1))
+        circ = Circuit(1, (x(0), exp_z(0.7, 0)))
+        out = run(circ)
         assert out.amplitudes[1] == pytest.approx(np.exp(-0.7j), abs=1e-14)
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            run(Circuit(2), new_basis_state(3))
 
     def test_composition(self, rng):
         a = random_prep_circuit(3, rng, depth=10)
         b = random_prep_circuit(3, rng, depth=10)
         combined = Circuit(3, a.gates + b.gates)
-        assert np.allclose(run(combined).amplitudes, run(b, run(a)).amplitudes, atol=1e-12)
+        assert np.allclose(run(combined).amplitudes, run_from(b, run(a).amplitudes), atol=1e-12)
 
     def test_exp_z_inverse_pair(self, rng):
         circ = Circuit(1, (exp_z(1.3, 0), exp_z(-1.3, 0)))
         amps = rng.normal(size=2) + 1j * rng.normal(size=2)
         amps /= np.linalg.norm(amps)
-        init = new_basis_state(1)
-        init.amplitudes[:] = amps
-        assert np.allclose(run(circ, init).amplitudes, amps, atol=1e-14)
+        assert np.allclose(run_from(circ, amps), amps, atol=1e-14)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 5))
     def test_matches_full_matrix_oracle(self, data, n):
-        # run skips apply_unitary's checks, so every gate kind, DENSE included,
+        # A circuit's program skips apply_unitary's checks, so every gate kind, DENSE included,
         # and every polarity spelling must reach the kernel already valid.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         # DIAG draws a DENSE gate with distinct phases on its diagonal, so a
@@ -182,9 +169,7 @@ class TestRun:
         circ = Circuit(n, tuple(gates))
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         psi /= np.linalg.norm(psi)
-        init = new_basis_state(n)
-        init.amplitudes[:] = psi
-        assert np.allclose(run(circ, init).amplitudes, circuit_full_matrix(circ) @ psi, rtol=0, atol=1e-12)
+        assert np.allclose(run_from(circ, psi), circuit_full_matrix(circ) @ psi, rtol=0, atol=1e-12)
 
     def test_exp_zz_diagonal_entries(self):
         # basis order 00, 01, 10, 11 -> phases +, -, -, +

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import holcus.circuit
+import holcus.estimators
 from conftest import distinct_phase_diagonal, lcu_dense_matrix, model_of, random_prep_circuit
 from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, resource_report, run
 from holcus.estimators import (
@@ -33,12 +35,15 @@ from holcus.qaoa import QaoaParams, build_ansatz, exact_expectation
 from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import (
     LAYOUT_CACHE_SIZE,
+    StateVector,
     _bind,
     _diag_layout,
     _matrix_layout,
     _run,
     derive_seed,
     marginal_probabilities,
+    marginal_vector,
+    multinomial_draw,
     new_basis_state,
     sample_counts,
 )
@@ -312,9 +317,18 @@ class TestRunPlan:
     def test_suffix_checks_its_gates_and_plan_its_widths(self):
         values = np.array([1.0, -1.0])
         with pytest.raises(ValueError, match="out of range"):
-            Measurement(Circuit(2, [h(2)]), (1,), values)
+            Measurement(Circuit(2, [h(2)]), values)
         with pytest.raises(ValueError, match="cannot hold 3 state qubits"):
-            EstimatorPlan(3, 0.0, (Measurement(Circuit(2, [h(1)]), (1,), values),))
+            EstimatorPlan(3, 0.0, (Measurement(Circuit(2, [h(1)]), values),))
+
+    # The readout reads the top log2(len(values)) qubits; these lengths failed
+    # only inside its product, mid-estimate.
+    @pytest.mark.parametrize("size", [1, 3, 8], ids=["one", "not_a_power_of_two", "wider_than_register"])
+    def test_plan_checks_each_observable_length(self, size):
+        good = Measurement(Circuit(2), np.ones(4))
+        bad = Measurement(Circuit(2), np.ones(size))
+        with pytest.raises(ValueError, match=f"measurement 1 has {size} values, not 2\\^k for 1 <= k <= 2"):
+            EstimatorPlan(2, 0.0, (good, bad))
 
     @pytest.mark.parametrize("method", ["raw", "hadamard", "holcus", "holcus_div"])
     def test_repeat_estimate_computes_no_layout(self, method):
@@ -373,6 +387,34 @@ def _traced(call):
     return out, peak, current
 
 
+class TestReadout:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 16))
+    def test_top_qubits_match_marginal_vector_bit_for_bit(self, data, n):
+        # Every plan reads its register's top qubit or all of them; the readout's
+        # row sums must be marginal_vector's, and a seeded draw must get its counts.
+        top = data.draw(st.sampled_from([1, n]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, psi / np.linalg.norm(psi))
+        meas = Measurement(Circuit(n), rng.normal(size=1 << top))
+        marginal = marginal_vector(state, range(n - 1, n - 1 - top, -1))
+        mean, variance = _readout(state, meas, EstimatorConfig("holcus"), 0)
+        assert (mean.hex(), variance) == ((marginal @ meas.values).hex(), 0.0)
+        seed, k = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 100))
+        drawn = []
+
+        def recorded(probs, shots, seed):
+            drawn.append((probs, multinomial_draw(probs, shots, seed)))
+            return drawn[-1][1]
+
+        with mock.patch.object(holcus.estimators, "multinomial_draw", recorded):
+            _readout(state, meas, EstimatorConfig("holcus", shots=1000, seed=seed), k)
+        ((probs, counts),) = drawn
+        assert probs.tobytes() == marginal.tobytes()
+        assert np.array_equal(counts, multinomial_draw(marginal, 1000, derive_seed(seed, k)))
+
+
 class TestRunProgram:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -390,8 +432,8 @@ class TestRunProgram:
         for w in widths:
             gates = [h(q) for q in range(w)]
             gates += [_random_gate(data, rng, list(range(w))) for _ in range(data.draw(st.integers(0, 4)))]
-            qubits = tuple(data.draw(st.permutations(range(w)))[: data.draw(st.integers(1, min(3, w)))])
-            measurements.append(Measurement(Circuit(w, gates), qubits, rng.normal(size=1 << len(qubits))))
+            top = data.draw(st.integers(1, min(3, w)))
+            measurements.append(Measurement(Circuit(w, gates), rng.normal(size=1 << top)))
         plan = EstimatorPlan(n, float(rng.normal()), tuple(measurements))
         prep = [(g.operand, g.targets, g.controls) for g in prep_gates]
         shots = data.draw(st.sampled_from([EXACT, 1000]))
@@ -444,7 +486,7 @@ class TestRunProgram:
         n = 8
         prep = Circuit(n, [Gate("EXP_ZZ", (q, (q + 1) % n), (0.1 * q,)) for q in range(n)]).program
         values = np.array([1.0, -1.0])
-        measurements = tuple(Measurement(Circuit(w, [h(w - 1)]), (w - 1,), values) for w in (12, 12, 13, 13))
+        measurements = tuple(Measurement(Circuit(w, [h(w - 1)]), values) for w in (12, 12, 13, 13))
         plan = EstimatorPlan(n, 0.0, measurements)
         cfg = EstimatorConfig("holcus")
         run_program(plan, prep, cfg)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lcu_dense_matrix, model_of, pauli_full_matrix, random_prep_circuit
-from holcus.circuit import make_register_map, resource_report, run
+from conftest import lcu_dense_matrix, model_of, pauli_full_matrix, random_prep_circuit, run_from
+from holcus.circuit import Circuit, make_register_map, resource_report, run, x
 from holcus.estimators import holcus_circuit
 from holcus.pauli_lcu import (
     LAYOUTS,
@@ -21,7 +21,7 @@ from holcus.pauli_lcu import (
     group_by_coefficient,
 )
 from holcus.qubo_ising import qubo_to_ising, random_qubo
-from holcus.statevector import new_basis_state
+from holcus.statevector import StateVector, new_basis_state
 
 
 class TestPauliString:
@@ -187,10 +187,7 @@ class TestSelectCircuit:
         state_part = rng.normal(size=4) + 1j * rng.normal(size=4)
         state_part /= np.linalg.norm(state_part)
         amps[:4] = state_part  # ancillas and hadamard qubit all |0>
-        init = new_basis_state(circ.num_qubits)
-        init.amplitudes[:] = amps
-        out = run(circ, init)
-        assert np.allclose(out.amplitudes, amps, atol=1e-14)
+        assert np.allclose(run_from(circ, amps), amps, atol=1e-14)
 
     def test_dense_slot_pattern_controls(self):
         # 4 terms in dense layout: slot 2 pattern = (high bit closed, low bit open)
@@ -290,7 +287,7 @@ class TestSelectCircuit:
                 x_mat = np.array([[0, 1], [1, 0]], dtype=complex)
                 apply_unitary(init, x_mat, [hq])
             apply_unitary(init, v, anc)
-            state = run(build_select_circuit(dec, reg), init)
+            state = StateVector(total, run_from(build_select_circuit(dec, reg), init.amplitudes))
             apply_unitary(state, v_hat.conj().T, anc)
 
             block_row = (1 << m) if layout == "dense" else 0  # hadamard bit above the ancillas
@@ -345,13 +342,12 @@ class TestUniformPrep:
     @pytest.mark.parametrize("nearest_neighbor", [False, True])
     def test_m3_uniform_amplitudes(self, nearest_neighbor):
         circ = build_uniform_prep_circuit(3, nearest_neighbor=nearest_neighbor)
-        init = new_basis_state(4, 0b1000)  # control qubit set
-        out = run(circ, init)
+        out = run(Circuit(4, (x(3), *circ.gates)))  # control qubit set
         assert np.allclose(out.amplitudes[8:], np.full(8, 1 / np.sqrt(8)), atol=1e-12)
         assert np.allclose(out.amplitudes[:8], 0.0)
 
     def test_control_off_leaves_zeros(self):
-        out = run(build_uniform_prep_circuit(3, nearest_neighbor=True), new_basis_state(4, 0))
+        out = run(build_uniform_prep_circuit(3, nearest_neighbor=True))
         assert out.amplitudes[0] == pytest.approx(1.0)
 
     def test_matches_prep_unitary_for_equal_coefficients(self):
@@ -361,7 +357,7 @@ class TestUniformPrep:
         terms = [LcuTerm(1.0, 0.0, PauliString({0: "Z"})) for _ in range(1 << m)]
         dec = decomposition_from_terms(terms, layout="dense")
         v, _ = build_prep_unitaries(dec)
-        out = run(build_uniform_prep_circuit(m), new_basis_state(m + 1, 1 << m))
+        out = run(Circuit(m + 1, (x(m), *build_uniform_prep_circuit(m).gates)))  # control qubit set
         prepared = out.amplitudes[(1 << m) :]
         fidelity = abs(np.vdot(v[:, 0], prepared)) ** 2
         assert fidelity == pytest.approx(1.0, abs=1e-12)

@@ -17,7 +17,7 @@ from conftest import (
     random_prep_circuit,
 )
 from holcus import statevector
-from holcus.circuit import Circuit, Gate, run
+from holcus.circuit import Circuit, Gate, run, x
 from holcus.estimators import hadamard_test_circuit
 from holcus.pauli_lcu import PauliString, pauli_expectation
 from holcus.statevector import (
@@ -46,24 +46,12 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 class TestNewBasisState:
     def test_single_qubit_zero(self):
-        sv = new_basis_state(1, 0)
+        sv = new_basis_state(1)
         assert np.array_equal(sv.amplitudes, [1, 0])
 
-    def test_two_qubit_index_three(self):
-        sv = new_basis_state(2, 3)
-        assert np.array_equal(sv.amplitudes, [0, 0, 0, 1])
-
-    def test_three_qubit_index_five(self):
-        sv = new_basis_state(3, 5)
-        expected = np.zeros(8)
-        expected[5] = 1
-        assert np.array_equal(sv.amplitudes, expected)
-
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            new_basis_state(2, 4)
-        with pytest.raises(ValueError):
-            new_basis_state(0, 0)
+        with pytest.raises(ValueError, match="num_qubits must be >= 1, got 0"):
+            new_basis_state(0)
 
     def test_capacity_checked_before_allocating(self):
         tracemalloc.start()
@@ -131,12 +119,12 @@ class TestApplyUnitary:
 
     def test_closed_control_fires(self):
         # |10> (qubit1 = 1, qubit0 = 0) with CNOT control on qubit 1.
-        sv = new_basis_state(2, 0b10)
+        sv = run(Circuit(2, [x(1)]))
         apply_unitary(sv, X, [0], [(1, CLOSED)])
         assert np.argmax(np.abs(sv.amplitudes)) == 0b11
 
     def test_open_control_blocks(self):
-        sv = new_basis_state(2, 0b10)
+        sv = run(Circuit(2, [x(1)]))
         apply_unitary(sv, X, [0], [(1, OPEN)])
         assert np.argmax(np.abs(sv.amplitudes)) == 0b10
 
@@ -385,7 +373,7 @@ class TestMarginalProbabilities:
         assert probs["1"] == pytest.approx(0.5)
 
     def test_basis_state_single_qubit(self):
-        probs = marginal_probabilities(new_basis_state(2, 0b11), [1]).probabilities
+        probs = marginal_probabilities(run(Circuit(2, [x(0), x(1)])), [1]).probabilities
         assert probs == {"1": 1.0}
 
     def test_matches_exhaustive_summation(self, rng):
@@ -424,7 +412,7 @@ class TestMarginalProbabilities:
 
 class TestSampleCounts:
     def test_deterministic_outcome(self):
-        sv = new_basis_state(1, 0)
+        sv = new_basis_state(1)
         counts = sample_counts(marginal_probabilities(sv, [0]), 100, seed=3)
         assert counts.counts == {"0": 100}
 
@@ -469,7 +457,7 @@ class TestPauliExpectation:
 
     def test_zz_product_of_eigenvalues(self):
         # |01> means qubit0 = 1, qubit1 = 0: eigenvalues (-1) * (+1).
-        sv = new_basis_state(2, 0b01)
+        sv = run(Circuit(2, [x(0)]))
         assert pauli_expectation(sv, {0: "Z", 1: "Z"}) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
