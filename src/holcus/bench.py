@@ -27,7 +27,7 @@ from .estimators import METHODS, EstimatorConfig, compile_plan, estimate
 from .optimize import OptimizerConfig, train_qaoa
 from .qaoa import QaoaParams, build_ansatz, exact_expectation
 from .qubo_ising import QuboInstance, brute_force_min, qubo_to_ising, random_qubo
-from .statevector import MAX_QUBITS, StateVector, apply_unitary, derive_seed
+from .statevector import MAX_QUBITS, StateVector, _check_int, apply_unitary, derive_seed
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -43,30 +43,20 @@ class ExperimentConfig:
     max_evals: int = 60
 
     def __post_init__(self):
-        # A float or bool would pass the comparisons below and fail mid-sweep.
-        ints = dict(n_min=self.n_min, n_max=self.n_max, instances_per_n=self.instances_per_n, master_seed=self.master_seed)
-        ints.update((f"p_values[{i}]", p) for i, p in enumerate(self.p_values))
-        for name, value in ints.items():
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.instances_per_n < 1:
-            raise ValueError("instances_per_n must be >= 1")
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError(f"bad n range [{self.n_min}, {self.n_max}]")
+        _check_int("n_min", self.n_min, 1)
+        # Every method holds the n state qubits, so no wider n is compiled.
+        _check_int("n_max", self.n_max, self.n_min, MAX_QUBITS)
+        _check_int("instances_per_n", self.instances_per_n, 1)
+        _check_int("master_seed", self.master_seed, 0)
+        for i, p in enumerate(self.p_values):
+            _check_int(f"p_values[{i}]", p, 1)
         if not self.p_values or not self.methods:
             raise ValueError("p_values and methods must each name at least one value")
         # A repeated value reruns its cells, and aggregate_speedup keeps one time per cell.
         for name, values in (("p_values", self.p_values), ("methods", self.methods)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values}")
-        if any(p < 1 for p in self.p_values):
-            raise ValueError(f"every p must be >= 1, got {self.p_values}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         OptimizerConfig(max_evals=self.max_evals, restarts=self.restarts)
-        # Every method holds the n state qubits, so no wider n is compiled.
-        if self.n_max > MAX_QUBITS:
-            raise ValueError(f"n_max={self.n_max} is above the guard of {MAX_QUBITS} qubits")
         # Every plan the sweep runs, compiled once before any record is written: each must fit the guard.
         for n in range(self.n_min, self.n_max + 1):
             for instance in range(self.instances_per_n):
@@ -137,7 +127,13 @@ def record_from_csv_row(row: str) -> BenchmarkRecord:
 
 def read_records(path) -> list[BenchmarkRecord]:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        return _parse_records(fh.read(), path)
+
+
+def _parse_records(text: str, path) -> list[BenchmarkRecord]:
+    """The records of a benchmark CSV's text; ValueError unless its first
+    non-blank line is the header and every later one a record row."""
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines or lines[0] != BENCH_CSV_HEADER:
         raise ValueError(f"{path} does not start with the benchmark CSV header")
     return [record_from_csv_row(ln) for ln in lines[1:]]
@@ -181,18 +177,19 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> list[BenchmarkRecord
     """Full grid sweep in (n, p, instance, method) order; records are appended
     to cfg.output_path as they finish. Each n's instances are built and
     brute-forced once, before its first cell. A missing or empty file gets the
-    CSV header first, a last row without its newline gets one; a file that does
-    not start with the header raises ValueError before a cell runs, untouched."""
+    CSV header first, a complete last row without its newline gets one; a file
+    that read_records rejects, such as one whose last row was cut off mid-write,
+    raises ValueError before a cell runs, untouched."""
     records = []
     with open(cfg.output_path, "a+") as fh:  # appends always go to the end, whatever was read
         fh.seek(0)
         text = fh.read()
-        if text and text.partition("\n")[0].strip() != BENCH_CSV_HEADER:
-            raise ValueError(f"{cfg.output_path} does not start with the benchmark CSV header")
         if not text:
             fh.write(BENCH_CSV_HEADER + "\n")
-        elif not text.endswith("\n"):  # a last row cut short would merge with the first new one
-            fh.write("\n")
+        else:
+            _parse_records(text, cfg.output_path)
+            if not text.endswith("\n"):  # the last row would merge with the first new one
+                fh.write("\n")
         fh.flush()
         for n in range(cfg.n_min, cfg.n_max + 1):
             instances = [_prepare(cfg.master_seed, n, i) for i in range(cfg.instances_per_n)]

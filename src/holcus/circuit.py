@@ -27,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .statevector import CLOSED, OPEN, StateVector, _bind, _check_qubits, _checked_controls, _run
+from .statevector import CLOSED, OPEN, StateVector, _bind, _check_int, _check_qubits, _checked_controls, _run
 from .statevector import kernel_operand, new_basis_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -164,8 +164,7 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        if self.num_qubits < 1:
-            raise ValueError("circuit needs at least one qubit")
+        _check_int("num_qubits", self.num_qubits, 1)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             _check_qubits(g.qubits, self.num_qubits)

@@ -75,6 +75,7 @@ from .statevector import (
     MAX_SHOTS,
     StateVector,
     _bind,
+    _check_int,
     _run,
     derive_seed,
     multinomial_draw,
@@ -89,8 +90,8 @@ METHODS = ("raw", "hadamard", "holcus", "holcus_div")
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """shots is EXACT or the shots per circuit, an int in [1, MAX_SHOTS] (the
-    bound multinomial_draw enforces); seed is an int >= 0. The class constant
+    """shots is EXACT or the shots per circuit, an integer in [1, MAX_SHOTS] (the
+    bound multinomial_draw enforces); seed is an integer >= 0. The class constant
     grouping_tol is how far a term's weight and phase may be from those of its
     holcus_div group's first term, whose coefficient the group is measured
     with. Merged coefficients thus differ by at most tol, so for Ising terms
@@ -106,10 +107,9 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.shots is not EXACT and (type(self.shots) is not int or not 1 <= self.shots <= MAX_SHOTS):
-            raise ValueError(f"shots must be EXACT or an int in [1, {MAX_SHOTS}], got {self.shots!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        if self.shots is not EXACT:
+            _check_int("shots", self.shots, 1, MAX_SHOTS)
+        _check_int("seed", self.seed, 0)
         if self.part not in (REAL, IMAGINARY):
             raise ValueError(f"part must be {REAL!r} or {IMAGINARY!r}")
         if self.method == "raw" and self.part == IMAGINARY:
@@ -319,7 +319,7 @@ def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) ->
     for term, var in reads:
         value += term
         variance += var
-    shots = 0 if cfg.exact else len(reads) * cfg.shots
+    shots = 0 if cfg.exact else len(reads) * int(cfg.shots)  # a numpy count would wrap at 2^63
     return EstimateResult(float(value), math.sqrt(variance), len(reads), shots, plan.max_qubits)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from .estimators import EstimatorConfig, compile_plan, run_program
 from .qaoa import QaoaParams, compile_ansatz
 from .qubo_ising import IsingModel
-from .statevector import derive_seed
+from .statevector import _check_int, derive_seed
 
 
 class OptimizationError(RuntimeError):
@@ -36,12 +36,8 @@ class OptimizerConfig:
     convergence_tol: ClassVar[float] = 1e-6  # the simplex objective spread that ends a run
 
     def __post_init__(self):
-        for name in ("max_evals", "restarts"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        for name, low in (("max_evals", 1), ("restarts", 1), ("seed", 0)):
+            _check_int(name, getattr(self, name), low)
 
 
 @dataclass
@@ -142,8 +138,7 @@ def train_qaoa(
     evaluation of every restart, which only binds its angles into the ansatz's
     kernel program (no Gate is built) and runs it with run_program.
     """
-    if p < 1:
-        raise ValueError("training needs p >= 1")
+    _check_int("p", p, 1)
     plan = compile_plan(model, estimator_cfg)
     ansatz = compile_ansatz(model)
     dim = 2 * p
@@ -175,7 +170,7 @@ def train_qaoa(
     best_value, evaluations, x_best = min(runs, key=lambda run: run[0])  # the first restart on a tie
     # Every run_plan of the plan runs each of its circuits once.
     total_circuits = sum(len(run[1]) for run in runs) * len(plan.measurements)
-    total_shots = 0 if estimator_cfg.exact else total_circuits * estimator_cfg.shots
+    total_shots = 0 if estimator_cfg.exact else total_circuits * int(estimator_cfg.shots)
     return TrainingTrace(
         evaluations, QaoaParams.from_vector(x_best), float(best_value), total_circuits, total_shots, plan.max_qubits
     )

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CLOSED, Circuit, Gate, dense, h, swap
-from .statevector import StateVector, apply_unitary
+from .statevector import StateVector, _check_int, apply_unitary
 
 LAYOUTS = ("dense", "shifted")
 
@@ -42,13 +42,9 @@ class PauliString:
     ops: dict[int, str]
 
     def __post_init__(self):
-        # statevector._check_qubits's type rule: a bool would address qubit 0 or 1,
-        # and a float would fail only once the string is applied.
+        # A float qubit would fail only once the string is applied.
         for q, op in self.ops.items():
-            if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
-                raise ValueError(f"qubit index {q!r} is not an integer")
-            if q < 0:
-                raise ValueError(f"negative qubit index {q}")
+            _check_int("qubit index", q, 0)
             if op not in ("X", "Y", "Z"):
                 raise ValueError(f"operator must be X, Y or Z, got {op!r}")
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, CapacityError
+from .statevector import MAX_QUBITS, CapacityError, _check_int
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class IsingModel:
 
 def random_qubo(n: int, seed: int) -> QuboInstance:
     """Symmetric cost matrix with entries uniform in (-2, 2)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int("n", n, 1)
     rng = np.random.default_rng(seed)
     Q = np.zeros((n, n))
     upper = np.triu_indices(n)

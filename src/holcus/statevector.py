@@ -113,10 +113,18 @@ class ShotCounts:
     seed: int
 
 
+def _check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """The one integer rule: ValueError, naming the input, unless value is an int or
+    a numpy integer, not a bool (which would pass as 0 or 1), in [low, high]."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    if value < low or high is not None and value > high:
+        raise ValueError(f"{name} {value!r} out of range [{low}, {'inf' if high is None else high}]")
+
+
 def new_basis_state(num_qubits: int) -> StateVector:
     """The basis state |0...0> on num_qubits qubits."""
-    if num_qubits < 1:
-        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
+    _check_int("num_qubits", num_qubits, 1)
     if num_qubits > MAX_QUBITS:
         raise CapacityError(f"num_qubits={num_qubits} exceeds guard of {MAX_QUBITS}")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -141,13 +149,9 @@ def _checked_controls(targets: tuple[int, ...], controls) -> tuple[tuple[int, in
 
 
 def _check_qubits(qubits, num_qubits: int) -> None:
-    """ValueError unless every qubit index is an int (or numpy integer), not a bool,
-    in [0, num_qubits)."""
+    """ValueError unless every qubit index passes _check_int in [0, num_qubits)."""
     for q in qubits:
-        if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
-            raise ValueError(f"qubit index {q!r} is not an integer")
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
+        _check_int("qubit index", q, 0, num_qubits - 1)
 
 
 def apply_unitary(
@@ -366,11 +370,9 @@ def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ..
 def multinomial_draw(probs, shots: int, seed: int) -> np.ndarray:
     """Seeded multinomial counts over the entries of probs, renormalised;
     zero entries draw nothing and leave the stream of the others unchanged.
-    shots must be an int (not a bool) in [1, MAX_SHOTS], seed an int (not a bool) >= 0."""
-    if type(shots) is not int or not 1 <= shots <= MAX_SHOTS:
-        raise ValueError(f"shots must be an int in [1, {MAX_SHOTS}], got {shots!r}")
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    shots and seed pass _check_int in [1, MAX_SHOTS] and [0, inf)."""
+    _check_int("shots", shots, 1, MAX_SHOTS)
+    _check_int("seed", seed, 0)
     pvals = np.asarray(probs, dtype=float)
     return np.random.default_rng(seed).multinomial(shots, pvals / pvals.sum())
 

@@ -167,6 +167,19 @@ class TestRunExperiment:
         assert cells == []
         assert out.read_text() == "a,b\n1,2\n"
 
+    def test_cut_off_row_rejected_before_any_cell(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, methods=("holcus",))
+        run_experiment(cfg)
+        out = Path(cfg.output_path)
+        out.write_bytes(out.read_bytes()[:-20])  # a write cut off mid-row
+        cut = out.read_bytes()
+        cells = []
+        monkeypatch.setattr(holcus.bench, "_run_one", lambda *args: cells.append(args))
+        with pytest.raises(ValueError, match="malformed record row"):
+            run_experiment(cfg)
+        assert cells == []
+        assert out.read_bytes() == cut
+
 
 class TestExperimentConfig:
     @pytest.mark.parametrize(
@@ -213,7 +226,7 @@ class TestExperimentConfig:
             raise AssertionError("compiled a plan")
 
         monkeypatch.setattr(holcus.bench, "compile_plan", no_compile)
-        with pytest.raises(ValueError, match="n_max=1000"):
+        with pytest.raises(ValueError, match=r"n_max 1000 out of range"):
             tiny_config(tmp_path, n_min=1000, n_max=1000)
 
     def test_exp1_config_is_the_exp1_preset(self):
@@ -526,9 +539,9 @@ class TestCli:
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda tmp: tiny_config(tmp, instances_per_n=0), "instances_per_n must be >= 1"),
-        (lambda tmp: tiny_config(tmp, n_min=0), r"bad n range \[0, 3\]"),
-        (lambda tmp: tiny_config(tmp, n_min=4, n_max=3), r"bad n range \[4, 3\]"),
+        (lambda tmp: tiny_config(tmp, instances_per_n=0), r"instances_per_n 0 out of range \[1, inf\]"),
+        (lambda tmp: tiny_config(tmp, n_min=0), r"n_min 0 out of range \[1, inf\]"),
+        (lambda tmp: tiny_config(tmp, n_min=4, n_max=3), r"n_max 3 out of range \[4, 24\]"),
         (lambda tmp: record_from_csv_row("3,1,5,holcus"), "malformed record row"),
         (lambda tmp: emit_plot_data([BenchmarkRecord(3, 1, 5, "holcus")], "pie", tmp / "x.dat"), "kind must be one of"),
     ],

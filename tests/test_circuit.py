@@ -241,7 +241,7 @@ class TestGateValidation:
             (lambda: Gate("DENSE", (0,)), "DENSE gate requires a matrix"),
             (lambda: Gate("EXP_X", (0,)), r"EXP_X takes 1 params, got \(\)"),
             (lambda: Gate("H", (0,), (0.5,)), r"H takes 0 params, got \(0.5,\)"),
-            (lambda: Circuit(0), "circuit needs at least one qubit"),
+            (lambda: Circuit(0), r"num_qubits 0 out of range \[1, inf\]"),
         ],
         ids=["dense_without_matrix", "missing_param", "extra_param", "no_qubits"],
     )

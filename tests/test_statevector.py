@@ -50,7 +50,7 @@ class TestNewBasisState:
         assert np.array_equal(sv.amplitudes, [1, 0])
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError, match="num_qubits must be >= 1, got 0"):
+        with pytest.raises(ValueError, match=r"num_qubits 0 out of range \[1, inf\]"):
             new_basis_state(0)
 
     def test_capacity_checked_before_allocating(self):
@@ -491,7 +491,7 @@ class TestPauliExpectation:
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize(
-        ("ops", "match"), [({0: "W"}, "X, Y or Z"), ({-1: "Z"}, "negative")], ids=["letter", "negative"]
+        ("ops", "match"), [({0: "W"}, "X, Y or Z"), ({-1: "Z"}, r"qubit index -1 out of range")], ids=["letter", "negative"]
     )
     def test_bad_string_rejected(self, ops, match):
         with pytest.raises(ValueError, match=match):
