@@ -52,7 +52,7 @@ class ExperimentConfig:
             _check_int(f"p_values[{i}]", p, 1)
         if not self.p_values or not self.methods:
             raise ValueError("p_values and methods must each name at least one value")
-        # A repeated value reruns its cells, and aggregate_speedup keeps one time per cell.
+        # A repeated value would rerun its cells.
         for name, values in (("p_values", self.p_values), ("methods", self.methods)):
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values}")
@@ -216,22 +216,21 @@ class SpeedupRow:
 def aggregate_speedup(
     records: list[BenchmarkRecord], slow: str = "hadamard", fast: str = "holcus"
 ) -> tuple[list[SpeedupRow], int]:
-    """Paired wall-time ratios slow/fast per (n, p); returns rows plus the
-    number of (n, p, seed) keys skipped for a missing partner."""
-    times: dict[tuple[int, int, int], dict[str, float]] = {}
+    """Paired wall-time ratios slow/fast per (n, p), each (n, p, seed)'s k-th slow run in
+    record order with its k-th fast run; returns rows plus the count of unpaired runs."""
+    times: dict[tuple[int, int, int], dict[str, list[float]]] = {}
     for rec in records:
         if not rec.error and rec.method in (slow, fast):
-            times.setdefault((rec.n, rec.p, rec.instance_seed), {})[rec.method] = rec.wall_time_seconds
+            runs = times.setdefault((rec.n, rec.p, rec.instance_seed), {slow: [], fast: []})
+            runs[rec.method].append(rec.wall_time_seconds)
     ratios: dict[tuple[int, int], list[float]] = {}
     skipped = 0
     for (n, p, _), by_method in times.items():  # first-seen order fixes each mean's summation order
-        if slow in by_method and fast in by_method:
-            ratios.setdefault((n, p), []).append(by_method[slow] / by_method[fast])
-        else:
-            skipped += 1
+        ratios.setdefault((n, p), []).extend(s / f for s, f in zip(by_method[slow], by_method[fast]))
+        skipped += abs(len(by_method[slow]) - len(by_method[fast]))
     rows = [
         SpeedupRow(n, p, sum(r) / len(r), min(r), max(r), len(r))
-        for (n, p), r in sorted(ratios.items())
+        for (n, p), r in sorted(ratios.items()) if r
     ]
     return rows, skipped
 
@@ -316,7 +315,9 @@ def profile() -> dict:
     circuit count and the hadamard/holcus ratio; and for each n in
     PROFILE_TRAIN_NS the median seconds of one exact p = 1 train_qaoa per method
     (one restart of PROFILE_TRAIN_EVALS evaluations, 5 calls) and the
-    hadamard/holcus ratio. Each median follows an untimed call."""
+    hadamard/holcus ratio. Each median follows an untimed call. At 8 and 12 qubits
+    kernel_us mostly times apply_unitary's checks and its choice between a diagonal
+    and a matrix, not the kernel: a gate bound and run as a circuit runs it is faster."""
     kernel_us = {}
     for q in PROFILE_KERNEL_QUBITS:
         rng = np.random.default_rng(q)

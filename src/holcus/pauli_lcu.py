@@ -257,8 +257,7 @@ def build_uniform_prep_circuit(m: int, nearest_neighbor: bool = False) -> Circui
     m(m+1)/2 gates in total. Every gate is its own inverse, so the gates in
     reverse order un-prepare.
     """
-    if m < 1:
-        raise ValueError(f"need at least one ancilla, got {m}")
+    _check_int("m", m, 1)
     control = [(m, CLOSED)]
     if not nearest_neighbor:
         gates = [h(j, controls=control) for j in range(m)]

@@ -14,7 +14,6 @@ import numpy as np
 from .circuit import Circuit, Gate, gate_run
 from .estimators import EstimatorConfig, estimate
 from .qubo_ising import IsingModel
-from .statevector import _check_int
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ class CompiledAnsatz:
 
 def compile_ansatz(model: IsingModel) -> CompiledAnsatz:
     """The model's ansatz without its angles; train_qaoa builds it once per call."""
-    _check_int("model.n", model.n, 1)
     phases = []
     # terms() lists the fields before the couplings, so each arity is one run.
     for arity, run in groupby(model.terms(), key=lambda term: len(term[0])):

@@ -27,6 +27,7 @@ class QuboInstance:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int("n", self.n, 1)
         if self.Q.shape != (self.n, self.n):
             raise ValueError(f"Q must be {self.n}x{self.n}, got {self.Q.shape}")
         if not np.all(np.isfinite(self.Q)):  # NaN would also pass the symmetry check
@@ -43,11 +44,12 @@ class IsingModel:
     offset: float = 0.0
 
     def __post_init__(self):
+        _check_int("n", self.n, 1)
         if self.h.shape != (self.n,):
             raise ValueError(f"h must have length {self.n}")
-        for i, j in self.J:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"coupling key ({i},{j}) must satisfy 0 <= i < j < n")
+        for i, j in self.J:  # ising_energies' numpy indexing would read a bool as a mask
+            _check_int(f"coupling key {(i, j)} index i", i, 0, self.n - 2)
+            _check_int(f"coupling key {(i, j)} index j", j, i + 1, self.n - 1)
         if not np.all(np.isfinite([*self.h, *self.J.values(), self.offset])):
             raise ValueError("coefficients must be finite")
 

@@ -316,6 +316,27 @@ class TestAggregateSpeedup:
         assert [(r.n, r.p) for r in rows] == [(4, 1), (5, 1)]
         assert [r.mean_ratio for r in rows] == pytest.approx([2.0, 3.0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        slow=st.lists(st.floats(0.5, 4.0), max_size=4),
+        fast=st.lists(st.floats(0.5, 4.0), max_size=4),
+        data=st.data(),
+    )
+    def test_kth_runs_of_a_cell_pair_in_any_interleaving(self, slow, fast, data):
+        # Appended runs of one grid interleave; the k-th slow run pairs with the k-th fast one.
+        order = data.draw(st.permutations(["hadamard"] * len(slow) + ["holcus"] * len(fast)))
+        queues = {"hadamard": iter(slow), "holcus": iter(fast)}
+        records = [BenchmarkRecord(4, 1, 7, m, wall_time_seconds=next(queues[m])) for m in order]
+        rows, skipped = aggregate_speedup(records)
+        ratios = [s / f for s, f in zip(slow, fast)]
+        assert skipped == abs(len(slow) - len(fast))
+        if not ratios:
+            assert rows == []
+            return
+        (row,) = rows
+        assert row.pairs == min(len(slow), len(fast))
+        assert row.mean_ratio == sum(ratios) / len(ratios)
+
 
 class TestPlotData:
     def make_records(self):

@@ -9,9 +9,8 @@ from holcus.bench import ExperimentConfig
 from holcus.circuit import Circuit, h
 from holcus.estimators import EstimatorConfig, estimate
 from holcus.optimize import OptimizerConfig, train_qaoa
-from holcus.pauli_lcu import PauliString
-from holcus.qaoa import compile_ansatz
-from holcus.qubo_ising import IsingModel, random_qubo
+from holcus.pauli_lcu import PauliString, build_uniform_prep_circuit
+from holcus.qubo_ising import IsingModel, QuboInstance, random_qubo
 from holcus.statevector import MAX_QUBITS, MAX_SHOTS, multinomial_draw, new_basis_state
 
 
@@ -41,7 +40,12 @@ SITES = {
     "optimizer_seed": (lambda v: OptimizerConfig(seed=v), "seed", 0, None),
     "train_p": (_train, "p", 1, None),
     "random_qubo": (lambda v: random_qubo(v, 1), "n", 1, None),
-    "compile_ansatz": (lambda v: compile_ansatz(IsingModel(v, np.zeros(int(v)), {})), "model.n", 1, None),
+    "ising_n": (lambda v: IsingModel(v, np.zeros(int(v)), {}), "n", 1, None),
+    # A coupling key's error names the key, so both indices' names start the same.
+    "coupling_i": (lambda v: IsingModel(3, np.zeros(3), {(v, 2): 1.0}), "coupling key", 0, 1),
+    "coupling_j": (lambda v: IsingModel(3, np.zeros(3), {(0, v): 1.0}), "coupling key", 1, 2),
+    "qubo_n": (lambda v: QuboInstance(v, np.zeros((int(v), int(v)))), "n", 1, None),
+    "uniform_prep_m": (build_uniform_prep_circuit, "m", 1, None),
     "n_min": (lambda v: _sweep(n_min=v), "n_min", 1, None),
     "n_max": (lambda v: _sweep(n_max=v), "n_max", 3, MAX_QUBITS),
     "instances_per_n": (lambda v: _sweep(instances_per_n=v), "instances_per_n", 1, None),

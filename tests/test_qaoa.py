@@ -88,7 +88,7 @@ def ising_models(draw):
 
 class TestCompiledAnsatz:
     def test_model_without_spins_rejected(self):
-        with pytest.raises(ValueError, match=r"model\.n 0 out of range \[1, inf\]"):
+        with pytest.raises(ValueError, match=r"^n 0 out of range \[1, inf\]"):
             compile_ansatz(model_of(0, [], {}))
 
     @settings(max_examples=60, deadline=None)

@@ -187,10 +187,26 @@ class TestBruteForce:
         (lambda: QuboInstance(2, np.zeros((3, 3))), r"Q must be 2x2, got \(3, 3\)"),
         (lambda: QuboInstance(2, np.array([[0.0, 1.0], [0.0, 0.0]])), "Q must be symmetric"),
         (lambda: IsingModel(2, np.zeros(3), {}), "h must have length 2"),
-        (lambda: IsingModel(2, np.zeros(2), {(1, 0): 1.0}), r"coupling key \(1,0\)"),
+        (lambda: IsingModel(2, np.zeros(2), {(1, 0): 1.0}), r"coupling key \(1, 0\) index i 1 out of range \[0, 0\]"),
     ],
     ids=["q_shape", "q_asymmetric", "h_length", "coupling_order"],
 )
 def test_guard_rejects_bad_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "key, match",
+    [
+        ((False, True), r"^coupling key \(False, True\) index i False is not an integer"),
+        ((0, 1.0), r"^coupling key \(0, 1\.0\) index j 1\.0 is not an integer"),
+    ],
+    ids=["bool", "float"],
+)
+def test_coupling_key_of_non_integers_rejected_when_built(key, match):
+    # A bool key would index ising_energies' coupling matrix as a mask: the
+    # model would build with every energy 0 in place of [1, -1, -1, 1].
+    with pytest.raises(ValueError, match=match):
+        IsingModel(2, np.zeros(2), {key: 1.0})
+    assert ising_energies(IsingModel(2, np.zeros(2), {(0, 1): 1.0})).tolist() == [1.0, -1.0, -1.0, 1.0]
