@@ -12,7 +12,6 @@ from holcus import (
     apply_unitary,
     marginal_probabilities,
     new_basis_state,
-    pauli_expectation,
     sample_counts,
 )
 
@@ -36,9 +35,12 @@ print("open-control amplitudes:", np.round(state2.amplitudes, 6))
 print("qubit 0 marginal:", marginal_probabilities(state, [0]).probabilities)
 print("joint marginal:  ", marginal_probabilities(state).probabilities)
 
-# Pauli expectations without sampling: <Z0 Z1> = 1 on the Bell pair.
-print("<Z0> =", pauli_expectation(state, {0: "Z"}).real)
-print("<Z0 Z1> =", pauli_expectation(state, {0: "Z", 1: "Z"}).real)
+# Z expectations without sampling, read from the marginals: Z0 is +1 on outcome
+# "0" of qubit 0, and Z0 Z1 is +1 where the two bits agree. <Z0 Z1> = 1 on the Bell pair.
+z0 = marginal_probabilities(state, [0]).probabilities
+zz = marginal_probabilities(state, [1, 0]).probabilities
+print("<Z0> =", z0.get("0", 0.0) - z0.get("1", 0.0))
+print("<Z0 Z1> =", sum(p if key in ("00", "11") else -p for key, p in zz.items()))
 
 # Seeded multinomial sampling is reproducible.
 counts = sample_counts(marginal_probabilities(state), shots=1000, seed=7)

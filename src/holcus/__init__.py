@@ -52,7 +52,6 @@ from .pauli_lcu import (
     decomposition_from_terms,
     from_ising,
     group_by_coefficient,
-    pauli_expectation,
 )
 from .qaoa import QaoaParams, build_ansatz, exact_expectation
 from .qubo_ising import (

@@ -92,7 +92,7 @@ def main(argv=None) -> int:
             for row in rows:
                 print(f"{row.n},{row.p},{row.mean_ratio:.4f},{row.min_ratio:.4f},{row.max_ratio:.4f},{row.pairs}")
             if skipped:
-                print(f"warning: {skipped} unpaired instances skipped", file=sys.stderr)
+                print(f"warning: {skipped} unpaired runs skipped", file=sys.stderr)
         elif args.command == "plotdata":
             emit_plot_data(read_records(args.csv), args.kind, args.out)
             print(f"wrote {args.out}")

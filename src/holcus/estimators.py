@@ -24,8 +24,11 @@ qubits with the basis-state energies. One executor (run_program) only
 simulates and reads out: each circuit starts from |0...0>, applies the state
 prep, a kernel program of (operand, targets, controls) triples such as the
 one train_qaoa binds per evaluation, then its suffix's Circuit.program, and
-reads the observable's mean. The circuits of one width share one register
-and, when there are several, one binding of the prep (statevector._bind);
+reads the observable's mean from the rows of |amplitude|^2, chunk by chunk
+on a register above statevector.CHUNK amplitudes, so the readout holds
+O(CHUNK) beside the register and its probabilities. The circuits of one
+width share one register and, when there are several, one binding of the
+prep (statevector._bind);
 every circuit still applies every gate to every amplitude, so the values are
 those of a fresh register per circuit. run_plan is its adapter for a prep
 Circuit; estimate() compiles a plan and runs it. The public circuit builders
@@ -48,6 +51,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import statevector
 from .circuit import (
     CLOSED,
     Circuit,
@@ -76,7 +80,9 @@ from .statevector import (
     StateVector,
     _bind,
     _check_int,
+    _cuts,
     _run,
+    _square_sums,
     derive_seed,
     multinomial_draw,
     new_basis_state,
@@ -278,14 +284,21 @@ def _readout(
     log2(len(meas.values)) qubits, and the variance of that mean. The marginal
     is exact in exact mode and a draw seeded with derive_seed(cfg.seed, k)
     otherwise. As qubit 0 is the least significant bit of an amplitude's
-    index, outcome i of the top qubits owns one contiguous row of amplitudes.
+    index, outcome i of the top qubits owns one contiguous row of amplitudes,
+    whose |amplitude|^2 it sums in pieces of at most statevector.CHUNK
+    amplitudes (read at call time; one piece for a register that fits), cut
+    across the columns first as marginal_vector cuts the same view, so that
+    beside the register and its 2^k probabilities the readout holds O(CHUNK).
 
     For an Ising model every part=IMAGINARY interference circuit has
     P(0) = 1/2 exactly, so a seeded draw sits on a tie: a kernel change that
     moves the last bit of P(0) can mirror its counts (+x becomes -x). Each
     draw is still within its sigma, but the seeded shot estimate of an
     imaginary part is not stable across kernel changes."""
-    probs = (np.abs(state.amplitudes) ** 2).reshape(len(meas.values), -1).sum(axis=1)
+    rows = len(meas.values)
+    cols = len(state.amplitudes) // rows
+    cuts = _cuts([rows, cols], (1, 0), statevector.CHUNK)
+    probs = _square_sums(state.amplitudes.reshape(rows, cols), (0, 1), 1, cuts)
     if cfg.exact:
         return probs @ meas.values, 0.0
     freqs = multinomial_draw(probs, cfg.shots, derive_seed(cfg.seed, k)) / cfg.shots

@@ -4,7 +4,7 @@ A Hamiltonian A = sum_k alpha_k * e^{i theta_k} * U_k is held as a list of
 terms with alpha_k > 0, the phase split out as an angle theta_k, and U_k a
 Pauli string. The normalization N = sum_k alpha_k rescales the estimator
 output back to physical units. PauliString.local_matrix is the one rule for
-how a Pauli string acts, for the select stage and pauli_expectation alike.
+how a Pauli string acts, which the select stage's gates carry.
 
 Slot layouts for the ancilla register:
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import CLOSED, Circuit, Gate, dense, h, swap
-from .statevector import StateVector, _check_int, apply_unitary
+from .statevector import _check_int
 
 LAYOUTS = ("dense", "shifted")
 
@@ -67,17 +67,6 @@ class PauliString:
         if not self.ops:
             return "I"
         return "*".join(f"{self.ops[q]}{q}" for q in self.support)
-
-
-def pauli_expectation(state: StateVector, pauli) -> complex:
-    """<psi|P|psi> for a PauliString or a plain {qubit: "X"|"Y"|"Z"} mapping, without
-    sampling: each letter's 1-qubit gate through the kernel on one copy, then one vdot."""
-    if not isinstance(pauli, PauliString):
-        pauli = PauliString(dict(pauli))
-    p_psi = state.copy()
-    for q in pauli.support:
-        apply_unitary(p_psi, PauliString({q: pauli.ops[q]}).local_matrix(), (q,))
-    return complex(np.vdot(state.amplitudes, p_psi.amplitudes))
 
 
 @dataclass(frozen=True)

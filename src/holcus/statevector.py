@@ -20,12 +20,15 @@ are scalars when their entries are equal (EXP_X, X, H's off-diagonal), else
 entry pairs along the target's axis, and flip(x) is one take along that axis (a
 reversed copy for a strided chunk, which take would first copy whole). A wider
 gate (SWAP, a multi-qubit DENSE) is a 2^k x 2^k matrix product on the view
-transposed to put its target axes first. marginal_vector sums the same view.
-A view above CHUNK amplitudes goes chunk by chunk, cut along its outermost
-non-target axes first (_cuts), so the temporaries stay small enough for the
-allocator to reuse instead of being page-faulted back on every gate; no
-2^n x 2^n operator is ever built. kernel_operand chooses diagonal or matrix
-once per matrix, _bind the step by target count.
+transposed to put its target axes first. A view above CHUNK amplitudes goes
+chunk by chunk, cut along its outermost non-target axes first (_cuts), so the
+temporaries stay small enough for the allocator to reuse instead of being
+page-faulted back on every gate; no 2^n x 2^n operator is ever built.
+marginal_vector sums |amplitude|^2 over the same view in the same chunks
+(_square_sums), so a marginal over k qubits squares at most max(CHUNK, 2^k)
+amplitudes at a time; estimators' readout sums it over the rows of a register
+in pieces of at most CHUNK. kernel_operand chooses diagonal or matrix once per
+matrix, _bind the step by target count.
 
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
 resolves each (operand, targets, controls) triple of a program to a bound step
@@ -53,8 +56,8 @@ MAX_SHOTS = 2**63 - 1
 # Bound on the (n, targets, controls) recipes each of _diag_layout and _matrix_layout
 # keeps; a plan uses a few hundred.
 LAYOUT_CACHE_SIZE = 4096
-# Most amplitudes one matrix gate reads at a time (larger views are updated chunk by
-# chunk), and the longest contiguous axis of a diagonal gate's view.
+# Most amplitudes one matrix gate reads, or one readout squares, at a time (larger
+# views go chunk by chunk), and the longest contiguous axis of a diagonal gate's view.
 CHUNK = 1 << 13
 # take's index that flips a target's bit along its axis.
 _FLIP = np.array([1, 0])
@@ -85,9 +88,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
 
 
 @dataclass
@@ -216,7 +216,8 @@ def _cuts(shape: list[int], order, limit: int) -> tuple[tuple[slice, ...], ...] 
         width = max(1, shape[a] * limit // size)
         cuts[a] = [slice(i, i + width) for i in range(0, shape[a], width)]
         size = size // shape[a] * width
-    return None if size == total else tuple(product(*cuts))
+    # From a list: tuple() of an iterator leaves a block in CPython's tuple free list.
+    return None if size == total else tuple(list(product(*cuts)))
 
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
@@ -270,6 +271,25 @@ def _matrix_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, 
     reverse = (slice(None),) * front[0] + (slice(None, None, -1),)
     pair = (2,) + (1,) * (len(view) - front[0] - 1) if front[0] else None
     return tuple(shape), index, tuple(front + rest), chunks, reverse, pair
+
+
+def _square_sums(view: np.ndarray, perm, k: int, chunks) -> np.ndarray:
+    """|x|^2 over view, transposed by perm, summed over all but its first k axes:
+    in one expression when chunks is None, else chunk by chunk (the _cuts of view,
+    each summed pairwise and added into the slice of the result it covers), so no
+    temporary outgrows a chunk."""
+    if chunks is None:
+        tensor = (np.abs(view) ** 2).transpose(perm)
+        return tensor.sum(axis=tuple(range(k, tensor.ndim)))
+    sums = np.zeros([view.shape[a] for a in perm[:k]])
+    for c in chunks:
+        square = np.abs(view[c])
+        square *= square
+        # A list: tuple() of a generator would leave a block in CPython's tuple free list.
+        part = sums[tuple([c[a] for a in perm[:k]])]
+        part += square.transpose(perm).sum(axis=tuple(range(k, square.ndim)))
+        del square  # before the next chunk's is made
+    return sums
 
 
 def _bind(state: StateVector, program):
@@ -351,9 +371,8 @@ def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> 
         raise ValueError(f"duplicate qubits in {qubits}")
     _check_qubits(qubits, n)
     # The kernel's view with qubits as targets, reversed so qubits[0] leads.
-    shape, _, perm, *_ = _matrix_layout(n, qubits[::-1], ())
-    tensor = (np.abs(state.amplitudes) ** 2).reshape(shape).transpose(perm)
-    return tensor.sum(axis=tuple(range(len(qubits), tensor.ndim))).reshape(-1)
+    shape, _, perm, chunks, *_ = _matrix_layout(n, qubits[::-1], ())
+    return _square_sums(state.amplitudes.reshape(shape), perm, len(qubits), chunks).reshape(-1)
 
 
 def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ...] | None = None) -> OutcomeDistribution:

@@ -473,7 +473,7 @@ class TestCli:
         assert main(["aggregate", str(csv)]) == 0
         captured = capsys.readouterr()
         assert captured.out == "n,p,mean_ratio,min_ratio,max_ratio,pairs\n3,1,2.0000,2.0000,2.0000,1\n"
-        assert captured.err == "warning: 1 unpaired instances skipped\n"
+        assert captured.err == "warning: 1 unpaired runs skipped\n"
 
     def test_aggregate_missing_csv_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

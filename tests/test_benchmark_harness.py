@@ -1,5 +1,6 @@
-"""The benchmark harness against this tree: its own tests, and a traced run
-of every workload. The degenerate-shots replay drives all three estimators
+"""The benchmark harness against this tree: its own tests, and a traced and an
+untraced run of every workload; the untraced one is the run that measures the
+end-to-end metrics. The degenerate-shots replay drives all three estimators
 through the public builders that benchmark/layers.py calls
 (hadamard_test_circuit, holcus_circuit(uniform=), decomposition_from_terms,
 build_select_circuit, build_uniform_prep_circuit, gate_matrix,
@@ -47,3 +48,19 @@ def test_traced_run_is_correct(tmp_path, workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+@pytest.mark.parametrize("workload", ["degenerate-shots", "exp1-exact", "estimate-wide"])
+def test_untraced_run_reports_every_end_to_end_metric(tmp_path, workload):
+    # --seconds 0 runs exactly one round.
+    args = [
+        "benchmark/run.py", "--workload", workload, "--seed", "1",
+        "--seconds", "0", "--trace", "0", "--results", str(tmp_path),
+    ]
+    proc = _python(*args)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in declared)

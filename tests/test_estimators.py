@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import holcus.circuit
 import holcus.estimators
-from conftest import distinct_phase_diagonal, lcu_dense_matrix, model_of, random_prep_circuit
-from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, resource_report, run
+from conftest import distinct_phase_diagonal, lcu_dense_matrix, model_of, pauli_full_matrix, random_prep_circuit
+from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, resource_report, run, x
 from holcus.estimators import (
     EXACT,
     IMAGINARY,
@@ -83,6 +83,41 @@ class TestHadamardTestCircuit:
         circ = hadamard_test_circuit(Circuit(3), PauliString({1: "Z"}))
         assert circ.num_qubits == 4
         assert (circ.gates[0].kind, circ.gates[0].targets) == ("H", (3,))
+
+    @staticmethod
+    def _read(prep, ops, part=REAL):
+        circ = hadamard_test_circuit(prep, PauliString(ops), part)
+        p0 = marginal_probabilities(run(circ), [circ.num_qubits - 1]).probabilities.get("0", 0.0)
+        return 2 * p0 - 1
+
+    def test_zz_product_of_eigenvalues(self):
+        # |01> means qubit0 = 1, qubit1 = 0: eigenvalues (-1) * (+1).
+        assert self._read(Circuit(2, [x(0)]), {0: "Z", 1: "Z"}) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_identity_string(self, rng):
+        assert self._read(random_prep_circuit(4, rng), {}) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_dense_matrix(self, n, rng):
+        # Oracle: <psi|P|psi> with P an explicit Kronecker product. A Pauli string is
+        # Hermitian, so the imaginary part reads 0.
+        for _ in range(5):
+            prep = random_prep_circuit(n, rng)
+            psi = run(prep).amplitudes
+            ops = {
+                int(q): str(rng.choice(["X", "Y", "Z"]))
+                for q in rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+            }
+            expected = psi.conj() @ pauli_full_matrix(ops, n) @ psi
+            assert self._read(prep, ops) == pytest.approx(expected.real, abs=1e-10)
+            assert self._read(prep, ops, IMAGINARY) == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("op", ["Z", "X"])
+    def test_string_on_every_qubit(self, op):
+        # Z on every qubit of |0..0> and X on every qubit of |+..+> both read 1.
+        n = 10
+        prep = Circuit(n, [h(q) for q in range(n)] if op == "X" else [])
+        assert self._read(prep, dict.fromkeys(range(n), op)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestHolcusCircuit:

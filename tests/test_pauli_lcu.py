@@ -40,9 +40,12 @@ class TestPauliString:
         letters = dict(enumerate(ops[q] for q in sorted(ops)))
         assert np.array_equal(PauliString(ops).local_matrix(), pauli_full_matrix(letters, len(ops)))
 
-    def test_rejects_bad_operator(self):
-        with pytest.raises(ValueError):
-            PauliString({0: "W"})
+    @pytest.mark.parametrize(
+        ("ops", "match"), [({0: "W"}, "X, Y or Z"), ({-1: "Z"}, r"qubit index -1 out of range")], ids=["letter", "negative"]
+    )
+    def test_rejects_bad_operator(self, ops, match):
+        with pytest.raises(ValueError, match=match):
+            PauliString(ops)
 
 
 class TestFromIsing:

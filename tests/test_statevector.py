@@ -2,6 +2,7 @@
 
 import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,13 @@ from conftest import (
     pauli_full_matrix,
     random_prep_circuit,
 )
+import holcus.estimators
 from holcus import statevector
 from holcus.circuit import Circuit, Gate, run, x
-from holcus.estimators import hadamard_test_circuit
-from holcus.pauli_lcu import PauliString, pauli_expectation
+from holcus.estimators import EstimatorConfig, Measurement, _readout, estimate, hadamard_test_circuit
+from holcus.pauli_lcu import PauliString
+from holcus.qaoa import QaoaParams, build_ansatz
+from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import (
     CLOSED,
     MAX_QUBITS,
@@ -31,6 +35,7 @@ from holcus.statevector import (
     _diag_layout,
     _matrix_layout,
     _run,
+    _square_sums,
     apply_unitary,
     derive_seed,
     kernel_operand,
@@ -98,7 +103,7 @@ def test_guard_rejects_bad_input(call, match):
         lambda q: apply_unitary(new_basis_state(3), X, [q]),
         lambda q: apply_unitary(new_basis_state(3), X, [0], [(q, CLOSED)]),
         lambda q: marginal_vector(new_basis_state(3), [q]),
-        lambda q: pauli_expectation(new_basis_state(3), {q: "X"}),
+        lambda q: PauliString({q: "X"}),
         lambda q: hadamard_test_circuit(Circuit(3), PauliString({q: "Z"})),
     ],
     ids=["circuit", "target", "control", "marginal", "pauli", "select"],
@@ -227,7 +232,8 @@ def _per_qubit_marginal(state, qubits):
 
 @contextmanager
 def _chunk_size(chunk):
-    """Run the kernel with statevector.CHUNK = chunk, with no recipe cached across the change."""
+    """Run the kernel and the readouts with statevector.CHUNK = chunk, with no recipe
+    cached across the change."""
     default = statevector.CHUNK
     statevector.CHUNK = chunk
     _diag_layout.cache_clear()
@@ -355,6 +361,43 @@ class TestCollapsedView:
             tracemalloc.stop()
         assert peak < state.amplitudes.nbytes
 
+    def test_wide_estimate_holds_one_register(self):
+        # holcus at n = 11 reads one qubit of a 19-qubit register (8 MiB). Squaring the
+        # whole register at once adds half a register or more; read in pieces of CHUNK,
+        # the estimate holds the register, its plan and O(CHUNK) temporaries. The first
+        # estimate fills the layout recipes, which are kept for the process.
+        model = qubo_to_ising(random_qubo(11, seed=1))
+        prep = build_ansatz(model, QaoaParams((0.3,), (0.4,)))
+        cfg = EstimatorConfig("holcus")
+        estimate(prep, model, cfg)
+        tracemalloc.start()
+        try:
+            result = estimate(prep, model, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.max_qubits == 19
+        assert peak < 1.25 * (16 << result.max_qubits)
+
+    @pytest.mark.parametrize("k", [1, 16], ids=["top-qubit", "every-qubit"])
+    def test_readout_temporaries_stay_below_a_quarter_register(self, k, rng):
+        # Beside its 2^k probabilities (all 2^n of them for raw, k = n), a readout in
+        # pieces of CHUNK holds two CHUNK-sized float arrays: an eighth of a 16-qubit
+        # register. A whole-register |amplitude|^2 is half a register.
+        n = 16
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, psi / np.linalg.norm(psi))
+        meas = Measurement(Circuit(n), rng.uniform(-1, 1, size=1 << k))
+        cfg = EstimatorConfig("raw")
+        _readout(state, meas, cfg, 0)
+        tracemalloc.start()
+        try:
+            _readout(state, meas, cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 << k) + state.amplitudes.nbytes / 4
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), n=st.integers(1, 10))
     def test_marginal_matches_per_qubit_sum_bit_for_bit(self, data, n):
@@ -363,6 +406,29 @@ class TestCollapsedView:
         psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         state = StateVector(n, psi / np.linalg.norm(psi))
         assert marginal_vector(state, qubits).tobytes() == _per_qubit_marginal(state, qubits).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 10))
+    def test_chunked_readouts_match_unchunked(self, data, n):
+        # At n <= 10 both fit the default CHUNK; 2^6 cuts a register above 64
+        # amplitudes: marginal_vector along its view's non-target axes, the readout
+        # of the top k qubits across its rows, then its columns.
+        qubits = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
+        k = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, psi / np.linalg.norm(psi))
+        meas = Measurement(Circuit(n), rng.uniform(-1, 1, size=1 << k))
+        cfg = EstimatorConfig("raw")
+        marginal, mean = marginal_vector(state, qubits), _readout(state, meas, cfg, 0)[0]
+        with _chunk_size(1 << 6), mock.patch.object(holcus.estimators, "_square_sums", wraps=_square_sums) as spy:
+            chunked_marginal, chunked_mean = marginal_vector(state, qubits), _readout(state, meas, cfg, 0)[0]
+        # The readout reads CHUNK at call time: above it, it squares pieces of at most CHUNK.
+        view, _, _, cuts = spy.call_args.args
+        assert (cuts is None) == (n <= 6)
+        assert all(view[c].size <= 1 << 6 for c in cuts or ())
+        assert np.max(np.abs(chunked_marginal - marginal)) <= 1e-15
+        assert abs(chunked_mean - mean) <= 1e-15
 
 
 class TestMarginalProbabilities:
@@ -409,6 +475,29 @@ class TestMarginalProbabilities:
         probs = marginal_probabilities(run(circ), [1, 3]).probabilities
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
 
+    @staticmethod
+    def _z_string(state, qubits):
+        # <Z on qubits> is the marginal on those qubits, signed by each outcome's parity.
+        probs = marginal_probabilities(state, qubits).probabilities
+        return sum(-p if key.count("1") % 2 else p for key, p in probs.items())
+
+    def test_bell_pair_z_expectations(self):
+        sv = apply_unitary(new_basis_state(2), H, [0])
+        sv = apply_unitary(sv, X, [1], [(0, CLOSED)])
+        assert self._z_string(sv, [0]) == pytest.approx(0.0, abs=1e-14)
+        assert self._z_string(sv, [1, 0]) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_z_string_matches_dense_matrix(self, n, rng):
+        # Oracle: <psi|M|psi> with M an explicit Kronecker product of Z and I.
+        for _ in range(5):
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            sv = StateVector(n, amps / np.linalg.norm(amps))
+            qubits = [int(q) for q in rng.choice(n, size=rng.integers(1, n + 1), replace=False)]
+            psi = sv.amplitudes
+            expected = psi.conj() @ pauli_full_matrix(dict.fromkeys(qubits, "Z"), n) @ psi
+            assert self._z_string(sv, qubits) == pytest.approx(expected.real, abs=1e-12)
+
 
 class TestSampleCounts:
     def test_deterministic_outcome(self):
@@ -445,99 +534,6 @@ class TestSampleCounts:
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             sample_counts(marginal_probabilities(new_basis_state(1), [0]), 10, seed)
-
-
-class TestPauliExpectation:
-    def test_z_on_zero(self):
-        assert pauli_expectation(new_basis_state(1), {0: "Z"}) == pytest.approx(1.0)
-
-    def test_z_on_plus(self):
-        sv = apply_unitary(new_basis_state(1), H, [0])
-        assert pauli_expectation(sv, {0: "Z"}) == pytest.approx(0.0, abs=1e-14)
-
-    def test_zz_product_of_eigenvalues(self):
-        # |01> means qubit0 = 1, qubit1 = 0: eigenvalues (-1) * (+1).
-        sv = run(Circuit(2, [x(0)]))
-        assert pauli_expectation(sv, {0: "Z", 1: "Z"}) == pytest.approx(-1.0)
-
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_matches_dense_matrix(self, n, rng):
-        # Oracle: <psi|M|psi> with M an explicit Kronecker product.
-        for _ in range(5):
-            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            amps /= np.linalg.norm(amps)
-            sv = new_basis_state(n)
-            sv.amplitudes[:] = amps
-            ops = {
-                int(q): str(rng.choice(["X", "Y", "Z"]))
-                for q in rng.choice(n, size=rng.integers(1, n + 1), replace=False)
-            }
-            expected = amps.conj() @ pauli_full_matrix(ops, n) @ amps
-            got = pauli_expectation(sv, ops)
-            assert got == pytest.approx(expected, abs=1e-10)
-            assert abs(got.imag) < 1e-12
-
-    def test_out_of_range_qubit(self):
-        with pytest.raises(ValueError):
-            pauli_expectation(new_basis_state(2), {5: "Z"})
-
-    def test_pauli_string_or_mapping(self, rng):
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        sv = StateVector(3, amps / np.linalg.norm(amps))
-        ops = {0: "Y", 2: "X"}
-        got = pauli_expectation(sv, PauliString(ops))
-        assert got == pauli_expectation(sv, ops)
-        want = sv.amplitudes.conj() @ pauli_full_matrix(ops, 3) @ sv.amplitudes
-        assert got == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize(
-        ("ops", "match"), [({0: "W"}, "X, Y or Z"), ({-1: "Z"}, r"qubit index -1 out of range")], ids=["letter", "negative"]
-    )
-    def test_bad_string_rejected(self, ops, match):
-        with pytest.raises(ValueError, match=match):
-            pauli_expectation(new_basis_state(2), ops)
-
-    def test_identity_string(self, rng):
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        sv = StateVector(4, amps / np.linalg.norm(amps))
-        for pauli in ({}, PauliString({})):
-            assert pauli_expectation(sv, pauli) == pytest.approx(1.0, abs=1e-12)
-
-    @staticmethod
-    def _value_and_peak(sv, ops):
-        tracemalloc.start()
-        try:
-            value = pauli_expectation(sv, ops)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return value, peak
-
-    @pytest.mark.parametrize(
-        "ops",
-        [{3: "Z"}, {0: "Z", 15: "Z"}, {5: "X"}, {2: "Y", 11: "Z", 14: "X"}, dict.fromkeys(range(16), "Y")],
-        ids=["Z3", "Z0*Z15", "X5", "Y2*Z11*X14", "Y_all"],
-    )
-    def test_peak_memory_is_one_register_copy(self, ops, rng):
-        n = 16
-        amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        sv = StateVector(n, amps / np.linalg.norm(amps))
-        # P|psi> takes one copy of the register; each letter is a 1-qubit gate, so
-        # the kernel's own temporaries are a few multiples of CHUNK amplitudes,
-        # whatever the string's weight and 2^n are.
-        _, peak = self._value_and_peak(sv, ops)
-        assert peak < 1.5 * sv.amplitudes.nbytes
-
-    @pytest.mark.parametrize("op", ["Z", "X"])
-    def test_string_on_every_qubit(self, op):
-        # Z on every qubit of |0..0> and X on every qubit of |+..+> both read 1.
-        n = 16
-        sv = new_basis_state(n)
-        if op == "X":
-            sv = StateVector(n, np.full(1 << n, 2.0 ** (-n / 2), dtype=np.complex128))
-        value, peak = self._value_and_peak(sv, dict.fromkeys(range(n), op))
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert peak < 1.5 * sv.amplitudes.nbytes
 
 
 class TestDeriveSeed:
