@@ -272,16 +272,28 @@ PROFILE_TRAIN_NS = (4, 5, 6)
 PROFILE_TRAIN_EVALS = 20
 
 
-def _median_s(call, reps: int):
-    """The median seconds of reps calls, and the result of one untimed call
-    made first, which fills the caches."""
-    first = call()
-    times = []
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), first
+def _rounds(calls: dict, rounds: int) -> tuple[dict[str, list[float]], dict]:
+    """The seconds of each call in each of `rounds` rounds, and the result of one
+    untimed call of each made first, which fills the caches. Each round times every
+    call once, in the dict's order in even rounds and reversed in odd ones, so a
+    change in the machine's speed reaches every call alike."""
+    firsts = {key: call() for key, call in calls.items()}
+    times = {key: [] for key in calls}
+    for r in range(rounds):
+        for key in list(calls)[:: -1 if r % 2 else 1]:
+            t0 = time.perf_counter()
+            calls[key]()
+            times[key].append(time.perf_counter() - t0)
+    return times, firsts
+
+
+def _ratios(times: dict[str, list[float]]) -> dict:
+    """The hadamard/holcus ratio of the per-method medians, and the median, min and
+    max of the per-round ratios with the round count."""
+    ratios = [a / b for a, b in zip(times["hadamard"], times["holcus"])]
+    per_round = {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios), "rounds": len(ratios)}
+    medians = statistics.median(times["hadamard"]) / statistics.median(times["holcus"])
+    return {"hadamard/holcus": medians, "hadamard/holcus per round": per_round}
 
 
 def _kernel_gates(q: int) -> dict[str, circuit.Gate]:
@@ -309,43 +321,42 @@ def _kernel_gates(q: int) -> dict[str, circuit.Gate]:
 def profile() -> dict:
     """The BENCH_*.json record, through public calls only: the machine; the
     median microseconds of one apply_unitary call per gate kind on a random state
-    of each width in PROFILE_KERNEL_QUBITS (15 calls, 5 from 20 qubits); and for
+    of each width in PROFILE_KERNEL_QUBITS (15 rounds, 5 from 20 qubits); and for
     each n in PROFILE_NS the median seconds of one exact estimate() per method,
-    compile included (9 calls, 3 from n = 11), with each method's width and
-    circuit count and the hadamard/holcus ratio; and for each n in
-    PROFILE_TRAIN_NS the median seconds of one exact p = 1 train_qaoa per method
-    (one restart of PROFILE_TRAIN_EVALS evaluations, 5 calls) and the
-    hadamard/holcus ratio. Each median follows an untimed call. At 8 and 12 qubits
-    kernel_us mostly times apply_unitary's checks and its choice between a diagonal
-    and a matrix, not the kernel: a gate bound and run as a circuit runs it is faster."""
+    compile included (9 rounds, 3 from n = 11), with each method's width and
+    circuit count; and for each n in PROFILE_TRAIN_NS the median seconds of one
+    exact p = 1 train_qaoa per method (one restart of PROFILE_TRAIN_EVALS
+    evaluations, 5 rounds). The calls of one row go round-robin (_rounds) after
+    one untimed call each. Each estimate and train row also holds the
+    hadamard/holcus ratio of the medians, and the median, min and max of the
+    per-round ratios with the round count. At 8 and 12 qubits kernel_us mostly
+    times apply_unitary's checks and its choice between a diagonal and a matrix,
+    not the kernel: a gate bound and run as a circuit runs it is faster."""
     kernel_us = {}
     for q in PROFILE_KERNEL_QUBITS:
         rng = np.random.default_rng(q)
         amps = rng.normal(size=1 << q) + 1j * rng.normal(size=1 << q)
         state = StateVector(q, amps / np.linalg.norm(amps))
-        reps = 15 if q < 20 else 5
-        kernel_us[str(q)] = {
-            kind: 1e6 * _median_s(lambda g=g: apply_unitary(state, g.unitary, g.targets, g.controls), reps)[0]
-            for kind, g in _kernel_gates(q).items()
-        }
+        gates = _kernel_gates(q)
+        calls = {kind: lambda g=g: apply_unitary(state, g.unitary, g.targets, g.controls) for kind, g in gates.items()}
+        times, _ = _rounds(calls, 15 if q < 20 else 5)
+        kernel_us[str(q)] = {kind: 1e6 * statistics.median(t) for kind, t in times.items()}
     estimate_s = {}
     for n in PROFILE_NS:
         model = qubo_to_ising(random_qubo(n, 1))
         prep = build_ansatz(model, PROFILE_PARAMS)
-        row = {}
-        for method in METHODS:
-            cfg = EstimatorConfig(method)
-            seconds, result = _median_s(lambda: estimate(prep, model, cfg), 9 if n < 11 else 3)
-            row[method] = {"s": seconds, "qubits": result.max_qubits, "circuits": result.circuits_used}
-        row["hadamard/holcus"] = row["hadamard"]["s"] / row["holcus"]["s"]
-        estimate_s[str(n)] = row
+        calls = {m: lambda cfg=EstimatorConfig(m): estimate(prep, model, cfg) for m in METHODS}
+        times, results = _rounds(calls, 9 if n < 11 else 3)
+        row = {m: {"s": statistics.median(times[m]), "qubits": r.max_qubits, "circuits": r.circuits_used}
+               for m, r in results.items()}
+        estimate_s[str(n)] = {**row, **_ratios(times)}
     train_s = {}
     opt_cfg = OptimizerConfig(max_evals=PROFILE_TRAIN_EVALS, restarts=1)
     for n in PROFILE_TRAIN_NS:
         model = qubo_to_ising(random_qubo(n, 1))
-        row = {m: _median_s(lambda m=m: train_qaoa(model, 1, EstimatorConfig(m), opt_cfg), 5)[0] for m in METHODS}
-        row["hadamard/holcus"] = row["hadamard"] / row["holcus"]
-        train_s[str(n)] = row
+        calls = {m: lambda m=m: train_qaoa(model, 1, EstimatorConfig(m), opt_cfg) for m in METHODS}
+        times, _ = _rounds(calls, 5)
+        train_s[str(n)] = {**{m: statistics.median(t) for m, t in times.items()}, **_ratios(times)}
     return {
         "schema": 1,
         "machine": {

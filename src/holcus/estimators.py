@@ -28,9 +28,10 @@ reads the observable's mean from the rows of |amplitude|^2, chunk by chunk
 on a register above statevector.CHUNK amplitudes, so the readout holds
 O(CHUNK) beside the register and its probabilities. The circuits of one
 width share one register and, when there are several, one binding of the
-prep (statevector._bind);
-every circuit still applies every gate to every amplitude, so the values are
-those of a fresh register per circuit. run_plan is its adapter for a prep
+prep (statevector._bind), which holds one multiplier per fused run of
+uncontrolled diagonals; every circuit still applies every gate, each such run
+as one multiply, to every amplitude, so the values are those of a fresh
+register per circuit. run_plan is its adapter for a prep
 Circuit; estimate() compiles a plan and runs it. The public circuit builders
 use the same builder, so they return exactly the executed circuits;
 EstimatorPlan.resources reports their resource counts on request.
@@ -312,8 +313,10 @@ def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) ->
     (unchecked): value = offset + the sum of each circuit's mean observable. In
     finite mode circuit k samples with derive_seed(cfg.seed, k). A width's
     circuits run in turn on one register; with several, the prep is bound once
-    and shared, else it is bound as it runs. A width's register and bound prep
-    are freed before the next width's are allocated."""
+    and shared, holding one multiplier per fused run of its uncontrolled
+    diagonals, else it is bound as it runs. The prep and each suffix are fused
+    as programs of their own. A width's register and bound prep are freed before
+    the next width's are allocated."""
     reads = [None] * len(plan.measurements)
     for width, ks in plan.widths.items():
         state = new_basis_state(width)

@@ -31,21 +31,24 @@ in pieces of at most CHUNK. kernel_operand chooses diagonal or matrix once per
 matrix, _bind the step by target count.
 
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
-resolves each (operand, targets, controls) triple of a program to a bound step
-on one register; _run applies bound steps in order. Run as it is bound, a
-program holds one diagonal's multiplier at a time; bound once into a list, it
-runs again on the same register with no per-gate setup, which
-estimators.run_program does for a prep that several circuits of one width
-share, holding only the diagonals' multipliers. apply_unitary checks its
-arguments, then binds and runs its one gate; a Circuit's program was checked
-when the circuit was built.
+first fuses each run of consecutive uncontrolled diagonal triples, such as a
+QAOA phase layer, into one diagonal (_fused), so the register takes one
+multiply where it took one per gate; fusion reads only the gate list and still
+touches every amplitude, so every program takes it and it has no switch. _bind
+then resolves each triple to a bound step on one register; _run applies bound
+steps in order. Run as it is bound, a program holds one diagonal's multiplier
+at a time; bound once into a list, it runs again on the same register with no
+per-gate setup, which estimators.run_program does for a prep that several
+circuits of one width share, holding one multiplier per fused run.
+apply_unitary checks its arguments, then binds and runs its one gate, unfused;
+a Circuit's program was checked when the circuit was built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 import numpy as np
@@ -175,7 +178,7 @@ def apply_unitary(
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (1 << k, 1 << k):
         raise ValueError(f"matrix shape {matrix.shape} does not match {k} targets")
-    _run(_bind(state, ((kernel_operand(matrix), targets, controls),)))
+    _run(_bind(state, ((kernel_operand(matrix), targets, controls),), fuse=False))
     return state
 
 
@@ -292,21 +295,63 @@ def _square_sums(view: np.ndarray, perm, k: int, chunks) -> np.ndarray:
     return sums
 
 
-def _bind(state: StateVector, program):
-    """Each (operand, targets, controls) triple of program resolved to a view of
-    state's register, as _run takes it, unchecked: the qubits must be distinct
-    and in range, each polarity the int OPEN or CLOSED, and operand, from
-    kernel_operand, a 2^k x 2^k matrix or a length-2^k diagonal for k targets. A
-    diagonal becomes (view, multiplier), its operand spread onto _diag_layout's
-    view. A matrix reads _matrix_layout's view with the controls fixed: on one
-    target it becomes (view, D0, D1, axis, reverse, chunks), axis the target's and
-    D0 and D1 each a complex when its entries are equal, else its entry pair as
-    _scale takes it; on more, (view, matrix, perm, chunks). A generator: run as it is
-    bound, each multiplier lives for one gate; a list of it binds the whole program
-    once, for several runs on the register, and keeps every diagonal's multiplier."""
+def _fused(n: int, program):
+    """program with each maximal run of consecutive uncontrolled diagonal triples
+    as one diagonal triple on the union of the run's targets, ascending: the run
+    bound, unfused, and run on a vector of ones on those qubits renumbered. A run
+    closes before a gate that would take the union past log2(CHUNK) qubits, or
+    make the run's multiplier on an n-qubit register, by _diag_layout's rule,
+    larger than both CHUNK entries and the largest of one of its gates. A run of
+    one triple, such as a gate wider than log2(CHUNK), passes through unchanged,
+    and so does a run on every qubit of the register, whose product would cost as
+    much to build as the run costs to apply."""
+    cap = CHUNK.bit_length() - 1
+    w = min(n, cap)
+
+    def entries(qubits):  # _diag_layout's multiplier size, without building its recipe
+        return (1 << w if min(qubits, default=w) < w else 1) << len([q for q in qubits if q >= w])
+
+    run, union, bound = [], set(), CHUNK
+    for triple in chain(program, [None]):
+        diagonal = triple is not None and triple[0].ndim == 1 and not triple[2]
+        if diagonal and run:
+            wider = union.union(triple[1])
+            # On at most cap qubits every multiplier, fused or not, is 2^n <= CHUNK entries.
+            most = max(bound, entries(triple[1])) if n > cap else CHUNK
+            if n <= cap or len(wider) <= cap and entries(wider) <= most:
+                run.append(triple)
+                union, bound = wider, most
+                continue
+        if len(run) > 1 and len(union) < n:
+            qubits = sorted(union)
+            ones = StateVector(len(qubits), np.ones(1 << len(qubits), dtype=np.complex128))
+            _run(_bind(ones, [(op, tuple([qubits.index(q) for q in t]), ()) for op, t, _ in run], fuse=False))
+            yield ones.amplitudes, tuple(qubits), ()
+        else:
+            yield from run
+        run = []
+        if diagonal:
+            run, union, bound = [triple], set(triple[1]), max(CHUNK, entries(triple[1]))
+        elif triple is not None:
+            yield triple
+
+
+def _bind(state: StateVector, program, fuse: bool = True):
+    """Each (operand, targets, controls) triple of program, its runs fused by
+    _fused unless fuse is False, resolved to a view of state's register, as _run
+    takes it, unchecked: the qubits must be distinct and in range, each polarity
+    the int OPEN or CLOSED, and operand, from kernel_operand, a 2^k x 2^k matrix
+    or a length-2^k diagonal for k targets. A diagonal becomes (view, multiplier),
+    its operand spread onto _diag_layout's view. A matrix reads _matrix_layout's
+    view with the controls fixed: on one target it becomes (view, D0, D1, axis,
+    reverse, chunks), axis the target's and D0 and D1 each a complex when its
+    entries are equal, else its entry pair as _scale takes it; on more, (view,
+    matrix, perm, chunks). A generator: run as it is bound, each multiplier lives
+    for one step; a list of it binds the whole program once, for several runs on
+    the register, and keeps every diagonal step's multiplier."""
     n = state.num_qubits
     amps = state.amplitudes
-    for operand, targets, controls in program:
+    for operand, targets, controls in _fused(n, program) if fuse else program:
         if operand.ndim == 1:
             shape, index, spread = _diag_layout(n, targets, controls)
             yield amps.reshape(shape)[index], operand.take(spread)
@@ -332,7 +377,7 @@ def _run(steps) -> None:
         if len(step) == 2:
             view, multiplier = step
             view *= multiplier
-            del multiplier  # so that it is freed before the next step runs
+            del step, multiplier  # so that it is freed before the next step is bound
         elif len(step) == 6:
             view, d0, d1, axis, reverse, chunks = step
             for sub in (view,) if chunks is None else (view[c] for c in chunks):

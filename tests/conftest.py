@@ -21,6 +21,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from holcus.circuit import Circuit, Gate
@@ -115,6 +116,18 @@ def distinct_phase_diagonal(rng: np.random.Generator, k: int) -> np.ndarray:
     """2^k x 2^k diagonal unitary whose phases are pairwise distinct, in random order."""
     dim = 1 << k
     return np.diag(np.exp(2j * np.pi * (rng.permutation(dim) + rng.uniform()) / dim))
+
+
+def random_phase_gate(data, rng: np.random.Generator, n: int) -> Gate:
+    """An uncontrolled diagonal gate on distinct qubits below n, drawn by a
+    hypothesis data object: EXP_Z, EXP_ZZ or a DENSE diagonal of distinct phases
+    on 1-3 targets."""
+    kind = data.draw(st.sampled_from(["EXP_Z", "DENSE"] + ["EXP_ZZ"] * (n > 1)))
+    k = {"EXP_Z": 1, "EXP_ZZ": 2}.get(kind) or data.draw(st.integers(1, min(3, n)))
+    targets = tuple(data.draw(st.permutations(range(n)))[:k])
+    if kind == "DENSE":
+        return Gate(kind, targets, matrix=distinct_phase_diagonal(rng, k))
+    return Gate(kind, targets, (float(rng.uniform(-np.pi, np.pi)),))
 
 
 def circuit_full_matrix(circ: Circuit) -> np.ndarray:

@@ -17,6 +17,8 @@ from holcus.bench import (
     PRESETS,
     BenchmarkRecord,
     ExperimentConfig,
+    _ratios,
+    _rounds,
     aggregate_speedup,
     emit_plot_data,
     exp1_config,
@@ -376,6 +378,11 @@ class TestPlotData:
             emit_plot_data([], "time_vs_n", tmp_path / "x.dat")
 
 
+def _check_per_round(stats, rounds):
+    assert list(stats) == ["median", "min", "max", "rounds"]
+    assert 0 < stats["min"] <= stats["median"] <= stats["max"] and stats["rounds"] == rounds
+
+
 class TestProfile:
     def test_schema_on_a_tiny_grid(self, monkeypatch):
         monkeypatch.setattr(holcus.bench, "PROFILE_NS", (2, 3))
@@ -398,17 +405,33 @@ class TestProfile:
         assert (grid["p"], grid["gammas"], grid["betas"]) == (3, [0.3, 0.5, 0.2], [0.7, 0.2, 0.4])
         assert list(grid["s"]) == ["2", "3"]
         for n, row in grid["s"].items():
-            assert list(row) == [*METHODS, "hadamard/holcus"]
+            assert list(row) == [*METHODS, "hadamard/holcus", "hadamard/holcus per round"]
             assert all(list(row[m]) == ["s", "qubits", "circuits"] and row[m]["s"] > 0 for m in METHODS)
             assert (row["raw"]["qubits"], row["hadamard"]["qubits"]) == (int(n), int(n) + 1)
             assert row["holcus"]["circuits"] == row["raw"]["circuits"] == 1
             assert row["hadamard/holcus"] == row["hadamard"]["s"] / row["holcus"]["s"]
+            _check_per_round(row["hadamard/holcus per round"], 9)
         train = record["train"]
         assert (train["p"], train["max_evals"], list(train["s"])) == (1, 3, ["2"])
         row = train["s"]["2"]
-        assert list(row) == [*METHODS, "hadamard/holcus"]
+        assert list(row) == [*METHODS, "hadamard/holcus", "hadamard/holcus per round"]
         assert all(row[m] > 0 for m in METHODS)
         assert row["hadamard/holcus"] == row["hadamard"] / row["holcus"]
+        _check_per_round(row["hadamard/holcus per round"], 5)
+
+    def test_rounds_alternate_the_order_of_the_calls(self):
+        order = []
+        calls = {key: lambda key=key: order.append(key) or key for key in "abc"}
+        times, firsts = _rounds(calls, 3)
+        assert firsts == {"a": "a", "b": "b", "c": "c"}
+        assert "".join(order) == "abc" + "abc" + "cba" + "abc"
+        assert all(len(t) == 3 and min(t) >= 0 for t in times.values())
+
+    def test_ratios_of_medians_and_per_round(self):
+        times = {"hadamard": [2.0, 9.0, 3.0], "holcus": [1.0, 3.0, 2.0]}
+        ratios = _ratios(times)
+        assert ratios["hadamard/holcus"] == 3.0 / 2.0
+        assert ratios["hadamard/holcus per round"] == {"median": 2.0, "min": 1.5, "max": 3.0, "rounds": 3}
 
     def test_cli_writes_the_record_as_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(holcus.cli, "profile", lambda: {"schema": 1, "kernel_us": {}})

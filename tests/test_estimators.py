@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 import holcus.circuit
 import holcus.estimators
-from conftest import distinct_phase_diagonal, lcu_dense_matrix, model_of, pauli_full_matrix, random_prep_circuit
+from conftest import (
+    distinct_phase_diagonal,
+    lcu_dense_matrix,
+    model_of,
+    pauli_full_matrix,
+    random_phase_gate,
+    random_prep_circuit,
+)
 from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, resource_report, run, x
 from holcus.estimators import (
     EXACT,
@@ -38,6 +45,7 @@ from holcus.statevector import (
     StateVector,
     _bind,
     _diag_layout,
+    _fused,
     _matrix_layout,
     _run,
     derive_seed,
@@ -457,15 +465,19 @@ class TestRunProgram:
         # Widths up to 16 put targets above qubit 13, spread diagonals over several
         # axes and chunk matrix products; the first two circuits share a width,
         # and each starts with H on every qubit, so a register that is not reset
-        # to |0...0> before the next circuit changes its value.
+        # to |0...0> before the next circuit changes its value. The prep and each
+        # suffix hold a run of uncontrolled diagonals, which the kernel fuses.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         n = data.draw(st.integers(1, 14))
         widths = data.draw(st.lists(st.integers(n, 16), min_size=1, max_size=2))
         widths = [widths[0], widths[0]] + data.draw(st.lists(st.sampled_from(widths), max_size=3))
         prep_gates = [_random_gate(data, rng, list(range(n))) for _ in range(data.draw(st.integers(0, 6)))]
+        at = data.draw(st.integers(0, len(prep_gates)))
+        prep_gates[at:at] = [random_phase_gate(data, rng, n) for _ in range(data.draw(st.integers(0, 6)))]
         measurements = []
         for w in widths:
             gates = [h(q) for q in range(w)]
+            gates += [random_phase_gate(data, rng, w) for _ in range(data.draw(st.integers(0, 4)))]
             gates += [_random_gate(data, rng, list(range(w))) for _ in range(data.draw(st.integers(0, 4)))]
             top = data.draw(st.integers(1, min(3, w)))
             measurements.append(Measurement(Circuit(w, gates), rng.normal(size=1 << top)))
@@ -473,10 +485,13 @@ class TestRunProgram:
         prep = [(g.operand, g.targets, g.controls) for g in prep_gates]
         shots = data.draw(st.sampled_from([EXACT, 1000]))
         cfg = EstimatorConfig("holcus", shots=shots, seed=data.draw(st.integers(0, 2**32)))
+        # The executor binds the prep and each suffix as programs of their own, so
+        # each fuses its own runs of uncontrolled diagonals on the register's width.
         value, variance = plan.offset, 0.0
         for k, meas in enumerate(plan.measurements):
-            state = new_basis_state(meas.suffix.num_qubits)
-            for triple in prep + [(g.operand, g.targets, g.controls) for g in meas.suffix.gates]:
+            width = meas.suffix.num_qubits
+            state = new_basis_state(width)
+            for triple in [*_fused(width, prep), *_fused(width, meas.suffix.program)]:
                 _run(_bind(state, [triple]))
             term, var = _readout(state, meas, cfg, k)
             value += term
@@ -499,57 +514,81 @@ class TestRunProgram:
         assert plan.max_qubits == 17
         assert peak < 1.6 * (16 << 17)
 
-    def test_shared_prep_holds_one_multiplier_per_diagonal_until_its_width_ends(self):
-        # hadamard runs M circuits of n + 1 qubits, so each prep diagonal's
-        # multiplier is built once and held: at n = 8 a diagonal on 9 qubits spreads
-        # over all 2^9 amplitudes, 8 KiB each. All are freed on return.
+    def test_shared_prep_holds_one_multiplier_per_fused_run_until_its_width_ends(self):
+        # hadamard runs M circuits of n + 1 qubits, so the prep is bound once and each
+        # of its diagonal steps' multipliers is held. At n = 8 each phase layer's 8
+        # EXP_Z and 28 EXP_ZZ gates fuse into one diagonal on the 8 state qubits,
+        # spread over all 2^9 amplitudes: 8 KiB per layer. All are freed on return.
         model = qubo_to_ising(random_qubo(8, 1))
         prep = build_ansatz(model, QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4))).program
         cfg = EstimatorConfig(method="hadamard")
         plan = compile_plan(model, cfg)
         run_program(plan, prep, cfg)
         diagonals = sum(operand.ndim == 1 for operand, _, _ in prep)
-        multipliers = diagonals * (16 << 9)
+        fused = [targets for operand, targets, _ in _fused(9, prep) if operand.ndim == 1]
+        multipliers = len(fused) * (16 << 9)
         _, peak, held = _traced(lambda: run_program(plan, prep, cfg))
-        assert diagonals == 3 * (8 + 28)
+        assert (diagonals, fused) == (3 * (8 + 28), [tuple(range(8))] * 3)
         assert multipliers <= peak < multipliers + (64 << 10)
         assert held < 4 << 10
 
     def test_a_width_frees_its_prep_before_the_next_width_binds(self):
-        # Two circuits each on 12 and 13 qubits: the 13-qubit multipliers (128 KiB
-        # per diagonal) are bound only after the 12-qubit ones (64 KiB) are freed.
+        # Two circuits each on 12 and 13 qubits. The prep is n runs of EXP_ZZ gates
+        # on a ring, each closed by EXP_X, so it binds to n fused multipliers: the
+        # 13-qubit ones (128 KiB each) are bound only after the 12-qubit ones (64 KiB)
+        # are freed.
         n = 8
-        prep = Circuit(n, [Gate("EXP_ZZ", (q, (q + 1) % n), (0.1 * q,)) for q in range(n)]).program
+        ring = [Gate("EXP_ZZ", (q, (q + 1) % n), (0.1 * q,)) for q in range(n)]
+        prep = Circuit(n, [*ring, Gate("EXP_X", (0,), (0.2,))] * n).program
         values = np.array([1.0, -1.0])
         measurements = tuple(Measurement(Circuit(w, [h(w - 1)]), values) for w in (12, 12, 13, 13))
         plan = EstimatorPlan(n, 0.0, measurements)
         cfg = EstimatorConfig("holcus")
         run_program(plan, prep, cfg)
         _, peak, _ = _traced(lambda: run_program(plan, prep, cfg))
+        assert sum(operand.ndim == 1 for operand, _, _ in _fused(13, prep)) == n
         assert n * (16 << 13) <= peak < n * (16 << 13) + 2 * (16 << 13) + (64 << 10)
 
-
-    def test_shared_prep_holds_each_diagonal_by_the_multiplier_rule(self):
-        # hadamard at n = 14 runs 105 circuits of 15 qubits. Each prep diagonal
-        # holds 16 B x 2^min(width, 13) x 2^(its targets at qubit >= 13) until the
-        # width ends, or 16 B x 2^(its targets) when none lies below qubit 13:
-        # 91 diagonals of 128 KiB, 13 of 256 KiB and EXP_Z on qubit 13 of 32 B,
-        # against a 512 KiB register.
+    def test_shared_prep_holds_each_fused_run_by_the_multiplier_rule(self):
+        # hadamard at n = 14 runs 105 circuits of 15 qubits. Each fused run of the
+        # prep holds 16 B x 2^min(width, 13) x 2^(its targets at qubit >= 13) until
+        # the width ends, or 16 B x 2^(its targets) when none lies below qubit 13. A
+        # run closes before a gate that would take it past 13 qubits, or past both
+        # 2^13 entries and the largest multiplier of one of its gates (2^14 for
+        # EXP_ZZ on qubit 13 and one below): the 14 EXP_Z gates bind as 13 on qubits
+        # 0-12 (128 KiB) and EXP_Z on qubit 13 alone (32 B), the 91 EXP_ZZ gates as
+        # one run of 128 KiB and two of 256 KiB, against a 512 KiB register.
         model = qubo_to_ising(random_qubo(14, 1))
         prep = build_ansatz(model, QaoaParams((0.3,), (0.7,))).program
         cfg = EstimatorConfig(method="hadamard")
         plan = compile_plan(model, cfg)
         run_program(plan, prep, cfg)
         width = plan.max_qubits
-        held_by_rule = sum(
+        held_by_rule = [
             16 * (1 << min(width, 13) if min(targets) < 13 else 1) << sum(q >= 13 for q in targets)
-            for operand, targets, _ in prep
+            for operand, targets, _ in _fused(width, prep)
             if operand.ndim == 1
-        )
+        ]
         _, peak, held = _traced(lambda: run_program(plan, prep, cfg))
-        assert (width, len(plan.measurements), held_by_rule) == (15, 105, 91 * (128 << 10) + 13 * (256 << 10) + 32)
-        assert held_by_rule <= peak < held_by_rule + 2 * (16 << width)
+        assert (width, len(plan.measurements)) == (15, 105)
+        assert held_by_rule == [128 << 10, 32, 128 << 10, 256 << 10, 256 << 10]
+        assert sum(held_by_rule) <= peak < sum(held_by_rule) + 2 * (16 << width)
         assert held < 4 << 10
+
+    @pytest.mark.parametrize("n, per_gate_peak", [(14, 3.51), (15, 2.25)])
+    def test_exact_raw_peaks_no_higher_than_per_gate_diagonals(self, n, per_gate_peak):
+        # raw runs one n-qubit circuit, its prep bound as it runs. Applied gate by
+        # gate, an exact p = 1 run_plan peaked at 3.51 and 2.25 registers at n = 14
+        # and 15 (recipes warm). A fused run's multiplier is capped at the larger of
+        # 2^13 entries and its largest gate's, and each step's multiplier is freed
+        # before the next step is bound, so fusing must not raise the peak.
+        model = qubo_to_ising(random_qubo(n, 1))
+        prep = build_ansatz(model, QaoaParams((0.3,), (0.7,)))
+        cfg = EstimatorConfig("raw")
+        plan = compile_plan(model, cfg)
+        run_plan(plan, prep, cfg)
+        _, peak, _ = _traced(lambda: run_plan(plan, prep, cfg))
+        assert peak < per_gate_peak * (16 << n)
 
 
 class TestHolcusDiv:

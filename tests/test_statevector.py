@@ -15,6 +15,7 @@ from conftest import (
     distinct_phase_diagonal,
     embed_full_matrix,
     pauli_full_matrix,
+    random_phase_gate,
     random_prep_circuit,
 )
 import holcus.estimators
@@ -33,6 +34,7 @@ from holcus.statevector import (
     StateVector,
     _bind,
     _diag_layout,
+    _fused,
     _matrix_layout,
     _run,
     _square_sums,
@@ -429,6 +431,79 @@ class TestCollapsedView:
         assert all(view[c].size <= 1 << 6 for c in cuts or ())
         assert np.max(np.abs(chunked_marginal - marginal)) <= 1e-15
         assert abs(chunked_mean - mean) <= 1e-15
+
+
+class TestFusedDiagonals:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 16))
+    def test_fused_program_matches_one_triple_at_a_time(self, data, n):
+        # Runs of 0-8 uncontrolled diagonals (EXP_Z, EXP_ZZ, diagonal DENSE on 1-3
+        # targets) between controlled diagonals and matrix gates. Widths above 13
+        # put targets above qubit 13, where a multiplier doubles per target; 2^6
+        # caps a fused run at 6 qubits and closes it at a multiplier above both 2^6
+        # entries and that of each of its gates.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        program = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            program += [random_phase_gate(data, rng, n) for _ in range(data.draw(st.integers(0, 8)))]
+            k = data.draw(st.integers(1, min(3, n)))
+            qubits = data.draw(st.permutations(range(n)))
+            c = data.draw(st.integers(0, min(3, n - k)))
+            controls = tuple((q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in qubits[k : k + c])
+            if c and data.draw(st.booleans(), label="diagonal"):
+                matrix = distinct_phase_diagonal(rng, k)
+            else:
+                matrix = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))[0]
+            program.append(Gate("DENSE", tuple(qubits[:k]), controls=controls, matrix=matrix))
+        program = [(g.operand, g.targets, g.controls) for g in program[: data.draw(st.integers(1, len(program)))]]
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        for chunk in (statevector.CHUNK, 1 << 6):
+            want = StateVector(n, psi.copy())
+            got = StateVector(n, psi.copy())
+            with _chunk_size(chunk):
+                for triple in program:
+                    _run(_bind(want, [triple]))
+                largest = max((_diag_layout(n, t, c)[2].size for op, t, c in program if op.ndim == 1), default=0)
+                widest = max(len(targets) for _, targets, _ in _fused(n, program))
+                steps = list(_bind(got, program))
+                _run(steps)
+            assert np.allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
+            assert widest <= max(3, chunk.bit_length() - 1)
+            assert all(len(step) != 2 or step[1].size <= max(chunk, largest) for step in steps)
+
+    def test_a_run_closes_at_the_qubit_cap_and_the_multiplier_bound(self):
+        # On 16 qubits, EXP_ZZ on qubits 0 and 13 spreads to 2^14 entries. Its union
+        # with EXP_Z on qubits 0-12 would spread to no more, but 14 qubits pass
+        # log2(CHUNK). After H, EXP_Z on qubit 13 spreads to 2 entries and EXP_Z on
+        # qubit 0 to 2^13; together they would spread to 2^14, above both.
+        z = Gate("EXP_Z", (0,), (0.3,)).operand
+        zz = Gate("EXP_ZZ", (0, 1), (0.3,)).operand
+        program = [*((z, (q,), ()) for q in range(13)), (zz, (0, 13), ()), (H, (5,), ()), (z, (13,), ()), (z, (0,), ())]
+        fused = [targets for _, targets, _ in _fused(16, program)]
+        assert fused == [tuple(range(13)), (0, 13), (5,), (13,), (0,)]
+
+    def test_a_run_on_every_qubit_of_its_register_stays_unfused(self):
+        # Its product would be as wide as the register, so building it costs what
+        # applying the run does; one qubit more and the run fuses.
+        z = Gate("EXP_Z", (0,), (0.3,)).operand
+        zz = Gate("EXP_ZZ", (0, 1), (0.3,)).operand
+        program = [(z, (0,), ()), (zz, (0, 1), ()), (z, (1,), ())]
+        assert list(_fused(2, program)) == program
+        ((operand, targets, controls),) = _fused(3, program)
+        assert (targets, controls) == ((0, 1), ())
+        assert np.allclose(operand, z[[0, 1, 0, 1]] * zz * z[[0, 0, 1, 1]], rtol=0, atol=1e-15)
+
+    def test_phase_layer_binds_to_one_step(self):
+        # The 66 phase gates of a p = 1 ansatz at n = 11 fuse into one diagonal on
+        # the 11 state qubits, spread over 2^13 amplitudes of a 19-qubit register.
+        model = qubo_to_ising(random_qubo(11, 1))
+        prep = build_ansatz(model, QaoaParams((0.3,), (0.4,))).program
+        state = new_basis_state(19)
+        steps = list(_bind(state, prep))
+        diagonals = [step for step in steps if len(step) == 2]
+        assert len(prep) == 11 + 66 + 11 and len(steps) == 11 + 1 + 11
+        assert [step[1].size for step in diagonals] == [1 << 13]
 
 
 class TestMarginalProbabilities:
