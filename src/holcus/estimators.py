@@ -28,9 +28,9 @@ reads the observable's mean from the rows of |amplitude|^2, chunk by chunk
 on a register above statevector.CHUNK amplitudes, so the readout holds
 O(CHUNK) beside the register and its probabilities. The circuits of one
 width share one register and, when there are several, one binding of the
-prep (statevector._bind), which holds one multiplier per fused run of
-uncontrolled diagonals; every circuit still applies every gate, each such run
-as one multiply, to every amplitude, so the values are those of a fresh
+prep (statevector._bind), which holds one operand per fused run (a multiplier
+or a Kronecker block); every circuit still applies every gate, each such run
+as one step, to every amplitude, so the values are those of a fresh
 register per circuit. run_plan is its adapter for a prep
 Circuit; estimate() compiles a plan and runs it. The public circuit builders
 use the same builder, so they return exactly the executed circuits;
@@ -287,9 +287,13 @@ def _readout(
     otherwise. As qubit 0 is the least significant bit of an amplitude's
     index, outcome i of the top qubits owns one contiguous row of amplitudes,
     whose |amplitude|^2 it sums in pieces of at most statevector.CHUNK
-    amplitudes (read at call time; one piece for a register that fits), cut
-    across the columns first as marginal_vector cuts the same view, so that
-    beside the register and its 2^k probabilities the readout holds O(CHUNK).
+    amplitudes (read at call time; one piece for a register that fits), so
+    that beside the register and its 2^k probabilities the readout holds
+    O(CHUNK). The pieces are cut across the columns first, as marginal_vector
+    cuts the same view, which above CHUNK rows leaves single strided columns;
+    there, rows of 16 or more amplitudes are cut into blocks of whole rows
+    instead, as a stride of 256 B or more costs more than numpy's row-by-row
+    sum over a short last axis.
 
     For an Ising model every part=IMAGINARY interference circuit has
     P(0) = 1/2 exactly, so a seeded draw sits on a tie: a kernel change that
@@ -298,7 +302,8 @@ def _readout(
     imaginary part is not stable across kernel changes."""
     rows = len(meas.values)
     cols = len(state.amplitudes) // rows
-    cuts = _cuts([rows, cols], (1, 0), statevector.CHUNK)
+    order = (0, 1) if rows > statevector.CHUNK and cols >= 16 else (1, 0)
+    cuts = _cuts([rows, cols], order, statevector.CHUNK)
     probs = _square_sums(state.amplitudes.reshape(rows, cols), (0, 1), 1, cuts)
     if cfg.exact:
         return probs @ meas.values, 0.0
@@ -313,10 +318,10 @@ def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) ->
     (unchecked): value = offset + the sum of each circuit's mean observable. In
     finite mode circuit k samples with derive_seed(cfg.seed, k). A width's
     circuits run in turn on one register; with several, the prep is bound once
-    and shared, holding one multiplier per fused run of its uncontrolled
-    diagonals, else it is bound as it runs. The prep and each suffix are fused
-    as programs of their own. A width's register and bound prep are freed before
-    the next width's are allocated."""
+    and shared, holding one multiplier or block per fused run, else it is
+    bound as it runs. The prep and each suffix are fused as programs of their
+    own. A width's register and bound prep are freed before the next width's
+    are allocated."""
     reads = [None] * len(plan.measurements)
     for width, ks in plan.widths.items():
         state = new_basis_state(width)

@@ -31,15 +31,18 @@ in pieces of at most CHUNK. kernel_operand chooses diagonal or matrix once per
 matrix, _bind the step by target count.
 
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
-first fuses each run of consecutive uncontrolled diagonal triples, such as a
-QAOA phase layer, into one diagonal (_fused), so the register takes one
-multiply where it took one per gate; fusion reads only the gate list and still
-touches every amplitude, so every program takes it and it has no switch. _bind
-then resolves each triple to a bound step on one register; _run applies bound
-steps in order. Run as it is bound, a program holds one diagonal's multiplier
-at a time; bound once into a list, it runs again on the same register with no
-per-gate setup, which estimators.run_program does for a prep that several
-circuits of one width share, holding one multiplier per fused run.
+first fuses the program (_fused): each run of consecutive uncontrolled diagonal
+triples, such as a QAOA phase layer, becomes one diagonal, one multiply where
+there was one per gate, and each run of uncontrolled one-target matrices on
+distinct qubits, such as the H or an EXP_X layer, becomes Kronecker blocks, one
+matrix product per _KRON_QUBITS qubits where there was one flip per qubit.
+Fusion reads only the gate list and still touches every amplitude, so every
+program takes it and it has no switch. _bind then resolves each triple to a
+bound step on one register; _run applies bound steps in order. Run as it is
+bound, a program holds one diagonal's multiplier at a time; bound once into a
+list, it runs again on the same register with no per-gate setup, which
+estimators.run_program does for a prep that several circuits of one width
+share, holding one multiplier or block per fused run.
 apply_unitary checks its arguments, then binds and runs its one gate, unfused;
 a Circuit's program was checked when the circuit was built.
 """
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -62,6 +66,8 @@ LAYOUT_CACHE_SIZE = 4096
 # Most amplitudes one matrix gate reads, or one readout squares, at a time (larger
 # views go chunk by chunk), and the longest contiguous axis of a diagonal gate's view.
 CHUNK = 1 << 13
+# Most qubits _fused joins into one Kronecker block of one-target gates.
+_KRON_QUBITS = 4
 # take's index that flips a target's bit along its axis.
 _FLIP = np.array([1, 0])
 
@@ -296,15 +302,19 @@ def _square_sums(view: np.ndarray, perm, k: int, chunks) -> np.ndarray:
 
 
 def _fused(n: int, program):
-    """program with each maximal run of consecutive uncontrolled diagonal triples
-    as one diagonal triple on the union of the run's targets, ascending: the run
-    bound, unfused, and run on a vector of ones on those qubits renumbered. A run
-    closes before a gate that would take the union past log2(CHUNK) qubits, or
-    make the run's multiplier on an n-qubit register, by _diag_layout's rule,
-    larger than both CHUNK entries and the largest of one of its gates. A run of
-    one triple, such as a gate wider than log2(CHUNK), passes through unchanged,
-    and so does a run on every qubit of the register, whose product would cost as
-    much to build as the run costs to apply."""
+    """program with its runs fused, in one pass. Each maximal run of consecutive
+    uncontrolled diagonal triples becomes one diagonal triple on the union of the
+    run's targets, ascending: the run bound, unfused, and run on a vector of ones
+    on those qubits renumbered. A run closes before a gate that would take the
+    union past log2(CHUNK) qubits, or make the run's multiplier on an n-qubit
+    register, by _diag_layout's rule, larger than both CHUNK entries and the
+    largest of one of its gates. A run of one triple, such as a gate wider than
+    log2(CHUNK), passes through unchanged, and so does a run on every qubit of
+    the register, whose product would cost as much to build as the run costs to
+    apply. Each maximal run of uncontrolled one-target matrices on distinct
+    qubits, closed by any other triple or a repeated qubit, becomes Kronecker
+    blocks: its qubits, ascending, cut into groups of at most _KRON_QUBITS, each
+    one triple whose operand bit j is targets[j]; a group of one keeps its gate."""
     cap = CHUNK.bit_length() - 1
     w = min(n, cap)
 
@@ -313,8 +323,10 @@ def _fused(n: int, program):
 
     run, union, bound = [], set(), CHUNK
     for triple in chain(program, [None]):
-        diagonal = triple is not None and triple[0].ndim == 1 and not triple[2]
-        if diagonal and run:
+        uncontrolled = triple is not None and not triple[2]
+        diagonal = uncontrolled and triple[0].ndim == 1
+        flip = uncontrolled and triple[0].shape == (2, 2)
+        if diagonal and run and run[0][0].ndim == 1:
             wider = union.union(triple[1])
             # On at most cap qubits every multiplier, fused or not, is 2^n <= CHUNK entries.
             most = max(bound, entries(triple[1])) if n > cap else CHUNK
@@ -322,7 +334,18 @@ def _fused(n: int, program):
                 run.append(triple)
                 union, bound = wider, most
                 continue
-        if len(run) > 1 and len(union) < n:
+        elif flip and run and run[0][0].ndim == 2 and triple[1][0] not in union:
+            run.append(triple)
+            union.add(triple[1][0])
+            continue
+        if len(run) > 1 and run[0][0].ndim == 2:
+            run.sort(key=itemgetter(1))
+            for i in range(0, len(run), _KRON_QUBITS):
+                block = run[i][0]
+                for u, _, _ in run[i + 1 : i + _KRON_QUBITS]:  # np.kron(u, block), at a fifth of its cost
+                    block = (u[:, None, :, None] * block[None, :, None, :]).reshape(2 * len(block), -1)
+                yield block, tuple([t for _, (t,), _ in run[i : i + _KRON_QUBITS]]), ()
+        elif len(run) > 1 and len(union) < n:
             qubits = sorted(union)
             ones = StateVector(len(qubits), np.ones(1 << len(qubits), dtype=np.complex128))
             _run(_bind(ones, [(op, tuple([qubits.index(q) for q in t]), ()) for op, t, _ in run], fuse=False))
@@ -330,7 +353,7 @@ def _fused(n: int, program):
         else:
             yield from run
         run = []
-        if diagonal:
+        if diagonal or flip:
             run, union, bound = [triple], set(triple[1]), max(CHUNK, entries(triple[1]))
         elif triple is not None:
             yield triple

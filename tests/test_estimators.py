@@ -1,5 +1,6 @@
 """Estimator strategies: circuits, exact/finite modes, resource accounting."""
 
+import gc
 import math
 import tracemalloc
 from functools import cached_property
@@ -311,6 +312,26 @@ class TestResourceAccounting:
             reports = compile_plan(model, EstimatorConfig(method=method)).resources(prep)
             assert reports == tuple(resource_report(c) for c in circuits), method
 
+    def test_resources_count_the_circuits_as_built_not_as_fused(self):
+        # The kernel fuses runs of diagonals and of one-target gates when it binds a
+        # program; the reports of a p = 3 plan at n = 6 count every gate as built:
+        # (circuits, gates, controlled gates, summed depth, widths).
+        model = qubo_to_ising(random_qubo(6, 1))
+        prep = build_ansatz(model, QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4)))
+        for method, want in (
+            ("raw", (1, 87, 0, 41, {6})),
+            ("hadamard", (21, 1890, 21, 903, {7})),
+            ("holcus", (1, 112, 23, 65, {12})),
+            ("holcus_div", (21, 1890, 21, 903, {7})),
+        ):
+            plan = compile_plan(model, EstimatorConfig(method=method))
+            reports = plan.resources(prep)
+            fused = [len(list(_fused(m.suffix.num_qubits, prep.program + m.suffix.program))) for m in plan.measurements]
+            assert [r.gate_count for r in reports] == [len(prep.gates) + len(m.suffix.gates) for m in plan.measurements]
+            assert all(r.gate_count > f for r, f in zip(reports, fused)), method
+            got = [sum(getattr(r, f) for r in reports) for f in ("gate_count", "controlled_gate_count", "logical_depth")]
+            assert (len(reports), *got, {r.qubit_count for r in reports}) == want, method
+
 
 class TestRunPlan:
     @pytest.mark.parametrize("method", ["hadamard", "holcus", "holcus_div"])
@@ -420,11 +441,15 @@ def _random_gate(data, rng, qubits) -> Gate:
 
 
 def _traced(call):
-    """(call's result, traced peak bytes, traced bytes still held after it)."""
+    """(call's result, traced peak bytes, traced bytes still held after it). A full
+    collection empties the interpreter's free lists first: what they keep depends
+    on the tests run before, and is not held by the call."""
     tracemalloc.start()
     try:
         out = call()
-        current, peak = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
+        gc.collect()
+        current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     return out, peak, current
@@ -466,7 +491,8 @@ class TestRunProgram:
         # axes and chunk matrix products; the first two circuits share a width,
         # and each starts with H on every qubit, so a register that is not reset
         # to |0...0> before the next circuit changes its value. The prep and each
-        # suffix hold a run of uncontrolled diagonals, which the kernel fuses.
+        # suffix hold a run of uncontrolled diagonals, which the kernel fuses, and
+        # each suffix's H layer binds as blocks of at most 4 consecutive qubits.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         n = data.draw(st.integers(1, 14))
         widths = data.draw(st.lists(st.integers(n, 16), min_size=1, max_size=2))
@@ -491,6 +517,8 @@ class TestRunProgram:
         for k, meas in enumerate(plan.measurements):
             width = meas.suffix.num_qubits
             state = new_basis_state(width)
+            blocks = [tuple(range(q, min(q + 4, width))) for q in range(0, width, 4)]
+            assert [t for _, t, _ in _fused(width, meas.suffix.program)][: len(blocks)] == blocks
             for triple in [*_fused(width, prep), *_fused(width, meas.suffix.program)]:
                 _run(_bind(state, [triple]))
             term, var = _readout(state, meas, cfg, k)
@@ -557,7 +585,9 @@ class TestRunProgram:
         # 2^13 entries and the largest multiplier of one of its gates (2^14 for
         # EXP_ZZ on qubit 13 and one below): the 14 EXP_Z gates bind as 13 on qubits
         # 0-12 (128 KiB) and EXP_Z on qubit 13 alone (32 B), the 91 EXP_ZZ gates as
-        # one run of 128 KiB and two of 256 KiB, against a 512 KiB register.
+        # one run of 128 KiB and two of 256 KiB, against a 512 KiB register. The H
+        # and EXP_X layers each hold blocks on qubits 0-3, 4-7, 8-11 (4 KiB each) and
+        # 12-13 (256 B).
         model = qubo_to_ising(random_qubo(14, 1))
         prep = build_ansatz(model, QaoaParams((0.3,), (0.7,))).program
         cfg = EstimatorConfig(method="hadamard")
@@ -566,12 +596,14 @@ class TestRunProgram:
         width = plan.max_qubits
         held_by_rule = [
             16 * (1 << min(width, 13) if min(targets) < 13 else 1) << sum(q >= 13 for q in targets)
-            for operand, targets, _ in _fused(width, prep)
             if operand.ndim == 1
+            else operand.nbytes
+            for operand, targets, _ in _fused(width, prep)
         ]
         _, peak, held = _traced(lambda: run_program(plan, prep, cfg))
+        blocks = [4 << 10] * 3 + [256]
         assert (width, len(plan.measurements)) == (15, 105)
-        assert held_by_rule == [128 << 10, 32, 128 << 10, 256 << 10, 256 << 10]
+        assert held_by_rule == [*blocks, 128 << 10, 32, 128 << 10, 256 << 10, 256 << 10, *blocks]
         assert sum(held_by_rule) <= peak < sum(held_by_rule) + 2 * (16 << width)
         assert held < 4 << 10
 

@@ -432,20 +432,51 @@ class TestCollapsedView:
         assert np.max(np.abs(chunked_marginal - marginal)) <= 1e-15
         assert abs(chunked_mean - mean) <= 1e-15
 
+    @pytest.mark.parametrize("n, k", [(11, 7), (13, 8), (12, 9), (12, 11)])
+    def test_readout_of_more_rows_than_chunk_matches_marginal_vector(self, n, k, rng):
+        # Under a 2^6 CHUNK the top k > 6 qubits index more rows than CHUNK. Rows of
+        # 16 amplitudes or more are read in blocks of whole rows, each contiguous;
+        # shorter rows are read as single strided columns, which costs less there.
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = StateVector(n, psi / np.linalg.norm(psi))
+        meas = Measurement(Circuit(n), rng.uniform(-1, 1, size=1 << k))
+        want = marginal_vector(state, range(n - 1, n - 1 - k, -1)) @ meas.values
+        with _chunk_size(1 << 6), mock.patch.object(holcus.estimators, "_square_sums", wraps=_square_sums) as spy:
+            mean = _readout(state, meas, EstimatorConfig("raw"), 0)[0]
+        view, _, _, cuts = spy.call_args.args
+        assert all(view[c].size <= 1 << 6 for c in cuts)
+        assert all(view[c].flags.c_contiguous for c in cuts) == (n - k >= 4)
+        assert abs(mean - want) <= 1e-15
+
+
+def _one_target_gate(data, rng, n: int, controls=()) -> Gate:
+    """H, EXP_X or a DENSE _one_target_unitary on a drawn qubit below n, not a control's."""
+    q = data.draw(st.sampled_from([q for q in range(n) if q not in dict(controls)]))
+    kind = data.draw(st.sampled_from(["H", "EXP_X", "DENSE"]))
+    params = (float(rng.uniform(-np.pi, np.pi)),) if kind == "EXP_X" else ()
+    return Gate(kind, (q,), params, controls, _one_target_unitary(data, rng) if kind == "DENSE" else None)
+
 
 class TestFusedDiagonals:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), n=st.integers(1, 16))
     def test_fused_program_matches_one_triple_at_a_time(self, data, n):
         # Runs of 0-8 uncontrolled diagonals (EXP_Z, EXP_ZZ, diagonal DENSE on 1-3
-        # targets) between controlled diagonals and matrix gates. Widths above 13
-        # put targets above qubit 13, where a multiplier doubles per target; 2^6
-        # caps a fused run at 6 qubits and closes it at a multiplier above both 2^6
-        # entries and that of each of its gates.
+        # targets) and of 0-8 uncontrolled one-target matrices (H, EXP_X, unitaries
+        # of each _one_target_unitary class; a repeated qubit closes such a run, and
+        # so may a controlled one-target gate in mid-run) between controlled
+        # diagonals and matrix gates.
+        # Widths above 13 put targets above qubit 13, where a multiplier doubles per
+        # target; 2^6 caps a fused run at 6 qubits and closes it at a multiplier
+        # above both 2^6 entries and that of each of its gates.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         program = []
         for _ in range(data.draw(st.integers(1, 3))):
             program += [random_phase_gate(data, rng, n) for _ in range(data.draw(st.integers(0, 8)))]
+            program += [_one_target_gate(data, rng, n) for _ in range(data.draw(st.integers(0, 8)))]
+            if n > 1 and program and data.draw(st.booleans(), label="controlled in mid-run"):
+                at = data.draw(st.integers(0, len(program)))
+                program.insert(at, _one_target_gate(data, rng, n, ((data.draw(st.integers(0, n - 1)), CLOSED),)))
             k = data.draw(st.integers(1, min(3, n)))
             qubits = data.draw(st.permutations(range(n)))
             c = data.draw(st.integers(0, min(3, n - k)))
@@ -496,14 +527,46 @@ class TestFusedDiagonals:
 
     def test_phase_layer_binds_to_one_step(self):
         # The 66 phase gates of a p = 1 ansatz at n = 11 fuse into one diagonal on
-        # the 11 state qubits, spread over 2^13 amplitudes of a 19-qubit register.
+        # the 11 state qubits, spread over 2^13 amplitudes of a 19-qubit register;
+        # its H layer and its EXP_X layer each into blocks on qubits 0-3, 4-7 and 8-10.
         model = qubo_to_ising(random_qubo(11, 1))
         prep = build_ansatz(model, QaoaParams((0.3,), (0.4,))).program
         state = new_basis_state(19)
         steps = list(_bind(state, prep))
         diagonals = [step for step in steps if len(step) == 2]
-        assert len(prep) == 11 + 66 + 11 and len(steps) == 11 + 1 + 11
+        assert len(prep) == 11 + 66 + 11 and len(steps) == 3 + 1 + 3
         assert [step[1].size for step in diagonals] == [1 << 13]
+        assert [step[1].shape for step in steps if len(step) == 4] == [(16, 16), (16, 16), (8, 8)] * 2
+
+
+class TestKronBlocks:
+    def test_h_layer_fuses_to_blocks_of_consecutive_qubits(self):
+        # The H layer of an n = 11 prep on holcus's 19-qubit register: its qubits,
+        # ascending, cut into blocks of at most 4.
+        fused = list(_fused(19, [(H, (q,), ()) for q in range(11)]))
+        h2 = np.kron(H, H)
+        assert [(targets, controls) for _, targets, controls in fused] == [((0, 1, 2, 3), ()), ((4, 5, 6, 7), ()), ((8, 9, 10), ())]
+        for (block, _, _), want in zip(fused, [np.kron(h2, h2), np.kron(h2, h2), np.kron(H, h2)]):
+            assert np.allclose(block, want, rtol=0, atol=1e-15)
+
+    def test_block_operand_bit_j_is_targets_j(self, rng):
+        # Given out of order, three one-target unitaries become one block on their
+        # qubits ascending; np.kron's first factor is the most significant bit.
+        u0, u1, u2 = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(3))
+        ((block, targets, controls),) = _fused(5, [(u2, (4,), ()), (u0, (1,), ()), (u1, (2,), ())])
+        assert (targets, controls) == ((1, 2, 4), ())
+        assert np.allclose(block, np.kron(u2, np.kron(u1, u0)), rtol=0, atol=1e-15)
+
+    def test_a_run_closes_at_a_repeated_qubit_and_at_any_other_triple(self):
+        # A diagonal, a controlled gate and a wider matrix each close a run; a run
+        # or block of one keeps the triple's own operand and so its flip step.
+        z = Gate("EXP_Z", (0,), (0.3,)).operand
+        program = [(H, (0,), ()), (H, (1,), ()), (X, (0,), ()), (X, (2,), ()), (z, (3,), ()), (H, (3,), ()),
+                   (H, (4,), ((0, CLOSED),)), (X, (5,), ()), (np.kron(H, X), (6, 7), ()), (H, (6,), ())]
+        fused = list(_fused(8, program))
+        assert [targets for _, targets, _ in fused] == [(0, 1), (0, 2), (3,), (3,), (4,), (5,), (6, 7), (6,)]
+        assert fused[5][0] is X and fused[3][0] is H
+        assert np.allclose(fused[1][0], np.kron(X, X), rtol=0, atol=0)
 
 
 class TestMarginalProbabilities:
