@@ -290,10 +290,8 @@ def _readout(
     amplitudes (read at call time; one piece for a register that fits), so
     that beside the register and its 2^k probabilities the readout holds
     O(CHUNK). The pieces are cut across the columns first, as marginal_vector
-    cuts the same view, which above CHUNK rows leaves single strided columns;
-    there, rows of 16 or more amplitudes are cut into blocks of whole rows
-    instead, as a stride of 256 B or more costs more than numpy's row-by-row
-    sum over a short last axis.
+    cuts the same view, which above CHUNK rows would leave single strided
+    columns; there they are cut into blocks of whole rows instead.
 
     For an Ising model every part=IMAGINARY interference circuit has
     P(0) = 1/2 exactly, so a seeded draw sits on a tie: a kernel change that
@@ -302,7 +300,7 @@ def _readout(
     imaginary part is not stable across kernel changes."""
     rows = len(meas.values)
     cols = len(state.amplitudes) // rows
-    order = (0, 1) if rows > statevector.CHUNK and cols >= 16 else (1, 0)
+    order = (0, 1) if rows > statevector.CHUNK else (1, 0)
     cuts = _cuts([rows, cols], order, statevector.CHUNK)
     probs = _square_sums(state.amplitudes.reshape(rows, cols), (0, 1), 1, cuts)
     if cfg.exact:

@@ -321,12 +321,11 @@ def _fused(n: int, program):
     def entries(qubits):  # _diag_layout's multiplier size, without building its recipe
         return (1 << w if min(qubits, default=w) < w else 1) << len([q for q in qubits if q >= w])
 
-    run, union, bound = [], set(), CHUNK
+    run, kind, union, bound = [], 0, set(), CHUNK  # kind 1: uncontrolled diagonals, 2: one-target matrices
     for triple in chain(program, [None]):
-        uncontrolled = triple is not None and not triple[2]
-        diagonal = uncontrolled and triple[0].ndim == 1
-        flip = uncontrolled and triple[0].shape == (2, 2)
-        if diagonal and run and run[0][0].ndim == 1:
+        operand = None if triple is None or triple[2] else triple[0]
+        this = 0 if operand is None else 1 if operand.ndim == 1 else 2 if operand.shape == (2, 2) else 0
+        if this == kind == 1:
             wider = union.union(triple[1])
             # On at most cap qubits every multiplier, fused or not, is 2^n <= CHUNK entries.
             most = max(bound, entries(triple[1])) if n > cap else CHUNK
@@ -334,11 +333,11 @@ def _fused(n: int, program):
                 run.append(triple)
                 union, bound = wider, most
                 continue
-        elif flip and run and run[0][0].ndim == 2 and triple[1][0] not in union:
+        elif this == kind == 2 and triple[1][0] not in union:
             run.append(triple)
             union.add(triple[1][0])
             continue
-        if len(run) > 1 and run[0][0].ndim == 2:
+        if len(run) > 1 and kind == 2:
             run.sort(key=itemgetter(1))
             for i in range(0, len(run), _KRON_QUBITS):
                 block = run[i][0]
@@ -352,9 +351,11 @@ def _fused(n: int, program):
             yield ones.amplitudes, tuple(qubits), ()
         else:
             yield from run
-        run = []
-        if diagonal or flip:
+        run, kind = [], this
+        if this == 1:
             run, union, bound = [triple], set(triple[1]), max(CHUNK, entries(triple[1]))
+        elif this:
+            run, union = [triple], {triple[1][0]}
         elif triple is not None:
             yield triple
 

@@ -441,17 +441,24 @@ def _random_gate(data, rng, qubits) -> Gate:
 
 
 def _traced(call):
-    """(call's result, traced peak bytes, traced bytes still held after it). A full
-    collection empties the interpreter's free lists first: what they keep depends
-    on the tests run before, and is not held by the call."""
+    """(call's result, traced peak bytes, traced bytes still held after it). The
+    collector is off during the call, and objects made before it are frozen, so a
+    full collection after it sees only the call's objects and must find no cyclic
+    garbage: nothing the call keeps through a reference cycle goes uncounted. The
+    collection also empties the interpreter's free lists, whose contents depend on
+    the tests run before and are not held by the call."""
+    gc.disable()
+    gc.freeze()
     tracemalloc.start()
     try:
         out = call()
         _, peak = tracemalloc.get_traced_memory()
-        gc.collect()
+        assert gc.collect() == 0, "the call left cyclic garbage"
         current, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+        gc.unfreeze()
+        gc.enable()
     return out, peak, current
 
 
