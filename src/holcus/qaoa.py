@@ -1,19 +1,22 @@
 """QAOA ansatz construction and the exact (noise-free) training oracle.
 
 compile_ansatz does a model's angle-free ansatz work once. The public Circuit
-(build_ansatz) and, bit for bit its Circuit.program with no Gate built, the
-kernel program train_qaoa binds per evaluation come from one walk (runs)."""
+(build_ansatz) comes from its gate walk (runs); the kernel program train_qaoa
+binds per evaluation builds no Gate and, up to log2(statevector.CHUNK) qubits,
+makes each phase layer one diagonal from the model's cost vector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import groupby, repeat
 
 import numpy as np
 
 from .circuit import Circuit, Gate, gate_run
-from .estimators import EstimatorConfig, estimate
-from .qubo_ising import IsingModel
+from .estimators import EstimatorConfig, compile_plan, run_program
+from .qubo_ising import IsingModel, ising_energies
+from .statevector import CHUNK
 
 
 @dataclass(frozen=True)
@@ -43,24 +46,40 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class CompiledAnsatz:
-    """A model's ansatz without its angles: the qubit count and the phase kind,
+    """A model's ansatz without its angles: the model and the phase kind,
     targets and coefficients of each run of model.terms() of one arity."""
 
-    num_qubits: int
+    model: IsingModel
     phases: tuple[tuple[str, tuple[tuple[int, ...], ...], np.ndarray], ...]
+
+    @cached_property
+    def cost(self) -> np.ndarray | None:
+        """ising_energies(model) - model.offset (the offset set to 0, not subtracted) by
+        basis index, on first use; None without terms or when 2^n > statevector.CHUNK."""
+        fits = self.phases and 1 << self.model.n <= CHUNK
+        return ising_energies(replace(self.model, offset=0.0)) if fits else None
 
     def runs(self, params: QaoaParams):
         """The gates in order, as (kind, targets, angle) per run of one kind:
         angle is None for H, beta for a mixer and gamma * c for a phase run."""
-        qubits = [(q,) for q in range(self.num_qubits)]
+        qubits = [(q,) for q in range(self.model.n)]
         yield "H", qubits, None
         for gamma, beta in zip(params.gammas, params.betas):
             yield from ((kind, targets, gamma * coeffs) for kind, targets, coeffs in self.phases)
             yield "EXP_X", qubits, beta
 
     def program(self, params: QaoaParams) -> list[tuple]:
-        """build_ansatz(model, params).program, with no Gate built."""
-        return [op for run in self.runs(params) for op in gate_run(*run)]
+        """build_ansatz(model, params).program, with no Gate built, except that with
+        a cost each phase layer is one triple (exp(i gamma cost), (0, ..., n-1), ())."""
+        if self.cost is None:
+            return [op for run in self.runs(params) for op in gate_run(*run)]
+        qubits = [(q,) for q in range(self.model.n)]
+        program = gate_run("H", qubits)
+        for gamma, beta in zip(params.gammas, params.betas):
+            phase = self.cost * (1j * gamma)  # the layer's one complex allocation
+            program.append((np.exp(phase, out=phase), tuple(range(self.model.n)), ()))
+            program += gate_run("EXP_X", qubits, beta)
+        return program
 
 
 def compile_ansatz(model: IsingModel) -> CompiledAnsatz:
@@ -70,7 +89,7 @@ def compile_ansatz(model: IsingModel) -> CompiledAnsatz:
     for arity, run in groupby(model.terms(), key=lambda term: len(term[0])):
         targets, coeffs = zip(*run)
         phases.append(("EXP_Z" if arity == 1 else "EXP_ZZ", targets, np.array(coeffs, dtype=float)))
-    return CompiledAnsatz(model.n, tuple(phases))
+    return CompiledAnsatz(model, tuple(phases))
 
 
 def build_ansatz(model: IsingModel, params: QaoaParams) -> Circuit:
@@ -88,6 +107,7 @@ def build_ansatz(model: IsingModel, params: QaoaParams) -> Circuit:
 
 
 def exact_expectation(model: IsingModel, params: QaoaParams) -> float:
-    """<psi|H_P|psi> on the ansatz output: raw's exact estimate, the
-    basis-state probabilities against the model's energies, with no sampling."""
-    return estimate(build_ansatz(model, params), model, EstimatorConfig("raw")).value
+    """<psi|H_P|psi> on the ansatz output: raw's exact estimate of training's program,
+    with no sampling; its plan comes first, so it raises CapacityError above MAX_QUBITS."""
+    cfg = EstimatorConfig("raw")
+    return run_program(compile_plan(model, cfg), compile_ansatz(model).program(params), cfg).value

@@ -163,6 +163,20 @@ def ising_dense_matrix(model) -> np.ndarray:
     return mat
 
 
+def ising_phase_diagonal(model, gamma: float) -> np.ndarray:
+    """exp(i gamma (E - offset)) at every basis index, E the model's energy, by
+    basis enumeration: each term's coefficient times the product of its spins,
+    z_q = +1 when bit q of the index is clear."""
+    index = np.arange(1 << model.n)
+    angle = np.zeros(1 << model.n)
+    for qubits, c in model.terms():
+        z = np.ones(1 << model.n)
+        for q in qubits:
+            z *= 1 - 2 * ((index >> q) & 1)
+        angle += c * z
+    return np.exp(1j * gamma * angle)
+
+
 def lcu_dense_matrix(dec, n: int) -> np.ndarray:
     """sum_k alpha_k e^{i theta_k} U_k assembled from Kronecker products."""
     mat = np.zeros((1 << n, 1 << n), dtype=complex)

@@ -11,7 +11,7 @@ import holcus.estimators
 import holcus.optimize
 import holcus.qaoa
 from conftest import ising_dense_matrix
-from holcus.estimators import EXACT, METHODS, EstimatorConfig, estimate
+from holcus.estimators import EXACT, METHODS, EstimatorConfig, compile_plan, estimate, run_program
 from holcus.optimize import (
     OptimizationError,
     OptimizerConfig,
@@ -19,7 +19,7 @@ from holcus.optimize import (
     nelder_mead,
     train_qaoa,
 )
-from holcus.qaoa import QaoaParams, build_ansatz
+from holcus.qaoa import QaoaParams, build_ansatz, compile_ansatz
 from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import derive_seed
 
@@ -160,9 +160,15 @@ class TestTrainQaoa:
             model = IsingModel(n, np.zeros(n), {}, model.offset)
         est = EstimatorConfig(method=method, shots=shots, seed=seed)
         trace = train_qaoa(model, p, est, OptimizerConfig(max_evals=6, restarts=1, seed=seed))
+        norm = max(sum(abs(c) for _, c in model.terms()), 1.0)
         for k, (vec, value, _) in enumerate(trace.evaluations):
+            params = QaoaParams.from_vector(vec)
             cfg = est if shots is EXACT else replace(est, seed=derive_seed(seed, 0, k))
-            assert estimate(build_ansatz(model, QaoaParams.from_vector(vec)), model, cfg).value == value
+            # Bit for bit a fresh run of the program training binds; the gate-level
+            # circuit's phase layers are the same diagonals up to rounding.
+            assert run_program(compile_plan(model, cfg), compile_ansatz(model).program(params), cfg).value == value
+            if shots is EXACT:
+                assert abs(estimate(build_ansatz(model, params), model, cfg).value - value) <= 1e-12 * norm
 
     def test_model_work_runs_once_per_call(self, monkeypatch):
         # build_ansatz compiles the ansatz too, so an evaluation that built

@@ -8,11 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import PAULI, ising_dense_matrix, model_of
+from conftest import PAULI, ising_dense_matrix, ising_phase_diagonal, model_of
 from holcus.circuit import run
+from holcus.estimators import METHODS, EstimatorConfig, compile_plan, estimate, run_program
 from holcus.qaoa import QaoaParams, build_ansatz, compile_ansatz, exact_expectation
 from holcus.qubo_ising import qubo_to_ising, random_qubo
-from holcus.statevector import MAX_QUBITS, CapacityError
+from holcus.statevector import CHUNK, MAX_QUBITS, CapacityError
 
 
 class TestQaoaParams:
@@ -79,11 +80,20 @@ _ANGLES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6, allow_nan
 
 
 @st.composite
-def ising_models(draw):
-    n = draw(st.integers(1, 6))
+def ising_models(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
     h = draw(st.lists(_COEFFS, min_size=n, max_size=n))
     pairs = [ij for ij in combinations(range(n), 2) if draw(st.booleans())]
     return model_of(n, h, {ij: draw(_COEFFS) for ij in pairs}, draw(_COEFFS))
+
+
+def _assert_same_triple(triple, gate):
+    # Bit for bit: the same operand, targets and controls.
+    operand, targets, controls = triple
+    assert (targets, controls) == (gate.targets, gate.controls)
+    assert (operand.dtype, operand.shape, operand.tobytes()) == (
+        gate.operand.dtype, gate.operand.shape, gate.operand.tobytes()
+    )
 
 
 class TestCompiledAnsatz:
@@ -99,17 +109,69 @@ class TestCompiledAnsatz:
     @example(model=model_of(3, [0.0, 0.0, 0.0], {(0, 2): 0.0}), vec=[0.0, -0.0, -2.5, 1e5])
     @example(model=model_of(1, [0.8], {}), vec=[-0.0, 0.0])
     @example(model=model_of(3, [0.0, 0.7, 0.0], {(0, 1): 0.4, (0, 2): 0.0, (1, 2): -1.1}), vec=[-3.0, 1e5, 0.0, -0.0])
+    @example(model=model_of(13, [0.0] * 12 + [1.5], {(0, 12): -0.4, (3, 7): 2.0}), vec=[0.9, -1e6, 0.3, 0.0])
+    @example(model=model_of(14, [0.5] * 14, {(0, 13): -1.0, (12, 13): 0.3}), vec=[0.7, -0.4])
     def test_program_is_build_ansatz_operands(self, model, vec):
-        # Entry by entry, bit for bit: the same operands, targets, controls and order.
+        # In order: every H and EXP_X triple is build_ansatz's, bit for bit. Up to
+        # 13 qubits each phase layer of a model with terms is one triple on every
+        # qubit, exp(i gamma (E - offset)) up to rounding: the cost's summation error
+        # and the oracle's, each at most (terms + 1) ulps of |gamma| sum |c_k|. From
+        # 14 qubits the phase gates stay triples of their own, bit for bit.
         params = QaoaParams.from_vector(vec)
         program = compile_ansatz(model).program(params)
         gates = build_ansatz(model, params).gates
-        assert len(program) == len(gates)
-        for (operand, targets, controls), gate in zip(program, gates):
-            assert (targets, controls) == (gate.targets, gate.controls)
-            assert np.array_equal(operand, gate.operand)
-            assert (operand.dtype, operand.shape, operand.tobytes()) == (
-                gate.operand.dtype, gate.operand.shape, gate.operand.tobytes()
+        terms = model.terms()
+        if model.n >= 14 or not terms:
+            assert len(program) == len(gates)
+            for triple, gate in zip(program, gates):
+                _assert_same_triple(triple, gate)
+            return
+        n = model.n
+        mixers = [g for g in gates if g.kind in ("H", "EXP_X")]
+        assert len(program) == len(mixers) + params.p
+        at = [n + k * (n + 1) for k in range(params.p)]
+        for triple, gate in zip([t for i, t in enumerate(program) if i not in at], mixers, strict=True):
+            _assert_same_triple(triple, gate)
+        norm = sum(abs(c) for _, c in terms)
+        eps = np.finfo(float).eps
+        for i, gamma in zip(at, params.gammas):
+            operand, targets, controls = program[i]
+            assert (targets, controls, operand.dtype) == (tuple(range(n)), (), np.complex128)
+            tol = 2 * (len(terms) + 1) * eps * abs(gamma) * norm + 8 * eps
+            assert np.max(np.abs(operand - ising_phase_diagonal(model, gamma))) <= tol
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_every_operand_fits_in_chunk(self, n):
+        # A phase layer is one operand of 2^n entries only while 2^n fits in CHUNK;
+        # above, its gates keep their own operands of 2 and 4 entries.
+        model = qubo_to_ising(random_qubo(n, 1))
+        program = compile_ansatz(model).program(QaoaParams((0.3, -1.2), (0.7, 0.1)))
+        assert max(operand.size for operand, _, _ in program) == (max(1 << n, 4) if 1 << n <= CHUNK else 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=ising_models(max_n=8),
+        vec=st.integers(1, 3).flatmap(
+            lambda p: st.lists(st.floats(-2 * np.pi, 2 * np.pi), min_size=2 * p, max_size=2 * p)
+        ),
+    )
+    def test_program_estimates_match_gate_level_estimates(self, model, vec):
+        # Every method's exact estimate of the training program is the gate-level
+        # circuit's up to rounding, with the same counts. A model with no terms
+        # (which only raw estimates) gets the H and mixer layers and no phase triple.
+        params = QaoaParams.from_vector(vec)
+        program = compile_ansatz(model).program(params)
+        terms = model.terms()
+        if not terms:
+            assert len(program) == model.n * (params.p + 1)
+        norm = max(sum(abs(c) for _, c in terms), 1.0)
+        for method in METHODS if terms else ("raw",):
+            cfg = EstimatorConfig(method)
+            got = run_program(compile_plan(model, cfg), program, cfg)
+            want = estimate(build_ansatz(model, params), model, cfg)
+            assert abs(got.value - want.value) <= 1e-12 * norm
+            assert (got.circuits_used, got.shots_used, got.max_qubits) == (
+                want.circuits_used, want.shots_used, want.max_qubits
             )
 
 
