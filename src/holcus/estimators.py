@@ -23,10 +23,12 @@ of holcus_div use it too. The Hadamard qubit, on top, is read with values
 qubits with the basis-state energies. One executor (run_program) only
 simulates and reads out: each circuit starts from |0...0>, applies the state
 prep, a kernel program of (operand, targets, controls) triples such as the
-one train_qaoa binds per evaluation, then its suffix's Circuit.program, and
-reads the observable's mean from the rows of |amplitude|^2, chunk by chunk
-on a register above statevector.CHUNK amplitudes, so the readout holds
-O(CHUNK) beside the register and its probabilities. The circuits of one
+one train_qaoa binds per evaluation, then its suffix's program as the plan
+fused it once (EstimatorPlan.programs: up to 13 qubits holcus's select stage
+is one multiply), and reads the observable's mean from the rows of
+|amplitude|^2, chunk by chunk on a register above statevector.CHUNK
+amplitudes, so the readout holds O(CHUNK) beside the register and its
+probabilities. The circuits of one
 width share one register and, when there are several, one binding of the
 prep (statevector._bind), which holds one operand per fused run (a multiplier
 or a Kronecker block); every circuit still applies every gate, each such run
@@ -82,6 +84,7 @@ from .statevector import (
     _bind,
     _check_int,
     _cuts,
+    _fused,
     _run,
     _square_sums,
     derive_seed,
@@ -174,6 +177,13 @@ class EstimatorPlan:
         for k, meas in enumerate(self.measurements):
             by_width.setdefault(meas.suffix.num_qubits, []).append(k)
         return by_width
+
+    @cached_property
+    def programs(self) -> tuple[list[tuple], ...]:
+        """Each measurement's suffix.program fused once, on the plan's first run, for
+        every run: statevector._fused, with a run on every qubit of its register
+        fused too, as its product is built once and applied on every run."""
+        return tuple(list(_fused(m.suffix.num_qubits, m.suffix.program, whole=True)) for m in self.measurements)
 
     def resources(self, prep: Circuit) -> tuple[ResourceReport, ...]:
         """The resource report of each circuit run_plan runs with this prep."""
@@ -317,9 +327,9 @@ def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) ->
     finite mode circuit k samples with derive_seed(cfg.seed, k). A width's
     circuits run in turn on one register; with several, the prep is bound once
     and shared, holding one multiplier or block per fused run, else it is
-    bound as it runs. The prep and each suffix are fused as programs of their
-    own. A width's register and bound prep are freed before the next width's
-    are allocated."""
+    bound as it runs. The prep is fused as a program of its own; each suffix is
+    the plan's, fused once. A width's register and bound prep are freed before
+    the next width's are allocated."""
     reads = [None] * len(plan.measurements)
     for width, ks in plan.widths.items():
         state = new_basis_state(width)
@@ -330,7 +340,7 @@ def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) ->
                 state.amplitudes[0] = 1
             meas = plan.measurements[k]
             _run(_bind(state, prep) if shared is None else shared)
-            _run(_bind(state, meas.suffix.program))
+            _run(_bind(state, plan.programs[k], fuse=False))
             reads[k] = _readout(state, meas, cfg, k)
         del state, shared
     value = plan.offset

@@ -3,7 +3,8 @@
 compile_ansatz does a model's angle-free ansatz work once. The public Circuit
 (build_ansatz) comes from its gate walk (runs); the kernel program train_qaoa
 binds per evaluation builds no Gate and, up to log2(statevector.CHUNK) qubits,
-makes each phase layer one diagonal from the model's cost vector."""
+makes each phase layer one diagonal from the model's cost vector and the H and
+EXP_X layers the Kronecker blocks the kernel would fuse them into."""
 
 from __future__ import annotations
 
@@ -13,10 +14,10 @@ from itertools import groupby, repeat
 
 import numpy as np
 
-from .circuit import Circuit, Gate, gate_run
+from .circuit import _H, Circuit, Gate, _exp_x, gate_run
 from .estimators import EstimatorConfig, compile_plan, run_program
 from .qubo_ising import IsingModel, ising_energies
-from .statevector import CHUNK
+from .statevector import _KRON_QUBITS, CHUNK, _kron
 
 
 @dataclass(frozen=True)
@@ -68,18 +69,35 @@ class CompiledAnsatz:
             yield from ((kind, targets, gamma * coeffs) for kind, targets, coeffs in self.phases)
             yield "EXP_X", qubits, beta
 
+    @cached_property
+    def _h_layer(self) -> list[tuple]:
+        return _layer(_H, self.model.n)
+
     def program(self, params: QaoaParams) -> list[tuple]:
-        """build_ansatz(model, params).program, with no Gate built, except that with
-        a cost each phase layer is one triple (exp(i gamma cost), (0, ..., n-1), ())."""
+        """build_ansatz(model, params).program, with no Gate built, except that with a
+        cost each phase layer is one triple (exp(i gamma cost), (0, ..., n-1), ()) and
+        the H and EXP_X layers are the Kronecker blocks statevector._fused makes of them."""
         if self.cost is None:
             return [op for run in self.runs(params) for op in gate_run(*run)]
-        qubits = [(q,) for q in range(self.model.n)]
-        program = gate_run("H", qubits)
+        program = list(self._h_layer)
         for gamma, beta in zip(params.gammas, params.betas):
             phase = self.cost * (1j * gamma)  # the layer's one complex allocation
             program.append((np.exp(phase, out=phase), tuple(range(self.model.n)), ()))
-            program += gate_run("EXP_X", qubits, beta)
+            program += _layer(_exp_x(beta), self.model.n)
         return program
+
+
+def _layer(operand: np.ndarray, n: int) -> list[tuple]:
+    """operand on each of qubits 0..n-1 as _fused makes the run: a 2 x 2 matrix's
+    Kronecker blocks, from one chain of outer products, or a diagonal's (EXP_X at
+    beta = +-0) triples, which the kernel fuses with the phase layer."""
+    if operand.ndim == 1:
+        return [(operand, (q,), ()) for q in range(n)]
+    chain = [operand]
+    while len(chain) < min(n, _KRON_QUBITS):
+        chain.append(_kron(operand, chain[-1]))
+    blocks = [tuple(range(q, min(q + _KRON_QUBITS, n))) for q in range(0, n, _KRON_QUBITS)]
+    return [(chain[len(qubits) - 1], qubits, ()) for qubits in blocks]
 
 
 def compile_ansatz(model: IsingModel) -> CompiledAnsatz:

@@ -33,16 +33,19 @@ matrix, _bind the step by target count.
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
 first fuses the program (_fused): each run of consecutive uncontrolled diagonal
 triples, such as a QAOA phase layer, becomes one diagonal, one multiply where
-there was one per gate, and each run of uncontrolled one-target matrices on
-distinct qubits, such as the H or an EXP_X layer, becomes Kronecker blocks, one
-matrix product per _KRON_QUBITS qubits where there was one flip per qubit.
-Fusion reads only the gate list and still touches every amplitude, so every
-program takes it and it has no switch. _bind then resolves each triple to a
-bound step on one register; _run applies bound steps in order. Run as it is
-bound, a program holds one diagonal's multiplier at a time; bound once into a
-list, it runs again on the same register with no per-gate setup, which
-estimators.run_program does for a prep that several circuits of one width
-share, holding one multiplier or block per fused run.
+there was one per gate, and so, on up to log2(CHUNK) qubits, does a run of
+controlled ones (holcus's select stage); each run of uncontrolled one-target matrices on
+distinct qubits, such as the H or an EXP_X layer, becomes Kronecker blocks
+(_kron), one matrix product per _KRON_QUBITS qubits where there was one flip
+per qubit. Fusion reads only the gate list and still touches every amplitude,
+so every program takes it and it has no switch; a program run many times is
+fused once and bound with fuse=False (estimators' suffixes, qaoa's layers).
+_bind then resolves each triple to a bound step on one register; _run applies
+bound steps in order. Run as it is bound, a program holds one diagonal's
+multiplier at a time; bound once into a list, it runs again on the same
+register with no per-gate setup, which estimators.run_program does for a prep
+that several circuits of one width share, holding one multiplier or block per
+fused run.
 apply_unitary checks its arguments, then binds and runs its one gate, unfused;
 a Circuit's program was checked when the circuit was built.
 """
@@ -301,35 +304,45 @@ def _square_sums(view: np.ndarray, perm, k: int, chunks) -> np.ndarray:
     return sums
 
 
-def _fused(n: int, program):
+def _kron(u: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """np.kron(u, block) for a 2 x 2 u, at a fifth of its cost: u on the top bit."""
+    return (u[:, None, :, None] * block[None, :, None, :]).reshape(2 * len(block), -1)
+
+
+def _fused(n: int, program, whole: bool = False):
     """program with its runs fused, in one pass. Each maximal run of consecutive
-    uncontrolled diagonal triples becomes one diagonal triple on the union of the
-    run's targets, ascending: the run bound, unfused, and run on a vector of ones
-    on those qubits renumbered. A run closes before a gate that would take the
-    union past log2(CHUNK) qubits, or make the run's multiplier on an n-qubit
-    register, by _diag_layout's rule, larger than both CHUNK entries and the
-    largest of one of its gates. A run of one triple, such as a gate wider than
-    log2(CHUNK), passes through unchanged, and so does a run on every qubit of
-    the register, whose product would cost as much to build as the run costs to
-    apply. Each maximal run of uncontrolled one-target matrices on distinct
-    qubits, closed by any other triple or a repeated qubit, becomes Kronecker
-    blocks: its qubits, ascending, cut into groups of at most _KRON_QUBITS, each
-    one triple whose operand bit j is targets[j]; a group of one keeps its gate."""
+    diagonal triples, uncontrolled or, on a register of at most log2(CHUNK) qubits,
+    controlled, becomes one diagonal triple on the union of the run's qubits,
+    ascending: the run bound, unfused, and run on a vector of ones on those qubits
+    renumbered. A run closes before a gate that would take the union past
+    log2(CHUNK) qubits, or make the run's multiplier on an n-qubit register, by
+    _diag_layout's rule, larger than both CHUNK entries and the largest of one of
+    its gates. A run of one triple, such as a gate wider than log2(CHUNK), passes
+    through unchanged, and so, unless whole is set (a program fused once to run
+    many times), does a run on every qubit of the register, whose product would
+    cost as much to build as the run costs to apply. Each maximal run of
+    uncontrolled one-target matrices on distinct qubits, closed by any other
+    triple or a repeated qubit, becomes Kronecker blocks: its qubits, ascending,
+    cut into groups of at most _KRON_QUBITS, each one triple whose operand bit j
+    is targets[j]; a group of one keeps its gate."""
     cap = CHUNK.bit_length() - 1
     w = min(n, cap)
+    small = n <= cap  # so every multiplier, fused or not, is 2^n <= CHUNK entries
 
     def entries(qubits):  # _diag_layout's multiplier size, without building its recipe
         return (1 << w if min(qubits, default=w) < w else 1) << len([q for q in qubits if q >= w])
 
-    run, kind, union, bound = [], 0, set(), CHUNK  # kind 1: uncontrolled diagonals, 2: one-target matrices
+    run, kind, union, bound = [], 0, set(), CHUNK  # kind 1: diagonals, 2: uncontrolled one-target matrices
     for triple in chain(program, [None]):
-        operand = None if triple is None or triple[2] else triple[0]
-        this = 0 if operand is None else 1 if operand.ndim == 1 else 2 if operand.shape == (2, 2) else 0
+        operand = None if triple is None or triple[2] and not small else triple[0]
+        this = 0 if operand is None else 1 if operand.ndim == 1 else 0 if triple[2] or operand.shape != (2, 2) else 2
         if this == kind == 1:
+            if small:
+                run.append(triple)
+                continue
             wider = union.union(triple[1])
-            # On at most cap qubits every multiplier, fused or not, is 2^n <= CHUNK entries.
-            most = max(bound, entries(triple[1])) if n > cap else CHUNK
-            if n <= cap or len(wider) <= cap and entries(wider) <= most:
+            most = max(bound, entries(triple[1]))
+            if len(wider) <= cap and entries(wider) <= most:
                 run.append(triple)
                 union, bound = wider, most
                 continue
@@ -337,23 +350,29 @@ def _fused(n: int, program):
             run.append(triple)
             union.add(triple[1][0])
             continue
+        if len(run) > 1 and kind == 1 and small:  # the union, with the controls' qubits, is taken only now
+            union = {q for _, t, _ in run for q in t}.union(*[[q for q, _ in c] for _, _, c in run if c])
         if len(run) > 1 and kind == 2:
             run.sort(key=itemgetter(1))
             for i in range(0, len(run), _KRON_QUBITS):
                 block = run[i][0]
-                for u, _, _ in run[i + 1 : i + _KRON_QUBITS]:  # np.kron(u, block), at a fifth of its cost
-                    block = (u[:, None, :, None] * block[None, :, None, :]).reshape(2 * len(block), -1)
+                for u, _, _ in run[i + 1 : i + _KRON_QUBITS]:
+                    block = _kron(u, block)
                 yield block, tuple([t for _, (t,), _ in run[i : i + _KRON_QUBITS]]), ()
-        elif len(run) > 1 and len(union) < n:
+        elif len(run) > 1 and (whole or len(union) < n):
             qubits = sorted(union)
             ones = StateVector(len(qubits), np.ones(1 << len(qubits), dtype=np.complex128))
-            _run(_bind(ones, [(op, tuple([qubits.index(q) for q in t]), ()) for op, t, _ in run], fuse=False))
+            at = qubits.index
+            renumbered = [(op, tuple([at(q) for q in t]), tuple([(at(q), v) for q, v in c])) for op, t, c in run]
+            _run(_bind(ones, renumbered, fuse=False))
             yield ones.amplitudes, tuple(qubits), ()
         else:
             yield from run
         run, kind = [], this
         if this == 1:
-            run, union, bound = [triple], set(triple[1]), max(CHUNK, entries(triple[1]))
+            run = [triple]
+            if not small:
+                union, bound = set(triple[1]), max(CHUNK, entries(triple[1]))
         elif this:
             run, union = [triple], {triple[1][0]}
         elif triple is not None:

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from holcus.circuit import Circuit, Gate
+from holcus.circuit import CLOSED, OPEN, Circuit, Gate
 from holcus.qubo_ising import IsingModel
 from holcus.statevector import StateVector, _bind, _run
 
@@ -128,6 +128,17 @@ def random_phase_gate(data, rng: np.random.Generator, n: int) -> Gate:
     if kind == "DENSE":
         return Gate(kind, targets, matrix=distinct_phase_diagonal(rng, k))
     return Gate(kind, targets, (float(rng.uniform(-np.pi, np.pi)),))
+
+
+def random_controlled_diagonal(data, rng: np.random.Generator, n: int) -> Gate:
+    """A DENSE diagonal of distinct phases on 1-3 distinct qubits below n (n >= 2),
+    with 1-3 of the others as controls, each of a drawn polarity, as the select
+    stage's controlled Z-strings are, drawn by a hypothesis data object."""
+    k = data.draw(st.integers(1, min(3, n - 1)))
+    qubits = data.draw(st.permutations(range(n)))
+    c = data.draw(st.integers(1, min(3, n - k)))
+    controls = tuple((q, data.draw(st.sampled_from([OPEN, CLOSED]))) for q in qubits[k : k + c])
+    return Gate("DENSE", tuple(qubits[:k]), controls=controls, matrix=distinct_phase_diagonal(rng, k))
 
 
 def circuit_full_matrix(circ: Circuit) -> np.ndarray:

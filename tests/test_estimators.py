@@ -18,6 +18,7 @@ from conftest import (
     lcu_dense_matrix,
     model_of,
     pauli_full_matrix,
+    random_controlled_diagonal,
     random_phase_gate,
     random_prep_circuit,
 )
@@ -360,10 +361,15 @@ class TestRunPlan:
     @pytest.mark.parametrize("method", ["raw", "hadamard", "holcus", "holcus_div"])
     def test_second_run_builds_no_program(self, method, monkeypatch):
         # The first run builds the prep's program and each suffix's, and their
-        # Circuits keep them for every later run.
+        # Circuits keep them for every later run; the plan fuses each suffix on its
+        # first run, not when it is compiled (a sweep compiles plans to read their
+        # widths), and keeps it.
         model, prep, _ = random_case(904, n_lo=4)
         cfg = EstimatorConfig(method=method)
         plan = compile_plan(model, cfg)
+        fusions = []
+        monkeypatch.setattr(holcus.estimators, "_fused", lambda *args, **kw: fusions.append(args) or _fused(*args, **kw))
+        assert plan.widths and not fusions
         built, real = [], Circuit.program.func
 
         def counted(circuit):
@@ -375,8 +381,10 @@ class TestRunPlan:
         monkeypatch.setattr(Circuit, "program", program)
         first = run_plan(plan, prep, cfg)
         assert built == [prep] + [m.suffix for m in plan.measurements]
+        assert len(fusions) == len(plan.measurements)
         assert run_plan(plan, prep, cfg) == first
         assert len(built) == 1 + len(plan.measurements)
+        assert len(fusions) == len(plan.measurements)
 
     def test_suffix_checks_its_gates_and_plan_its_widths(self):
         values = np.array([1.0, -1.0])
@@ -498,8 +506,9 @@ class TestRunProgram:
         # axes and chunk matrix products; the first two circuits share a width,
         # and each starts with H on every qubit, so a register that is not reset
         # to |0...0> before the next circuit changes its value. The prep and each
-        # suffix hold a run of uncontrolled diagonals, which the kernel fuses, and
-        # each suffix's H layer binds as blocks of at most 4 consecutive qubits.
+        # suffix hold a run of uncontrolled diagonals, which the kernel fuses, each
+        # suffix a run of controlled ones, which it fuses up to 13 qubits, and each
+        # suffix's H layer binds as blocks of at most 4 consecutive qubits.
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         n = data.draw(st.integers(1, 14))
         widths = data.draw(st.lists(st.integers(n, 16), min_size=1, max_size=2))
@@ -512,21 +521,24 @@ class TestRunProgram:
             gates = [h(q) for q in range(w)]
             gates += [random_phase_gate(data, rng, w) for _ in range(data.draw(st.integers(0, 4)))]
             gates += [_random_gate(data, rng, list(range(w))) for _ in range(data.draw(st.integers(0, 4)))]
+            if w > 1:
+                gates += [random_controlled_diagonal(data, rng, w) for _ in range(data.draw(st.integers(0, 4)))]
             top = data.draw(st.integers(1, min(3, w)))
             measurements.append(Measurement(Circuit(w, gates), rng.normal(size=1 << top)))
         plan = EstimatorPlan(n, float(rng.normal()), tuple(measurements))
         prep = [(g.operand, g.targets, g.controls) for g in prep_gates]
         shots = data.draw(st.sampled_from([EXACT, 1000]))
         cfg = EstimatorConfig("holcus", shots=shots, seed=data.draw(st.integers(0, 2**32)))
-        # The executor binds the prep and each suffix as programs of their own, so
-        # each fuses its own runs of uncontrolled diagonals on the register's width.
+        # The executor binds the prep as a program of its own, fused on the register's
+        # width, and each suffix as the plan fused it once.
         value, variance = plan.offset, 0.0
         for k, meas in enumerate(plan.measurements):
             width = meas.suffix.num_qubits
             state = new_basis_state(width)
             blocks = [tuple(range(q, min(q + 4, width))) for q in range(0, width, 4)]
-            assert [t for _, t, _ in _fused(width, meas.suffix.program)][: len(blocks)] == blocks
-            for triple in [*_fused(width, prep), *_fused(width, meas.suffix.program)]:
+            suffix = list(_fused(width, meas.suffix.program, whole=True))
+            assert [t for _, t, _ in suffix][: len(blocks)] == blocks
+            for triple in [*_fused(width, prep), *suffix]:
                 _run(_bind(state, [triple]))
             term, var = _readout(state, meas, cfg, k)
             value += term
@@ -613,6 +625,28 @@ class TestRunProgram:
         assert held_by_rule == [*blocks, 128 << 10, 32, 128 << 10, 256 << 10, 256 << 10, *blocks]
         assert sum(held_by_rule) <= peak < sum(held_by_rule) + 2 * (16 << width)
         assert held < 4 << 10
+
+    @pytest.mark.parametrize("n, width, select, product", [(7, 13, 1, 64 << 10), (8, 15, 36, 0)])
+    def test_a_plan_keeps_its_select_stage_as_one_multiplier_up_to_13_qubits(self, n, width, select, product):
+        # holcus's plan fuses its suffix on its first run and keeps it. On 13
+        # qubits (n = 7) the select stage's 28 controlled Z-strings, on the 7 state
+        # qubits and controlled by the 5 ancillas (the shifted layout leaves the
+        # Hadamard qubit out), become one diagonal of 2^12 entries (64 KiB), which
+        # the plan holds after the run; on 15 qubits (n = 8) its 36 Z-strings stay
+        # apart and the plan holds no product.
+        model = qubo_to_ising(random_qubo(n, 1))
+        prep = build_ansatz(model, QaoaParams((0.3,), (0.7,)))
+        cfg = EstimatorConfig("holcus")
+        run_plan(compile_plan(model, cfg), prep, cfg)  # every recipe and the prep's program warm
+        plan = compile_plan(model, cfg)
+        (meas,) = plan.measurements
+        meas.suffix.program  # built before the trace, which then counts only the fused suffix
+        _, _, held = _traced(lambda: run_plan(plan, prep, cfg))
+        (program,) = plan.programs
+        diagonals = [operand.nbytes for operand, _, _ in program if operand.ndim == 1]
+        assert (plan.max_qubits, len(diagonals)) == (width, select)
+        assert max(diagonals) == product or not product
+        assert product <= held < product + (4 << 10)
 
     @pytest.mark.parametrize("n, per_gate_peak", [(14, 3.51), (15, 2.25)])
     def test_exact_raw_peaks_no_higher_than_per_gate_diagonals(self, n, per_gate_peak):

@@ -13,7 +13,7 @@ from holcus.circuit import run
 from holcus.estimators import METHODS, EstimatorConfig, compile_plan, estimate, run_program
 from holcus.qaoa import QaoaParams, build_ansatz, compile_ansatz, exact_expectation
 from holcus.qubo_ising import qubo_to_ising, random_qubo
-from holcus.statevector import CHUNK, MAX_QUBITS, CapacityError
+from holcus.statevector import _KRON_QUBITS, CHUNK, MAX_QUBITS, CapacityError, _fused
 
 
 class TestQaoaParams:
@@ -87,12 +87,12 @@ def ising_models(draw, max_n=6):
     return model_of(n, h, {ij: draw(_COEFFS) for ij in pairs}, draw(_COEFFS))
 
 
-def _assert_same_triple(triple, gate):
+def _assert_same_triple(triple, want):
     # Bit for bit: the same operand, targets and controls.
-    operand, targets, controls = triple
-    assert (targets, controls) == (gate.targets, gate.controls)
+    (operand, targets, controls), (want_operand, want_targets, want_controls) = triple, want
+    assert (targets, controls) == (want_targets, want_controls)
     assert (operand.dtype, operand.shape, operand.tobytes()) == (
-        gate.operand.dtype, gate.operand.shape, gate.operand.tobytes()
+        want_operand.dtype, want_operand.shape, want_operand.tobytes()
     )
 
 
@@ -112,26 +112,33 @@ class TestCompiledAnsatz:
     @example(model=model_of(13, [0.0] * 12 + [1.5], {(0, 12): -0.4, (3, 7): 2.0}), vec=[0.9, -1e6, 0.3, 0.0])
     @example(model=model_of(14, [0.5] * 14, {(0, 13): -1.0, (12, 13): 0.3}), vec=[0.7, -0.4])
     def test_program_is_build_ansatz_operands(self, model, vec):
-        # In order: every H and EXP_X triple is build_ansatz's, bit for bit. Up to
+        # In order: the H layer and each EXP_X layer are, bit for bit, the triples
+        # statevector._fused makes of build_ansatz's: Kronecker blocks of up to 4
+        # qubits, or at beta = +-0, where EXP_X is diagonal, its own triples. Up to
         # 13 qubits each phase layer of a model with terms is one triple on every
         # qubit, exp(i gamma (E - offset)) up to rounding: the cost's summation error
         # and the oracle's, each at most (terms + 1) ulps of |gamma| sum |c_k|. From
-        # 14 qubits the phase gates stay triples of their own, bit for bit.
+        # 14 qubits, or with no terms, the program is build_ansatz's, bit for bit.
         params = QaoaParams.from_vector(vec)
         program = compile_ansatz(model).program(params)
-        gates = build_ansatz(model, params).gates
+        gates = build_ansatz(model, params).program
         terms = model.terms()
         if model.n >= 14 or not terms:
             assert len(program) == len(gates)
-            for triple, gate in zip(program, gates):
-                _assert_same_triple(triple, gate)
+            for triple, want in zip(program, gates):
+                _assert_same_triple(triple, want)
             return
         n = model.n
-        mixers = [g for g in gates if g.kind in ("H", "EXP_X")]
-        assert len(program) == len(mixers) + params.p
-        at = [n + k * (n + 1) for k in range(params.p)]
-        for triple, gate in zip([t for i, t in enumerate(program) if i not in at], mixers, strict=True):
-            _assert_same_triple(triple, gate)
+        want = list(_fused(n, gates[:n]))
+        at = []
+        for k in range(params.p):
+            at.append(len(want))
+            start = n + k * (len(terms) + n) + len(terms)
+            want += [None, *_fused(n, gates[start : start + n])]
+        assert len(program) == len(want)
+        for triple, expected in zip(program, want):
+            if expected is not None:
+                _assert_same_triple(triple, expected)
         norm = sum(abs(c) for _, c in terms)
         eps = np.finfo(float).eps
         for i, gamma in zip(at, params.gammas):
@@ -142,11 +149,42 @@ class TestCompiledAnsatz:
 
     @pytest.mark.parametrize("n", range(1, 16))
     def test_every_operand_fits_in_chunk(self, n):
-        # A phase layer is one operand of 2^n entries only while 2^n fits in CHUNK;
-        # above, its gates keep their own operands of 2 and 4 entries.
+        # A phase layer is one diagonal of 2^n entries only while 2^n fits in CHUNK;
+        # above, its gates keep their own operands of 2 and 4 entries. The H and
+        # EXP_X layers are blocks of at most 2^_KRON_QUBITS square up to 13 qubits,
+        # and 2 x 2 gates above.
         model = qubo_to_ising(random_qubo(n, 1))
         program = compile_ansatz(model).program(QaoaParams((0.3, -1.2), (0.7, 0.1)))
-        assert max(operand.size for operand, _, _ in program) == (max(1 << n, 4) if 1 << n <= CHUNK else 4)
+        fits = 1 << n <= CHUNK
+        side = 1 << min(n, _KRON_QUBITS) if fits else 2
+        assert max(operand.size for operand, _, _ in program if operand.ndim == 1) == (1 << n if fits else 4)
+        assert max(operand.shape for operand, _, _ in program if operand.ndim == 2) == (side, side)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", [1, 3, 5, 6, 9])
+    def test_ready_blocks_estimate_as_gate_triples_at_every_beta(self, method, n):
+        # beta = +-0 makes EXP_X diagonal, and every training's restart 0 starts
+        # there. At beta in {0.0, -0.0, 0.3, 0.5} the program's estimate, exact and
+        # seeded, is bit for bit that of the same program with build_ansatz's H and
+        # EXP_X triples in place of the ready layers, which the kernel fuses at bind
+        # time. Both take the phase layers from the cost vector, which differs from
+        # a gate-level phase layer by rounding.
+        model = qubo_to_ising(random_qubo(n, n))
+        ansatz = compile_ansatz(model)
+        terms = len(model.terms())
+        for shots in (None, 1000):
+            cfg = EstimatorConfig(method, shots=shots, seed=5)
+            plan = compile_plan(model, cfg)
+            for betas in [(0.0, 0.3), (-0.0, 0.3), (0.3, 0.0), (0.3, -0.0), (0.3, 0.5)]:
+                params = QaoaParams((0.4, -0.9), betas)
+                gates = build_ansatz(model, params).program
+                triples = gates[:n]
+                for k, gamma in enumerate(params.gammas):
+                    start = n + k * (terms + n) + terms
+                    triples += [(np.exp(ansatz.cost * (1j * gamma)), tuple(range(n)), ()), *gates[start : start + n]]
+                got = run_program(plan, ansatz.program(params), cfg)
+                want = run_program(plan, triples, cfg)
+                assert (got.value.hex(), got.std_error.hex()) == (want.value.hex(), want.std_error.hex())
 
     @settings(max_examples=40, deadline=None)
     @given(

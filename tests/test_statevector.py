@@ -15,6 +15,7 @@ from conftest import (
     distinct_phase_diagonal,
     embed_full_matrix,
     pauli_full_matrix,
+    random_controlled_diagonal,
     random_phase_gate,
     random_prep_circuit,
 )
@@ -26,6 +27,7 @@ from holcus.pauli_lcu import PauliString
 from holcus.qaoa import QaoaParams, build_ansatz
 from holcus.qubo_ising import qubo_to_ising, random_qubo
 from holcus.statevector import (
+    _KRON_QUBITS,
     CLOSED,
     MAX_QUBITS,
     MAX_SHOTS,
@@ -503,6 +505,48 @@ class TestFusedDiagonals:
             assert widest <= max(3, chunk.bit_length() - 1)
             assert all(len(step) != 2 or step[1].size <= max(chunk, largest) for step in steps)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 16))
+    def test_suffix_fused_once_matches_one_gate_at_a_time(self, data, n):
+        # Suffixes as the plans build them: runs of 1-8 diagonals, most of them
+        # controlled (random controls and polarities) like the select stage's
+        # Z-strings, between one-target and wider matrix gates. Fused once (whole
+        # runs too) and bound unfused, they must act as the gates one at a time. On at
+        # most log2(CHUNK) qubits every diagonal run is one triple; above, each
+        # controlled diagonal passes through as it is. A diagonal operand holds at
+        # most CHUNK entries, a matrix at most _KRON_QUBITS qubits.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gates = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            for _ in range(data.draw(st.integers(1, 8))):
+                controlled = n > 1 and data.draw(st.integers(0, 3), label="controlled unless 0")
+                gates.append(random_controlled_diagonal(data, rng, n) if controlled else random_phase_gate(data, rng, n))
+            if data.draw(st.booleans(), label="one-target matrix"):
+                gates.append(_one_target_gate(data, rng, n))
+            else:
+                k = data.draw(st.integers(1, min(3, n)))
+                u = np.linalg.qr(rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k)))[0]
+                gates.append(Gate("DENSE", tuple(data.draw(st.permutations(range(n)))[:k]), matrix=u))
+        program = [(g.operand, g.targets, g.controls) for g in gates[: data.draw(st.integers(1, len(gates)))]]
+        runs = sum(op.ndim == 1 and (i == 0 or program[i - 1][0].ndim == 2) for i, (op, _, _) in enumerate(program))
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        for chunk in (statevector.CHUNK, 1 << 6):
+            want = StateVector(n, psi.copy())
+            got = StateVector(n, psi.copy())
+            with _chunk_size(chunk):
+                for triple in program:
+                    _run(_bind(want, [triple], fuse=False))
+                fused = list(_fused(n, program, whole=True))
+                _run(_bind(got, fused, fuse=False))
+            assert np.allclose(got.amplitudes, want.amplitudes, rtol=0, atol=1e-12)
+            assert all(op.size <= chunk if op.ndim == 1 else len(op) <= 1 << _KRON_QUBITS for op, _, _ in fused)
+            if n <= chunk.bit_length() - 1:
+                assert sum(op.ndim == 1 for op, _, _ in fused) == runs
+            else:
+                kept = [id(t) for t in fused if t[2] and t[0].ndim == 1]
+                assert kept == [id(t) for t in program if t[2] and t[0].ndim == 1]
+
     def test_a_run_closes_at_the_qubit_cap_and_the_multiplier_bound(self):
         # On 16 qubits, EXP_ZZ on qubits 0 and 13 spreads to 2^14 entries. Its union
         # with EXP_Z on qubits 0-12 would spread to no more, but 14 qubits pass
@@ -516,14 +560,30 @@ class TestFusedDiagonals:
 
     def test_a_run_on_every_qubit_of_its_register_stays_unfused(self):
         # Its product would be as wide as the register, so building it costs what
-        # applying the run does; one qubit more and the run fuses.
+        # applying the run does; one qubit more and the run fuses. A program fused
+        # once and run many times (whole) fuses it too.
         z = Gate("EXP_Z", (0,), (0.3,)).operand
         zz = Gate("EXP_ZZ", (0, 1), (0.3,)).operand
         program = [(z, (0,), ()), (zz, (0, 1), ()), (z, (1,), ())]
         assert list(_fused(2, program)) == program
-        ((operand, targets, controls),) = _fused(3, program)
-        assert (targets, controls) == ((0, 1), ())
-        assert np.allclose(operand, z[[0, 1, 0, 1]] * zz * z[[0, 0, 1, 1]], rtol=0, atol=1e-15)
+        for fused in (_fused(3, program), _fused(2, program, whole=True)):
+            ((operand, targets, controls),) = fused
+            assert (targets, controls) == ((0, 1), ())
+            assert np.allclose(operand, z[[0, 1, 0, 1]] * zz * z[[0, 0, 1, 1]], rtol=0, atol=1e-15)
+
+    def test_controlled_diagonals_join_a_run_up_to_the_qubit_cap(self):
+        # A controlled diagonal's run counts its controls' qubits: CZ on qubit 0,
+        # controlled by qubit 2 (closed) and 4 (open), and EXP_Z on qubit 1 fuse on
+        # qubits 0, 1, 2 and 4 of a 13-qubit register. On 14 qubits they stay apart.
+        z = Gate("EXP_Z", (1,), (0.3,)).operand
+        cz = np.array([1, -1], dtype=complex)
+        program = [(cz, (0,), ((2, CLOSED), (4, OPEN))), (z, (1,), ())]
+        ((operand, targets, controls),) = _fused(13, program)
+        assert (targets, controls) == ((0, 1, 2, 4), ())
+        index = np.arange(16)
+        fires = ((index >> 2) & 1 == 1) & ((index >> 3) & 1 == 0)
+        assert np.array_equal(operand, np.where(fires & (index & 1 == 1), -1, 1) * z[(index >> 1) & 1])
+        assert list(_fused(14, program)) == program
 
     def test_phase_layer_binds_to_one_step(self):
         # The 66 phase gates of a p = 1 ansatz at n = 11 fuse into one diagonal on
