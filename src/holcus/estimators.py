@@ -25,16 +25,15 @@ simulates and reads out: each circuit starts from |0...0>, applies the state
 prep, a kernel program of (operand, targets, controls) triples such as the
 one train_qaoa binds per evaluation, then its suffix's program as the plan
 fused it once (EstimatorPlan.programs: up to 13 qubits holcus's select stage
-is one multiply), and reads the observable's mean from the rows of
-|amplitude|^2, chunk by chunk on a register above statevector.CHUNK
-amplitudes, so the readout holds O(CHUNK) beside the register and its
-probabilities. The circuits of one
-width share one register and, when there are several, one binding of the
-prep (statevector._bind), which holds one operand per fused run (a multiplier
-or a Kronecker block); every circuit still applies every gate, each such run
-as one step, to every amplitude, so the values are those of a fresh
-register per circuit. run_plan is its adapter for a prep
-Circuit; estimate() compiles a plan and runs it. The public circuit builders
+is one multiply), and reads the observable's mean from the marginal of the
+register's top qubits, through statevector's one |amplitude|^2 reader, which
+holds O(statevector.CHUNK) beside the register and its probabilities. The
+circuits of one width share one register and, when there are several, one
+binding of the prep (statevector._bind), which holds one operand per fused run
+(a multiplier or a Kronecker block); every circuit still applies every gate,
+each such run as one step, to every amplitude, so the values are those of a
+fresh register per circuit. run_plan is its adapter for a prep Circuit;
+estimate() compiles a plan and runs it. The public circuit builders
 use the same builder, so they return exactly the executed circuits;
 EstimatorPlan.resources reports their resource counts on request.
 
@@ -54,7 +53,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import statevector
 from .circuit import (
     CLOSED,
     Circuit,
@@ -83,10 +81,9 @@ from .statevector import (
     StateVector,
     _bind,
     _check_int,
-    _cuts,
     _fused,
+    _marginal,
     _run,
-    _square_sums,
     derive_seed,
     multinomial_draw,
     new_basis_state,
@@ -292,27 +289,17 @@ def _readout(
     state: StateVector, meas: Measurement, cfg: EstimatorConfig, k: int
 ) -> tuple[float, float]:
     """The mean of meas.values over the marginal of the register's top
-    log2(len(meas.values)) qubits, and the variance of that mean. The marginal
-    is exact in exact mode and a draw seeded with derive_seed(cfg.seed, k)
-    otherwise. As qubit 0 is the least significant bit of an amplitude's
-    index, outcome i of the top qubits owns one contiguous row of amplitudes,
-    whose |amplitude|^2 it sums in pieces of at most statevector.CHUNK
-    amplitudes (read at call time; one piece for a register that fits), so
-    that beside the register and its 2^k probabilities the readout holds
-    O(CHUNK). The pieces are cut across the columns first, as marginal_vector
-    cuts the same view, which above CHUNK rows would leave single strided
-    columns; there they are cut into blocks of whole rows instead.
+    log2(len(meas.values)) qubits, and the variance of that mean. The marginal,
+    statevector's one |amplitude|^2 reader, is exact in exact mode and a draw
+    seeded with derive_seed(cfg.seed, k) otherwise.
 
     For an Ising model every part=IMAGINARY interference circuit has
     P(0) = 1/2 exactly, so a seeded draw sits on a tie: a kernel change that
     moves the last bit of P(0) can mirror its counts (+x becomes -x). Each
     draw is still within its sigma, but the seeded shot estimate of an
     imaginary part is not stable across kernel changes."""
-    rows = len(meas.values)
-    cols = len(state.amplitudes) // rows
-    order = (0, 1) if rows > statevector.CHUNK else (1, 0)
-    cuts = _cuts([rows, cols], order, statevector.CHUNK)
-    probs = _square_sums(state.amplitudes.reshape(rows, cols), (0, 1), 1, cuts)
+    n = state.num_qubits
+    probs = _marginal(state, tuple(range(n - 1, n - len(meas.values).bit_length(), -1)))
     if cfg.exact:
         return probs @ meas.values, 0.0
     freqs = multinomial_draw(probs, cfg.shots, derive_seed(cfg.seed, k)) / cfg.shots

@@ -2,9 +2,9 @@
 
 compile_ansatz does a model's angle-free ansatz work once. The public Circuit
 (build_ansatz) comes from its gate walk (runs); the kernel program train_qaoa
-binds per evaluation builds no Gate and, up to log2(statevector.CHUNK) qubits,
-makes each phase layer one diagonal from the model's cost vector and the H and
-EXP_X layers the Kronecker blocks the kernel would fuse them into."""
+binds per evaluation builds no Gate and, up to statevector._chunk_qubits()
+qubits, makes each phase layer one diagonal from the model's cost vector and
+the H and EXP_X layers the Kronecker blocks the kernel would fuse them into."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import _H, Circuit, Gate, _exp_x, gate_run
 from .estimators import EstimatorConfig, compile_plan, run_program
 from .qubo_ising import IsingModel, ising_energies
-from .statevector import _KRON_QUBITS, CHUNK, _kron
+from .statevector import _KRON_QUBITS, _chunk_qubits, _kron
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,8 @@ class CompiledAnsatz:
     @cached_property
     def cost(self) -> np.ndarray | None:
         """ising_energies(model) - model.offset (the offset set to 0, not subtracted) by
-        basis index, on first use; None without terms or when 2^n > statevector.CHUNK."""
-        fits = self.phases and 1 << self.model.n <= CHUNK
+        basis index, on first use; None without terms or above statevector._chunk_qubits()."""
+        fits = self.phases and self.model.n <= _chunk_qubits()
         return ising_energies(replace(self.model, offset=0.0)) if fits else None
 
     def runs(self, params: QaoaParams):

@@ -24,11 +24,11 @@ transposed to put its target axes first. A view above CHUNK amplitudes goes
 chunk by chunk, cut along its outermost non-target axes first (_cuts), so the
 temporaries stay small enough for the allocator to reuse instead of being
 page-faulted back on every gate; no 2^n x 2^n operator is ever built.
-marginal_vector sums |amplitude|^2 over the same view in the same chunks
-(_square_sums), so a marginal over k qubits squares at most max(CHUNK, 2^k)
-amplitudes at a time; estimators' readout sums it over the rows of a register
-in pieces of at most CHUNK. kernel_operand chooses diagonal or matrix once per
-matrix, _bind the step by target count.
+_marginal, the one |amplitude|^2 reader (marginal_vector, estimators' readout),
+sums it over the same view, its qubits the targets, in the same chunks
+(_square_sums): at most CHUNK amplitudes at a time, however many qubits.
+kernel_operand chooses diagonal or matrix once per matrix, _bind the step by
+target count.
 
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
 first fuses the program (_fused): each run of consecutive uncontrolled diagonal
@@ -66,7 +66,7 @@ MAX_SHOTS = 2**63 - 1
 # Bound on the (n, targets, controls) recipes each of _diag_layout and _matrix_layout
 # keeps; a plan uses a few hundred.
 LAYOUT_CACHE_SIZE = 4096
-# Most amplitudes one matrix gate reads, or one readout squares, at a time (larger
+# Most amplitudes one matrix gate reads, or one marginal squares, at a time (larger
 # views go chunk by chunk), and the longest contiguous axis of a diagonal gate's view.
 CHUNK = 1 << 13
 # Most qubits _fused joins into one Kronecker block of one-target gates.
@@ -215,6 +215,11 @@ def _axis_walk(n: int, touched: set[int], low: int) -> tuple[list[int], list[int
     return shape, qubits
 
 
+def _chunk_qubits() -> int:
+    """log2(CHUNK), read at call time: the most qubits one chunk holds."""
+    return CHUNK.bit_length() - 1
+
+
 def _cuts(shape: list[int], order, limit: int) -> tuple[tuple[slice, ...], ...] | None:
     """The index tuples that cut an array of this shape into chunks of at most limit
     amplitudes: each axis of order in turn is cut to the width that leaves limit
@@ -243,7 +248,7 @@ def _diag_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, in
     target lies below w. Its type is the smallest unsigned one that holds 2^k - 1
     (one byte for k <= 8), as intp would cost 64 KiB a recipe at w = 13."""
     polarity = dict(controls)
-    w = min(n, CHUNK.bit_length() - 1, *polarity)
+    w = min(n, _chunk_qubits(), *polarity)
     shape, qubits = _axis_walk(n, set(polarity) | set(targets), w)
     shape.append(1 << w)
     index = [polarity.get(q, slice(None)) for q in qubits] + [slice(None)]
@@ -266,8 +271,12 @@ def _matrix_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, 
     perm orders the indexed view's axes as the targets, most significant first
     (bit j of the operand index is targets[j]), then the others in memory order.
     chunks is None when the indexed view holds at most CHUNK amplitudes, else its
-    _cuts into chunks of at most max(CHUNK, 2^k), outermost non-target axes
-    first. For a one-target gate's flip, on the axis perm[0]: reverse is a basic
+    _cuts into chunks of at most CHUNK, outermost non-target axes first; when the
+    targets alone index more than CHUNK entries, as a marginal's may and a matrix
+    gate's must not (its chunks hold its targets whole), the targets go first,
+    most significant first, so a register's top qubits are read in contiguous
+    blocks of whole rows, where 8 <= k <= 13 of them are read in strided chunks of
+    columns. For a one-target gate's flip, on the axis perm[0]: reverse is a basic
     index that reverses it, pair the shape of an entry pair along it (None on the
     first axis, where _scale scales the halves)."""
     polarity = dict(controls)
@@ -279,7 +288,8 @@ def _matrix_layout(n: int, targets: tuple[int, ...], controls: tuple[tuple[int, 
     view = [(s, q) for s, q in zip(shape, qubits) if q not in polarity]
     front = [[q for _, q in view].index(t) for t in reversed(targets)]
     rest = [a for a in range(len(view)) if a not in front]
-    chunks = _cuts([s for s, _ in view], rest, CHUNK)
+    order = front + rest if 1 << len(targets) > CHUNK else rest + front
+    chunks = _cuts([s for s, _ in view], order, CHUNK)
     reverse = (slice(None),) * front[0] + (slice(None, None, -1),)
     pair = (2,) + (1,) * (len(view) - front[0] - 1) if front[0] else None
     return tuple(shape), index, tuple(front + rest), chunks, reverse, pair
@@ -325,7 +335,7 @@ def _fused(n: int, program, whole: bool = False):
     triple or a repeated qubit, becomes Kronecker blocks: its qubits, ascending,
     cut into groups of at most _KRON_QUBITS, each one triple whose operand bit j
     is targets[j]; a group of one keeps its gate."""
-    cap = CHUNK.bit_length() - 1
+    cap = _chunk_qubits()
     w = min(n, cap)
     small = n <= cap  # so every multiplier, fused or not, is 2^n <= CHUNK entries
 
@@ -384,7 +394,7 @@ def _bind(state: StateVector, program, fuse: bool = True):
     _fused unless fuse is False, resolved to a view of state's register, as _run
     takes it, unchecked: the qubits must be distinct and in range, each polarity
     the int OPEN or CLOSED, and operand, from kernel_operand, a 2^k x 2^k matrix
-    or a length-2^k diagonal for k targets. A diagonal becomes (view, multiplier),
+    (2^k <= CHUNK) or a length-2^k diagonal for k targets. A diagonal becomes (view, multiplier),
     its operand spread onto _diag_layout's view. A matrix reads _matrix_layout's
     view with the controls fixed: on one target it becomes (view, D0, D1, axis,
     reverse, chunks), axis the target's and D0 and D1 each a complex when its
@@ -451,15 +461,18 @@ def _scale(x: np.ndarray, d) -> None:
 def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> np.ndarray:
     """Marginal probabilities over the given qubits as a 2^k array: bit k-1-j
     of the outcome index is qubits[j], so qubits[0] is the most significant."""
-    n = state.num_qubits
     qubits = tuple(qubits)
     if len(qubits) == 0:
         raise ValueError("qubit list must be non-empty")
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubits in {qubits}")
-    _check_qubits(qubits, n)
-    # The kernel's view with qubits as targets, reversed so qubits[0] leads.
-    shape, _, perm, chunks, *_ = _matrix_layout(n, qubits[::-1], ())
+    _check_qubits(qubits, state.num_qubits)
+    return _marginal(state, qubits)
+
+
+def _marginal(state: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
+    """marginal_vector unchecked: _square_sums of _matrix_layout's view of qubits."""
+    shape, _, perm, chunks, *_ = _matrix_layout(state.num_qubits, qubits[::-1], ())
     return _square_sums(state.amplitudes.reshape(shape), perm, len(qubits), chunks).reshape(-1)
 
 

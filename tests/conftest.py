@@ -5,7 +5,8 @@ full matrices come from explicit basis-state enumeration (never from the
 package's gate kernel), rotations from scipy's expm (never from the
 package's closed forms), and Hamiltonians from Kronecker products. run_from
 is the one exception: it runs the package's kernel, from a chosen start
-state, for a test to compare with an oracle.
+state, for a test to compare with an oracle. chunk_size is no oracle: it runs
+a block of a test under a smaller statevector.CHUNK.
 
 BLAS is pinned to one thread, as benchmark/run.py pins it, so the timing
 criterion runs the configuration the benchmark measures.
@@ -13,6 +14,7 @@ criterion runs the configuration the benchmark measures.
 
 import os
 import sys
+from contextlib import contextmanager
 
 if "numpy" in sys.modules:
     raise RuntimeError("numpy was loaded before tests/conftest.py could pin BLAS to one thread")
@@ -24,9 +26,10 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from holcus import statevector
 from holcus.circuit import CLOSED, OPEN, Circuit, Gate
 from holcus.qubo_ising import IsingModel
-from holcus.statevector import StateVector, _bind, _run
+from holcus.statevector import StateVector, _bind, _diag_layout, _matrix_layout, _run
 
 I2 = np.eye(2, dtype=complex)
 PAULI = {
@@ -154,6 +157,22 @@ def run_from(circ: Circuit, psi: np.ndarray) -> np.ndarray:
     state = StateVector(circ.num_qubits, np.array(psi, dtype=np.complex128))
     _run(_bind(state, circ.program))
     return state.amplitudes
+
+
+@contextmanager
+def chunk_size(chunk):
+    """Run the kernel and the readouts with statevector.CHUNK = chunk, with no recipe
+    cached across the change."""
+    default = statevector.CHUNK
+    statevector.CHUNK = chunk
+    _diag_layout.cache_clear()
+    _matrix_layout.cache_clear()
+    try:
+        yield
+    finally:
+        statevector.CHUNK = default
+        _diag_layout.cache_clear()
+        _matrix_layout.cache_clear()
 
 
 def model_of(n, h, J, offset=0.0) -> IsingModel:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import PAULI, ising_dense_matrix, ising_phase_diagonal, model_of
+from conftest import PAULI, chunk_size, ising_dense_matrix, ising_phase_diagonal, model_of
 from holcus.circuit import run
 from holcus.estimators import METHODS, EstimatorConfig, compile_plan, estimate, run_program
 from holcus.qaoa import QaoaParams, build_ansatz, compile_ansatz, exact_expectation
@@ -159,6 +159,20 @@ class TestCompiledAnsatz:
         side = 1 << min(n, _KRON_QUBITS) if fits else 2
         assert max(operand.size for operand, _, _ in program if operand.ndim == 1) == (1 << n if fits else 4)
         assert max(operand.shape for operand, _, _ in program if operand.ndim == 2) == (side, side)
+
+    def test_cost_vector_cap_reads_chunk_at_call_time(self):
+        # The cost vector is built up to statevector._chunk_qubits() qubits, read when
+        # it is first used: under a 2^6 CHUNK an n = 7 ansatz keeps its gate-level
+        # phase layers, and its program estimates as build_ansatz's circuit does.
+        model = qubo_to_ising(random_qubo(7, 7))
+        params = QaoaParams((0.3, -1.2), (0.7, 0.1))
+        with chunk_size(1 << 6):
+            ansatz = compile_ansatz(model)
+            assert ansatz.cost is None
+            for method in ("raw", "holcus"):
+                cfg = EstimatorConfig(method)
+                got = run_program(compile_plan(model, cfg), ansatz.program(params), cfg).value
+                assert abs(got - estimate(build_ansatz(model, params), model, cfg).value) <= 1e-12
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("n", [1, 3, 5, 6, 9])

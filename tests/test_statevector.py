@@ -1,7 +1,6 @@
 """Statevector engine: basis states, gate application, marginals, sampling."""
 
 import tracemalloc
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     PAULI,
     apply_full_matrix,
+    chunk_size,
     distinct_phase_diagonal,
     embed_full_matrix,
     pauli_full_matrix,
@@ -19,7 +19,6 @@ from conftest import (
     random_phase_gate,
     random_prep_circuit,
 )
-import holcus.estimators
 from holcus import statevector
 from holcus.circuit import Circuit, Gate, run, x
 from holcus.estimators import EstimatorConfig, Measurement, _readout, estimate, hadamard_test_circuit
@@ -37,7 +36,6 @@ from holcus.statevector import (
     _bind,
     _diag_layout,
     _fused,
-    _matrix_layout,
     _run,
     _square_sums,
     apply_unitary,
@@ -234,22 +232,6 @@ def _per_qubit_marginal(state, qubits):
     return np.moveaxis(tensor, [remaining.index(ax) for ax in keep_axes], range(len(qubits))).reshape(-1)
 
 
-@contextmanager
-def _chunk_size(chunk):
-    """Run the kernel and the readouts with statevector.CHUNK = chunk, with no recipe
-    cached across the change."""
-    default = statevector.CHUNK
-    statevector.CHUNK = chunk
-    _diag_layout.cache_clear()
-    _matrix_layout.cache_clear()
-    try:
-        yield
-    finally:
-        statevector.CHUNK = default
-        _diag_layout.cache_clear()
-        _matrix_layout.cache_clear()
-
-
 def _one_target_unitary(data, rng) -> np.ndarray:
     """A 2x2 unitary [[a, b], [c, d]] of a drawn class: a = d (EXP_X-like; b = c
     too when the drawn phase is 0), b = c (H-like), b = -c with a = d = 0
@@ -291,7 +273,7 @@ class TestOneTargetStep:
         want = apply_full_matrix(matrix, targets, controls, n, psi)
         for chunk in (statevector.CHUNK, 1 << 6):
             got = StateVector(n, psi.copy())
-            with _chunk_size(chunk):
+            with chunk_size(chunk):
                 _run(_bind(got, [(matrix, targets, controls)]))
             assert np.allclose(got.amplitudes, want, rtol=0, atol=1e-12)
 
@@ -332,7 +314,7 @@ class TestCollapsedView:
         # BLAS rounds very narrow products differently.
         for chunk in (statevector.CHUNK, 1 << 6):
             got = StateVector(n, psi.copy())
-            with _chunk_size(chunk):
+            with chunk_size(chunk):
                 _run(_bind(got, [(operand, targets, controls)]))
             assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
 
@@ -415,8 +397,9 @@ class TestCollapsedView:
     @given(data=st.data(), n=st.integers(1, 10))
     def test_chunked_readouts_match_unchunked(self, data, n):
         # At n <= 10 both fit the default CHUNK; 2^6 cuts a register above 64
-        # amplitudes: marginal_vector along its view's non-target axes, the readout
-        # of the top k qubits across its rows, then its columns.
+        # amplitudes, for marginal_vector and the readout of the top k qubits alike
+        # (both are statevector._marginal): along the view's non-target axes, or,
+        # over more than 6 qubits, along those qubits first.
         qubits = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, n))])
         k = data.draw(st.integers(1, n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -425,7 +408,7 @@ class TestCollapsedView:
         meas = Measurement(Circuit(n), rng.uniform(-1, 1, size=1 << k))
         cfg = EstimatorConfig("raw")
         marginal, mean = marginal_vector(state, qubits), _readout(state, meas, cfg, 0)[0]
-        with _chunk_size(1 << 6), mock.patch.object(holcus.estimators, "_square_sums", wraps=_square_sums) as spy:
+        with chunk_size(1 << 6), mock.patch.object(statevector, "_square_sums", wraps=_square_sums) as spy:
             chunked_marginal, chunked_mean = marginal_vector(state, qubits), _readout(state, meas, cfg, 0)[0]
         # The readout reads CHUNK at call time: above it, it squares pieces of at most CHUNK.
         view, _, _, cuts = spy.call_args.args
@@ -433,6 +416,35 @@ class TestCollapsedView:
         assert all(view[c].size <= 1 << 6 for c in cuts or ())
         assert np.max(np.abs(chunked_marginal - marginal)) <= 1e-15
         assert abs(chunked_mean - mean) <= 1e-15
+
+    def test_wide_marginal_squares_at_most_chunk_amplitudes(self, rng):
+        # Over more than log2(CHUNK) qubits, in any order, a marginal is cut along
+        # them first: under a 2^6 CHUNK it squares at most 64 amplitudes at a time,
+        # not 2^k, with the values of the default CHUNK; and over all 20 qubits of
+        # a 20-qubit register (16 MiB) it holds its 8 MiB result and one chunk,
+        # where squaring the register whole would hold 16 MiB.
+        for n, k in [(7, 7), (10, 7), (9, 8), (10, 10)]:
+            psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            state = StateVector(n, psi / np.linalg.norm(psi))
+            qubits = tuple(int(q) for q in rng.permutation(n)[:k])
+            want = marginal_vector(state, qubits)
+            with chunk_size(1 << 6), mock.patch.object(statevector, "_square_sums", wraps=_square_sums) as spy:
+                got = marginal_vector(state, qubits)
+            view, _, _, cuts = spy.call_args.args
+            assert cuts and all(view[c].size <= 1 << 6 for c in cuts)
+            assert np.max(np.abs(got - want)) <= 1e-15
+        n = 20
+        state = StateVector(n, np.full(1 << n, 2 ** (-n / 2), dtype=np.complex128))
+        qubits = tuple(range(n - 1, -1, -1))
+        marginal_vector(state, qubits)  # fills the layout recipe, kept for the process
+        tracemalloc.start()
+        try:
+            marginal = marginal_vector(state, qubits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(marginal, np.full(1 << n, 2.0**-n))
+        assert peak <= 9 << 20
 
     @pytest.mark.parametrize("n, k", [(11, 7), (13, 8), (12, 9), (12, 11)])
     def test_readout_of_more_rows_than_chunk_matches_marginal_vector(self, n, k, rng):
@@ -443,7 +455,7 @@ class TestCollapsedView:
         state = StateVector(n, psi / np.linalg.norm(psi))
         meas = Measurement(Circuit(n), rng.uniform(-1, 1, size=1 << k))
         want = marginal_vector(state, range(n - 1, n - 1 - k, -1)) @ meas.values
-        with _chunk_size(1 << 6), mock.patch.object(holcus.estimators, "_square_sums", wraps=_square_sums) as spy:
+        with chunk_size(1 << 6), mock.patch.object(statevector, "_square_sums", wraps=_square_sums) as spy:
             mean = _readout(state, meas, EstimatorConfig("raw"), 0)[0]
         view, _, _, cuts = spy.call_args.args
         assert all(view[c].size <= 1 << 6 for c in cuts)
@@ -494,7 +506,7 @@ class TestFusedDiagonals:
         for chunk in (statevector.CHUNK, 1 << 6):
             want = StateVector(n, psi.copy())
             got = StateVector(n, psi.copy())
-            with _chunk_size(chunk):
+            with chunk_size(chunk):
                 for triple in program:
                     _run(_bind(want, [triple]))
                 largest = max((_diag_layout(n, t, c)[2].size for op, t, c in program if op.ndim == 1), default=0)
@@ -534,7 +546,7 @@ class TestFusedDiagonals:
         for chunk in (statevector.CHUNK, 1 << 6):
             want = StateVector(n, psi.copy())
             got = StateVector(n, psi.copy())
-            with _chunk_size(chunk):
+            with chunk_size(chunk):
                 for triple in program:
                     _run(_bind(want, [triple], fuse=False))
                 fused = list(_fused(n, program, whole=True))
