@@ -28,7 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from .statevector import CLOSED, OPEN, StateVector, _bind, _check_int, _check_qubits, _checked_controls, _run
-from .statevector import kernel_operand, new_basis_state
+from .statevector import _chunk_qubits, kernel_operand, new_basis_state
 
 _H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 _I = np.eye(2, dtype=np.complex128)
@@ -80,6 +80,8 @@ class Gate:
             dim = 1 << len(self.targets)
             if self.matrix.shape != (dim, dim):
                 raise ValueError(f"DENSE matrix shape {self.matrix.shape} is not ({dim}, {dim})")
+            if dim > 1 << _chunk_qubits():
+                self.operand  # kernel_operand's CapacityError if not diagonal: the kernel takes a matrix's targets whole
         elif self.matrix is not None:
             raise ValueError(f"{self.kind} builds its own matrix; only DENSE takes one")
         elif len(self.targets) != arity:

@@ -20,22 +20,23 @@ controlled un-prepare and a final H, all on the final register. The Hadamard
 test is its one-term, zero-ancilla case, so hadamard and each singleton group
 of holcus_div use it too. The Hadamard qubit, on top, is read with values
 [scale, -scale], whose mean is scale * (2 P(0) - 1); raw reads all n state
-qubits with the basis-state energies. One executor (run_program) only
-simulates and reads out: each circuit starts from |0...0>, applies the state
-prep, a kernel program of (operand, targets, controls) triples such as the
-one train_qaoa binds per evaluation, then its suffix's program as the plan
-fused it once (EstimatorPlan.programs: up to 13 qubits holcus's select stage
-is one multiply), and reads the observable's mean from the marginal of the
-register's top qubits, through statevector's one |amplitude|^2 reader, which
-holds O(statevector.CHUNK) beside the register and its probabilities. The
-circuits of one width share one register and, when there are several, one
-binding of the prep (statevector._bind), which holds one operand per fused run
-(a multiplier or a Kronecker block); every circuit still applies every gate,
-each such run as one step, to every amplitude, so the values are those of a
-fresh register per circuit. run_plan is its adapter for a prep Circuit;
-estimate() compiles a plan and runs it. The public circuit builders
-use the same builder, so they return exactly the executed circuits;
-EstimatorPlan.resources reports their resource counts on request.
+qubits with the basis-state energies. One executor (_Runner) only simulates
+and reads out, in two phases. Binding gives each width of the plan a register
+and binds to it each circuit's suffix, as the plan fused it once
+(EstimatorPlan.programs: up to 13 qubits holcus's select stage is one
+multiply), and its readout's view (statevector._marginal_view). A run starts
+each circuit from |0...0>, applies the state prep, a kernel program of
+(operand, targets, controls) triples, then the suffix, and reads the mean of
+the observable from the marginal of the register's top qubits, through
+statevector's one |amplitude|^2 reader (O(statevector.CHUNK) beside the
+register and its probabilities). A width's circuits share one binding of the
+prep when there are several; every circuit still applies every step to every
+amplitude, so the values are those of a fresh register per circuit.
+run_program binds and runs once; train_qaoa binds once per training (up to
+13-qubit registers) and each evaluation's prep as it runs. run_plan is
+run_program's adapter for a prep Circuit; estimate() compiles a plan and runs
+it. The public circuit builders use the same builder, so they return exactly
+the executed circuits; EstimatorPlan.resources reports their resource counts.
 
 Exact mode (shots=EXACT) reads marginal probabilities analytically, which
 separates method error from shot noise; finite mode draws seeded multinomial
@@ -81,8 +82,10 @@ from .statevector import (
     StateVector,
     _bind,
     _check_int,
+    _chunk_qubits,
     _fused,
     _marginal,
+    _marginal_view,
     _run,
     derive_seed,
     multinomial_draw,
@@ -285,21 +288,24 @@ def compile_plan(model: IsingModel, cfg: EstimatorConfig) -> EstimatorPlan:
     return EstimatorPlan(n, offset, tuple(measurements))
 
 
-def _readout(
-    state: StateVector, meas: Measurement, cfg: EstimatorConfig, k: int
-) -> tuple[float, float]:
-    """The mean of meas.values over the marginal of the register's top
-    log2(len(meas.values)) qubits, and the variance of that mean. The marginal,
-    statevector's one |amplitude|^2 reader, is exact in exact mode and a draw
-    seeded with derive_seed(cfg.seed, k) otherwise.
+def _readout_view(state: StateVector, meas: Measurement) -> tuple:
+    """statevector._marginal_view of the register's top log2(len(meas.values)) qubits."""
+    n = state.num_qubits
+    return _marginal_view(state, tuple(range(n - 1, n - len(meas.values).bit_length(), -1)))
+
+
+def _readout(view: tuple, meas: Measurement, cfg: EstimatorConfig, k: int) -> tuple[float, float]:
+    """The mean of meas.values over the marginal that view (_readout_view) reads,
+    and the variance of that mean. The marginal, statevector's one |amplitude|^2
+    reader, is exact in exact mode and a draw seeded with derive_seed(cfg.seed, k)
+    otherwise.
 
     For an Ising model every part=IMAGINARY interference circuit has
     P(0) = 1/2 exactly, so a seeded draw sits on a tie: a kernel change that
     moves the last bit of P(0) can mirror its counts (+x becomes -x). Each
     draw is still within its sigma, but the seeded shot estimate of an
     imaginary part is not stable across kernel changes."""
-    n = state.num_qubits
-    probs = _marginal(state, tuple(range(n - 1, n - len(meas.values).bit_length(), -1)))
+    probs = _marginal(view)
     if cfg.exact:
         return probs @ meas.values, 0.0
     freqs = multinomial_draw(probs, cfg.shots, derive_seed(cfg.seed, k)) / cfg.shots
@@ -307,36 +313,61 @@ def _readout(
     return mean, freqs @ (meas.values - mean) ** 2 / cfg.shots
 
 
+class _Runner:
+    """The one executor, bind then run: each width of the plan gets a register, and
+    each circuit its suffix steps (EstimatorPlan.programs) and readout view bound
+    to it. With hold (a training's), on registers of at most log2(CHUNK) qubits,
+    so each held multiplier is at most CHUNK entries, all are bound once, here;
+    otherwise (run_program's, or wider, where the held multipliers can outgrow
+    the register) as each circuit runs, one multiplier and one register at a time."""
+
+    def __init__(self, plan: EstimatorPlan, hold: bool = False):
+        self.plan = plan
+        hold = hold and plan.max_qubits <= _chunk_qubits()
+        self.held = {w: self._width(w, list) for w in plan.widths} if hold else None
+
+    def _width(self, width: int, into=iter) -> tuple:
+        """(register, (k, suffix steps, readout view) of each circuit of the width):
+        bound as they run, or, with into=list, here."""
+        plan, state = self.plan, new_basis_state(width)
+        circuits = (
+            (k, into(_bind(state, plan.programs[k], fuse=False)), _readout_view(state, plan.measurements[k]))
+            for k in plan.widths[width]
+        )
+        return state, into(circuits)
+
+    def run(self, prep: list[tuple], cfg: EstimatorConfig) -> EstimateResult:
+        """Run every measurement of the plan from |0...0> after the prep's kernel
+        program, whose qubits must lie in the plan's state register (unchecked):
+        value = offset + the sum of each circuit's mean observable. In finite mode
+        circuit k samples with derive_seed(cfg.seed, k). A width's circuits run in
+        turn on its register; with several, the prep is bound once and shared,
+        holding one multiplier or block per fused run, else it is bound as it runs."""
+        plan = self.plan
+        reads = [None] * len(plan.measurements)
+        for width, ks in plan.widths.items():
+            state, circuits = self.held[width] if self.held else self._width(width)
+            shared = list(_bind(state, prep)) if len(ks) > 1 else None
+            for i, (k, suffix, view) in enumerate(circuits):
+                if i or self.held:  # a held register holds the last run's state
+                    state.amplitudes[:] = 0
+                    state.amplitudes[0] = 1
+                _run(_bind(state, prep) if shared is None else shared)
+                _run(suffix)
+                reads[k] = _readout(view, plan.measurements[k], cfg, k)
+            del state, circuits, shared, view  # before the next width's register is allocated
+        value = plan.offset
+        variance = 0.0
+        for term, var in reads:
+            value += term
+            variance += var
+        shots = 0 if cfg.exact else len(reads) * int(cfg.shots)  # a numpy count would wrap at 2^63
+        return EstimateResult(float(value), math.sqrt(variance), len(reads), shots, plan.max_qubits)
+
+
 def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) -> EstimateResult:
-    """The one executor: run every measurement of the plan from |0...0> after the
-    prep's kernel program, whose qubits must lie in the plan's state register
-    (unchecked): value = offset + the sum of each circuit's mean observable. In
-    finite mode circuit k samples with derive_seed(cfg.seed, k). A width's
-    circuits run in turn on one register; with several, the prep is bound once
-    and shared, holding one multiplier or block per fused run, else it is
-    bound as it runs. The prep is fused as a program of its own; each suffix is
-    the plan's, fused once. A width's register and bound prep are freed before
-    the next width's are allocated."""
-    reads = [None] * len(plan.measurements)
-    for width, ks in plan.widths.items():
-        state = new_basis_state(width)
-        shared = list(_bind(state, prep)) if len(ks) > 1 else None
-        for i, k in enumerate(ks):
-            if i:
-                state.amplitudes[:] = 0
-                state.amplitudes[0] = 1
-            meas = plan.measurements[k]
-            _run(_bind(state, prep) if shared is None else shared)
-            _run(_bind(state, plan.programs[k], fuse=False))
-            reads[k] = _readout(state, meas, cfg, k)
-        del state, shared
-    value = plan.offset
-    variance = 0.0
-    for term, var in reads:
-        value += term
-        variance += var
-    shots = 0 if cfg.exact else len(reads) * int(cfg.shots)  # a numpy count would wrap at 2^63
-    return EstimateResult(float(value), math.sqrt(variance), len(reads), shots, plan.max_qubits)
+    """The plan's runner bound and run once (_Runner.run) after the prep's kernel program."""
+    return _Runner(plan).run(prep, cfg)
 
 
 def run_plan(plan: EstimatorPlan, prep: Circuit, cfg: EstimatorConfig) -> EstimateResult:

@@ -1,5 +1,6 @@
-"""Derivative-free training of QAOA angles against a chosen estimator; each
-evaluation binds angles into the ansatz and plan compiled once per training."""
+"""Derivative-free training of QAOA angles against a chosen estimator. A
+training compiles its ansatz and plan and binds the plan's runner once; each
+evaluation runs the ansatz's program at its angles on the runner."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .estimators import EstimatorConfig, compile_plan, run_program
+from .estimators import EstimatorConfig, _Runner, compile_plan
 from .qaoa import QaoaParams, compile_ansatz
 from .qubo_ising import IsingModel
 from .statevector import _check_int, derive_seed
@@ -133,14 +134,16 @@ def train_qaoa(
     always among the evaluated points); further restarts draw gamma in
     [0, 2pi) and beta in [0, pi). The returned trace holds the winning
     restart's evaluations while the circuit/shot totals aggregate every
-    restart. Deterministic for fixed seeds. The estimator's plan and the
-    ansatz are compiled once, inside the caller's timing, and reused by every
-    evaluation of every restart, which only binds its angles into the ansatz's
-    kernel program (no Gate is built) and runs it with run_program.
+    restart. Deterministic for fixed seeds. The estimator's plan, the ansatz
+    and the plan's runner are compiled and bound once, inside the caller's
+    timing, for every evaluation of every restart, which builds the ansatz's
+    kernel program at its angles (no Gate is built) and runs it on the runner,
+    bit for bit as run_program would.
     """
     _check_int("p", p, 1)
     plan = compile_plan(model, estimator_cfg)
     ansatz = compile_ansatz(model)
+    runner = _Runner(plan, hold=True)
     dim = 2 * p
     runs = []  # (best value, evaluations, best point) of each restart
     for r in range(opt_cfg.restarts):
@@ -152,7 +155,7 @@ def train_qaoa(
             if not cfg.exact:
                 cfg = replace(cfg, seed=derive_seed(estimator_cfg.seed, r, len(evals)))
             t0 = time.perf_counter()
-            result = run_program(plan, ansatz.program(params), cfg)
+            result = runner.run(ansatz.program(params), cfg)
             elapsed = time.perf_counter() - t0
             evals.append((np.array(vec, dtype=float), result.value, elapsed))
             return result.value

@@ -2,7 +2,7 @@
 
 compile_ansatz does a model's angle-free ansatz work once. The public Circuit
 (build_ansatz) comes from its gate walk (runs); the kernel program train_qaoa
-binds per evaluation builds no Gate and, up to statevector._chunk_qubits()
+runs per evaluation builds no Gate and, up to statevector._chunk_qubits()
 qubits, makes each phase layer one diagonal from the model's cost vector and
 the H and EXP_X layers the Kronecker blocks the kernel would fuse them into."""
 

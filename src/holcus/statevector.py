@@ -25,10 +25,10 @@ chunk by chunk, cut along its outermost non-target axes first (_cuts), so the
 temporaries stay small enough for the allocator to reuse instead of being
 page-faulted back on every gate; no 2^n x 2^n operator is ever built.
 _marginal, the one |amplitude|^2 reader (marginal_vector, estimators' readout),
-sums it over the same view, its qubits the targets, in the same chunks
-(_square_sums): at most CHUNK amplitudes at a time, however many qubits.
-kernel_operand chooses diagonal or matrix once per matrix, _bind the step by
-target count.
+sums it over the same view, its qubits the targets (_marginal_view, bound once),
+in the same chunks (_square_sums): at most CHUNK amplitudes at a time, however
+many qubits. kernel_operand chooses diagonal or matrix once per matrix (a
+matrix on at most log2(CHUNK) targets), _bind the step by target count.
 
 The kernel has one entry, _run(_bind(state, program)), in two steps. _bind
 first fuses the program (_fused): each run of consecutive uncontrolled diagonal
@@ -43,9 +43,8 @@ fused once and bound with fuse=False (estimators' suffixes, qaoa's layers).
 _bind then resolves each triple to a bound step on one register; _run applies
 bound steps in order. Run as it is bound, a program holds one diagonal's
 multiplier at a time; bound once into a list, it runs again on the same
-register with no per-gate setup, which estimators.run_program does for a prep
-that several circuits of one width share, holding one multiplier or block per
-fused run.
+register with no per-gate setup, holding one multiplier or block per fused run,
+as estimators' runner binds a shared prep and a training's suffixes.
 apply_unitary checks its arguments, then binds and runs its one gate, unfused;
 a Circuit's program was checked when the circuit was built.
 """
@@ -194,10 +193,14 @@ def apply_unitary(
 def kernel_operand(matrix: np.ndarray) -> np.ndarray:
     """What the kernel applies for a 2^k x 2^k complex matrix: its diagonal,
     as a new length-2^k array, when every off-diagonal entry is exactly 0,
-    otherwise the matrix itself."""
+    otherwise the matrix itself, which the kernel's product takes whole, so
+    CapacityError when k > log2(CHUNK)."""
     diag = np.diagonal(matrix)
     if np.array_equal(matrix, np.diag(diag)):
         return diag.copy()
+    if len(matrix) > 1 << (cap := _chunk_qubits()):
+        k = len(matrix).bit_length() - 1
+        raise CapacityError(f"a matrix gate on {k} targets exceeds the limit of {cap} (statevector.CHUNK = 2^{cap})")
     return matrix
 
 
@@ -467,13 +470,19 @@ def marginal_vector(state: StateVector, qubits: list[int] | tuple[int, ...]) -> 
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubits in {qubits}")
     _check_qubits(qubits, state.num_qubits)
-    return _marginal(state, qubits)
+    return _marginal(_marginal_view(state, qubits))
 
 
-def _marginal(state: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
-    """marginal_vector unchecked: _square_sums of _matrix_layout's view of qubits."""
+def _marginal_view(state: StateVector, qubits: tuple[int, ...]) -> tuple:
+    """marginal_vector's bind part, unchecked: _square_sums' arguments (view, perm, k,
+    chunks), the view _matrix_layout's of the register, which they read when summed."""
     shape, _, perm, chunks, *_ = _matrix_layout(state.num_qubits, qubits[::-1], ())
-    return _square_sums(state.amplitudes.reshape(shape), perm, len(qubits), chunks).reshape(-1)
+    return state.amplitudes.reshape(shape), perm, len(qubits), chunks
+
+
+def _marginal(view: tuple) -> np.ndarray:
+    """The marginal a _marginal_view reads (its _square_sums), as marginal_vector returns it."""
+    return _square_sums(*view).reshape(-1)
 
 
 def marginal_probabilities(state: StateVector, qubits: list[int] | tuple[int, ...] | None = None) -> OutcomeDistribution:

@@ -5,15 +5,18 @@ full matrices come from explicit basis-state enumeration (never from the
 package's gate kernel), rotations from scipy's expm (never from the
 package's closed forms), and Hamiltonians from Kronecker products. run_from
 is the one exception: it runs the package's kernel, from a chosen start
-state, for a test to compare with an oracle. chunk_size is no oracle: it runs
-a block of a test under a smaller statevector.CHUNK.
+state, for a test to compare with an oracle. chunk_size and traced are no
+oracles: one runs a block of a test under a smaller statevector.CHUNK, the
+other measures a call's traced memory.
 
 BLAS is pinned to one thread, as benchmark/run.py pins it, so the timing
 criterion runs the configuration the benchmark measures.
 """
 
+import gc
 import os
 import sys
+import tracemalloc
 from contextlib import contextmanager
 
 if "numpy" in sys.modules:
@@ -173,6 +176,28 @@ def chunk_size(chunk):
         statevector.CHUNK = default
         _diag_layout.cache_clear()
         _matrix_layout.cache_clear()
+
+
+def traced(call):
+    """(call's result, traced peak bytes, traced bytes still held after it). The
+    collector is off during the call, and objects made before it are frozen, so a
+    full collection after it sees only the call's objects and must find no cyclic
+    garbage: nothing the call keeps through a reference cycle goes uncounted. The
+    collection also empties the interpreter's free lists, whose contents depend on
+    the tests run before and are not held by the call."""
+    gc.disable()
+    gc.freeze()
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+        assert gc.collect() == 0, "the call left cyclic garbage"
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.unfreeze()
+        gc.enable()
+    return out, peak, current
 
 
 def model_of(n, h, J, offset=0.0) -> IsingModel:

@@ -1,8 +1,6 @@
 """Estimator strategies: circuits, exact/finite modes, resource accounting."""
 
-import gc
 import math
-import tracemalloc
 from functools import cached_property
 from unittest import mock
 
@@ -21,6 +19,7 @@ from conftest import (
     random_controlled_diagonal,
     random_phase_gate,
     random_prep_circuit,
+    traced,
 )
 from holcus.circuit import CLOSED, OPEN, Circuit, Gate, h, resource_report, run, x
 from holcus.estimators import (
@@ -32,6 +31,7 @@ from holcus.estimators import (
     EstimatorPlan,
     Measurement,
     _readout,
+    _readout_view,
     compile_plan,
     estimate,
     hadamard_test_circuit,
@@ -448,28 +448,6 @@ def _random_gate(data, rng, qubits) -> Gate:
     return Gate("DENSE", tuple(order[:k]), controls=controls, matrix=matrix)
 
 
-def _traced(call):
-    """(call's result, traced peak bytes, traced bytes still held after it). The
-    collector is off during the call, and objects made before it are frozen, so a
-    full collection after it sees only the call's objects and must find no cyclic
-    garbage: nothing the call keeps through a reference cycle goes uncounted. The
-    collection also empties the interpreter's free lists, whose contents depend on
-    the tests run before and are not held by the call."""
-    gc.disable()
-    gc.freeze()
-    tracemalloc.start()
-    try:
-        out = call()
-        _, peak = tracemalloc.get_traced_memory()
-        assert gc.collect() == 0, "the call left cyclic garbage"
-        current, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-        gc.unfreeze()
-        gc.enable()
-    return out, peak, current
-
-
 class TestReadout:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 16))
@@ -482,7 +460,7 @@ class TestReadout:
         state = StateVector(n, psi / np.linalg.norm(psi))
         meas = Measurement(Circuit(n), rng.normal(size=1 << top))
         marginal = marginal_vector(state, range(n - 1, n - 1 - top, -1))
-        mean, variance = _readout(state, meas, EstimatorConfig("holcus"), 0)
+        mean, variance = _readout(_readout_view(state, meas), meas, EstimatorConfig("holcus"), 0)
         assert (mean.hex(), variance) == ((marginal @ meas.values).hex(), 0.0)
         seed, k = data.draw(st.integers(0, 2**32)), data.draw(st.integers(0, 100))
         drawn = []
@@ -492,7 +470,7 @@ class TestReadout:
             return drawn[-1][1]
 
         with mock.patch.object(holcus.estimators, "multinomial_draw", recorded):
-            _readout(state, meas, EstimatorConfig("holcus", shots=1000, seed=seed), k)
+            _readout(_readout_view(state, meas), meas, EstimatorConfig("holcus", shots=1000, seed=seed), k)
         ((probs, counts),) = drawn
         assert probs.tobytes() == marginal.tobytes()
         assert np.array_equal(counts, multinomial_draw(marginal, 1000, derive_seed(seed, k)))
@@ -540,7 +518,7 @@ class TestRunProgram:
             assert [t for _, t, _ in suffix][: len(blocks)] == blocks
             for triple in [*_fused(width, prep), *suffix]:
                 _run(_bind(state, [triple]))
-            term, var = _readout(state, meas, cfg, k)
+            term, var = _readout(_readout_view(state, meas), meas, cfg, k)
             value += term
             variance += var
         got = run_program(plan, prep, cfg)
@@ -557,7 +535,7 @@ class TestRunProgram:
         cfg = EstimatorConfig(method="holcus")
         plan = compile_plan(model, cfg)
         run_plan(plan, prep, cfg)
-        _, peak, _ = _traced(lambda: run_plan(plan, prep, cfg))
+        _, peak, _ = traced(lambda: run_plan(plan, prep, cfg))
         assert plan.max_qubits == 17
         assert peak < 1.6 * (16 << 17)
 
@@ -574,7 +552,7 @@ class TestRunProgram:
         diagonals = sum(operand.ndim == 1 for operand, _, _ in prep)
         fused = [targets for operand, targets, _ in _fused(9, prep) if operand.ndim == 1]
         multipliers = len(fused) * (16 << 9)
-        _, peak, held = _traced(lambda: run_program(plan, prep, cfg))
+        _, peak, held = traced(lambda: run_program(plan, prep, cfg))
         assert (diagonals, fused) == (3 * (8 + 28), [tuple(range(8))] * 3)
         assert multipliers <= peak < multipliers + (64 << 10)
         assert held < 4 << 10
@@ -592,7 +570,7 @@ class TestRunProgram:
         plan = EstimatorPlan(n, 0.0, measurements)
         cfg = EstimatorConfig("holcus")
         run_program(plan, prep, cfg)
-        _, peak, _ = _traced(lambda: run_program(plan, prep, cfg))
+        _, peak, _ = traced(lambda: run_program(plan, prep, cfg))
         assert sum(operand.ndim == 1 for operand, _, _ in _fused(13, prep)) == n
         assert n * (16 << 13) <= peak < n * (16 << 13) + 2 * (16 << 13) + (64 << 10)
 
@@ -619,7 +597,7 @@ class TestRunProgram:
             else operand.nbytes
             for operand, targets, _ in _fused(width, prep)
         ]
-        _, peak, held = _traced(lambda: run_program(plan, prep, cfg))
+        _, peak, held = traced(lambda: run_program(plan, prep, cfg))
         blocks = [4 << 10] * 3 + [256]
         assert (width, len(plan.measurements)) == (15, 105)
         assert held_by_rule == [*blocks, 128 << 10, 32, 128 << 10, 256 << 10, 256 << 10, *blocks]
@@ -641,7 +619,7 @@ class TestRunProgram:
         plan = compile_plan(model, cfg)
         (meas,) = plan.measurements
         meas.suffix.program  # built before the trace, which then counts only the fused suffix
-        _, _, held = _traced(lambda: run_plan(plan, prep, cfg))
+        _, _, held = traced(lambda: run_plan(plan, prep, cfg))
         (program,) = plan.programs
         diagonals = [operand.nbytes for operand, _, _ in program if operand.ndim == 1]
         assert (plan.max_qubits, len(diagonals)) == (width, select)
@@ -665,7 +643,7 @@ class TestRunProgram:
         plan = compile_plan(model, cfg)
         for call in (lambda: run_plan(plan, prep, cfg), lambda: run_program(plan, ansatz.program(params), cfg)):
             call()
-            _, peak, _ = _traced(call)
+            _, peak, _ = traced(call)
             assert peak < per_gate_peak * (16 << n)
 
 

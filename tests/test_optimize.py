@@ -1,6 +1,7 @@
 """Nelder-Mead and the QAOA training loop."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import holcus.estimators
 import holcus.optimize
 import holcus.qaoa
-from conftest import ising_dense_matrix
+from conftest import ising_dense_matrix, model_of, traced
 from holcus.estimators import EXACT, METHODS, EstimatorConfig, compile_plan, estimate, run_program
 from holcus.optimize import (
     OptimizationError,
@@ -170,15 +171,19 @@ class TestTrainQaoa:
             if shots is EXACT:
                 assert abs(estimate(build_ansatz(model, params), model, cfg).value - value) <= 1e-12 * norm
 
-    def test_model_work_runs_once_per_call(self, monkeypatch):
+    @pytest.mark.parametrize("method, prepares", [("holcus", 1), ("hadamard", 0)])
+    def test_model_work_runs_once_per_call(self, monkeypatch, method, prepares):
         # build_ansatz compiles the ansatz too, so an evaluation that built
-        # its gates would count a compile here.
-        calls = {"from_ising": 0, "build_prep_unitaries": 0, "compile_ansatz": 0}
+        # its gates would count a compile here. The training's runner binds each
+        # suffix and resolves each readout's view once, for every evaluation of
+        # every restart: one circuit for holcus, one per term for hadamard.
+        calls = {"from_ising": 0, "build_prep_unitaries": 0, "compile_ansatz": 0, "_readout_view": 0}
         for module, name in [
             (holcus.estimators, "from_ising"),
             (holcus.estimators, "build_prep_unitaries"),
             (holcus.optimize, "compile_ansatz"),
             (holcus.qaoa, "compile_ansatz"),
+            (holcus.estimators, "_readout_view"),
         ]:
 
             def counted(*args, _real=getattr(module, name), _name=name):
@@ -186,9 +191,86 @@ class TestTrainQaoa:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted)
-        trace = train_qaoa(self.model, 1, self.est, OptimizerConfig(max_evals=10, restarts=2))
-        assert len(trace.evaluations) > 1
-        assert calls == {"from_ising": 1, "build_prep_unitaries": 1, "compile_ansatz": 1}
+        plans, bound = [], []
+        monkeypatch.setattr(holcus.optimize, "compile_plan", lambda *args: plans.append(compile_plan(*args)) or plans[-1])
+        real_bind = holcus.estimators._bind
+        monkeypatch.setattr(holcus.estimators, "_bind", lambda state, program, **kw: bound.append(program) or real_bind(state, program, **kw))
+        est = EstimatorConfig(method=method)
+        trace = train_qaoa(self.model, 1, est, OptimizerConfig(max_evals=10, restarts=2))
+        (plan,) = plans
+        circuits = len(plan.measurements)
+        assert len(trace.evaluations) > 1 and circuits == (1 if method == "holcus" else 6)
+        assert calls == {"from_ising": 1, "build_prep_unitaries": prepares, "compile_ansatz": 1, "_readout_view": circuits}
+        assert [any(program is s for s in plan.programs) for program in bound].count(True) == circuits
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        method=st.sampled_from(METHODS),
+        shots=st.sampled_from([EXACT, 64]),
+        n=st.integers(1, 8),
+        p=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_bound_training_evaluates_as_fresh_runs_bit_for_bit(self, method, shots, n, p, seed, data):
+        # A training binds its plan's registers, suffixes and readouts once (up to
+        # 13-qubit registers) and each evaluation's prep as it runs. Over any
+        # sequence of points, zeros of either sign included, each evaluation is bit
+        # for bit a fresh run_program of the training program at its angles.
+        angle = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2 * np.pi, 2 * np.pi))
+        points = data.draw(st.lists(st.lists(angle, min_size=2 * p, max_size=2 * p), min_size=1, max_size=6))
+        _assert_bound_training_matches_fresh_runs(qubo_to_ising(random_qubo(n, seed)), p, method, shots, seed, points)
+
+    @pytest.mark.parametrize("method", ["raw", "hadamard"])
+    @pytest.mark.parametrize("shots", [EXACT, 1000])
+    def test_bound_training_without_a_cost_vector_evaluates_as_fresh_runs(self, method, shots):
+        # At n = 14 the program has no cost vector, and the registers, of 14 and 15
+        # qubits, are too wide to hold, so each suffix is bound as it runs.
+        model = qubo_to_ising(random_qubo(14, 5))
+        assert compile_ansatz(model).cost is None
+        _assert_bound_training_matches_fresh_runs(model, 1, method, shots, 3, [[0.3, 0.7], [-0.0, 0.0], [0.5, -0.2]])
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("shots", [EXACT, 128])
+    def test_back_to_back_trainings_give_the_same_trace(self, method, shots):
+        # Nothing a training holds between its evaluations outlives it.
+        cfg = OptimizerConfig(max_evals=20, restarts=2, seed=7)
+        est = EstimatorConfig(method=method, shots=shots, seed=5)
+        a, b = (train_qaoa(self.model, 2, est, cfg) for _ in range(2))
+        assert [(x.tobytes(), v) for x, v, _ in a.evaluations] == [(x.tobytes(), v) for x, v, _ in b.evaluations]
+        assert (a.best_params, a.best_value, a.total_circuits, a.total_shots) == (b.best_params, b.best_value, b.total_circuits, b.total_shots)
+
+    @pytest.mark.parametrize(
+        "model, method, held, slack",
+        [
+            ("random", "hadamard", (16 << 13) + 78 * (16 << 12), 1 << 20),
+            ("random", "holcus", 16 << 20, 3 << 19),
+            ("repeated", "holcus_div", (16 << 11) + (16 << 12) + 2 * (16 << 10) + (16 << 11), 1 << 19),
+        ],
+    )
+    def test_training_holds_its_registers_and_bound_suffixes(self, model, method, held, slack):
+        # Up to 13-qubit registers a training holds, between its evaluations, the
+        # register of each width of its plan and the multipliers its suffixes bind.
+        # hadamard at n = 12: one 13-qubit register and the 78 controlled Z-strings,
+        # each a multiplier of 2^12 entries. holcus_div on 7 spins with repeated
+        # coefficients: registers of 11 and 12 qubits, both held, and each of the
+        # three groups' select product, a multiplier on all but the top qubit. The
+        # 20-qubit register of holcus at n = 12 binds each suffix as it runs, as
+        # run_program does, so its training holds the register alone, where its 78
+        # unfused controlled Z-strings would add 9.75 MiB. The slack covers one
+        # evaluation's prep and temporaries and the plan (holcus's 2^7 x 2^7 prepare
+        # and unprepare, 512 KiB). Nothing is held after the training returns.
+        if model == "random":
+            model = qubo_to_ising(random_qubo(12, 1))
+        else:
+            model = model_of(7, [0.5] * 7, {(i, j): 2.0 if (i + j) % 3 == 0 else 1.0 for i in range(7) for j in range(i + 1, 7)})
+        est, opt = EstimatorConfig(method), OptimizerConfig(max_evals=4, restarts=1)
+        widths = {w: len(ks) for w, ks in compile_plan(model, est).widths.items()}
+        train_qaoa(model, 1, est, opt)  # every recipe warm
+        _, peak, after = traced(lambda: train_qaoa(model, 1, est, opt))
+        assert widths == {"hadamard": {13: 78}, "holcus": {20: 1}, "holcus_div": {11: 2, 12: 1}}[method]
+        assert held <= peak < held + slack
+        assert after < 4 << 10
 
     def test_all_zero_model_trains_with_raw(self):
         model = IsingModel(3, np.zeros(3), {(0, 2): 0.0}, 0.25)
@@ -225,3 +307,21 @@ class TestTrainQaoa:
         for seed in (-1, 1.5, True):
             with pytest.raises(ValueError, match="seed"):
                 OptimizerConfig(seed=seed)
+
+
+def _assert_bound_training_matches_fresh_runs(model, p, method, shots, seed, points):
+    """train_qaoa's one restart, its optimizer evaluating points in turn, gives each
+    point bit for bit the value of a fresh run_program of the training program."""
+    est = EstimatorConfig(method, shots=shots, seed=seed)
+
+    def walk(objective, x0, cfg):  # nelder_mead's contract, over the given points
+        values = [objective(np.array(x)) for x in points]
+        return np.array(points[int(np.argmin(values))]), min(values)
+
+    with mock.patch.object(holcus.optimize, "nelder_mead", walk):
+        trace = train_qaoa(model, p, est, OptimizerConfig(max_evals=len(points), restarts=1, seed=seed))
+    assert [x.tobytes() for x, _, _ in trace.evaluations] == [np.array(x).tobytes() for x in points]
+    for k, (vec, value, _) in enumerate(trace.evaluations):
+        cfg = est if shots is EXACT else replace(est, seed=derive_seed(seed, 0, k))
+        fresh = run_program(compile_plan(model, cfg), compile_ansatz(model).program(QaoaParams.from_vector(vec)), cfg)
+        assert fresh.value.hex() == value.hex(), (k, vec)

@@ -20,8 +20,8 @@ from conftest import (
     random_prep_circuit,
 )
 from holcus import statevector
-from holcus.circuit import Circuit, Gate, run, x
-from holcus.estimators import EstimatorConfig, Measurement, _readout, estimate, hadamard_test_circuit
+from holcus.circuit import Circuit, Gate, dense, run, x
+from holcus.estimators import EstimatorConfig, Measurement, _readout, _readout_view, estimate, hadamard_test_circuit
 from holcus.pauli_lcu import PauliString
 from holcus.qaoa import QaoaParams, build_ansatz
 from holcus.qubo_ising import qubo_to_ising, random_qubo
@@ -185,6 +185,33 @@ class TestApplyUnitary:
         assert sv.amplitudes is amps
         expected = embed_full_matrix(local, targets, controls, n) @ psi
         assert np.allclose(amps, expected, rtol=0, atol=1e-12)
+
+    def test_matrix_gate_wider_than_chunk_raises_capacity_error(self, rng):
+        # A matrix gate's product takes its 2^k targets whole, so 2^k may not exceed
+        # CHUNK, read at call time. Under a 2^6 CHUNK, apply_unitary and dense refuse
+        # a 7-target unitary, naming the limit, before any amplitude moves, where the
+        # kernel failed part way with a reshape error; a 7-target diagonal and a
+        # 6-target unitary still run, and the default CHUNK takes the 7-target one.
+        u7, _ = np.linalg.qr(rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128)))
+        u6, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+        psi = rng.normal(size=1 << 9) + 1j * rng.normal(size=1 << 9)
+        limit = r"a matrix gate on 7 targets exceeds the limit of 6 \(statevector.CHUNK = 2\^6\)"
+        with chunk_size(1 << 6):
+            state = StateVector(9, psi.copy())
+            with pytest.raises(CapacityError, match=limit):
+                apply_unitary(state, u7, range(7))
+            assert np.array_equal(state.amplitudes, psi)
+            with pytest.raises(CapacityError, match=limit):
+                dense(u7, range(7))
+            for local, targets in [(distinct_phase_diagonal(rng, 7), range(2, 9)), (u6, range(6))]:
+                state = StateVector(9, psi.copy())
+                apply_unitary(state, local, targets, [(8, CLOSED)] if len(local) == 64 else [])
+                want = apply_full_matrix(local, targets, [(8, CLOSED)] if len(local) == 64 else [], 9, psi)
+                assert np.allclose(state.amplitudes, want, rtol=0, atol=1e-12)
+        state = StateVector(9, psi.copy())
+        apply_unitary(state, u7, range(7))
+        assert np.allclose(state.amplitudes, apply_full_matrix(u7, range(7), [], 9, psi), rtol=0, atol=1e-12)
+        assert dense(u7, range(7)).operand is not None
 
     def test_norm_preserved_over_long_random_circuit(self, rng):
         circ = random_prep_circuit(12, rng, depth=1000)
@@ -375,10 +402,10 @@ class TestCollapsedView:
         state = StateVector(n, psi / np.linalg.norm(psi))
         meas = Measurement(Circuit(n), rng.uniform(-1, 1, size=1 << k))
         cfg = EstimatorConfig("raw")
-        _readout(state, meas, cfg, 0)
+        _readout(_readout_view(state, meas), meas, cfg, 0)
         tracemalloc.start()
         try:
-            _readout(state, meas, cfg, 0)
+            _readout(_readout_view(state, meas), meas, cfg, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -407,9 +434,9 @@ class TestCollapsedView:
         state = StateVector(n, psi / np.linalg.norm(psi))
         meas = Measurement(Circuit(n), rng.uniform(-1, 1, size=1 << k))
         cfg = EstimatorConfig("raw")
-        marginal, mean = marginal_vector(state, qubits), _readout(state, meas, cfg, 0)[0]
+        marginal, mean = marginal_vector(state, qubits), _readout(_readout_view(state, meas), meas, cfg, 0)[0]
         with chunk_size(1 << 6), mock.patch.object(statevector, "_square_sums", wraps=_square_sums) as spy:
-            chunked_marginal, chunked_mean = marginal_vector(state, qubits), _readout(state, meas, cfg, 0)[0]
+            chunked_marginal, chunked_mean = marginal_vector(state, qubits), _readout(_readout_view(state, meas), meas, cfg, 0)[0]
         # The readout reads CHUNK at call time: above it, it squares pieces of at most CHUNK.
         view, _, _, cuts = spy.call_args.args
         assert (cuts is None) == (n <= 6)
@@ -456,7 +483,7 @@ class TestCollapsedView:
         meas = Measurement(Circuit(n), rng.uniform(-1, 1, size=1 << k))
         want = marginal_vector(state, range(n - 1, n - 1 - k, -1)) @ meas.values
         with chunk_size(1 << 6), mock.patch.object(statevector, "_square_sums", wraps=_square_sums) as spy:
-            mean = _readout(state, meas, EstimatorConfig("raw"), 0)[0]
+            mean = _readout(_readout_view(state, meas), meas, EstimatorConfig("raw"), 0)[0]
         view, _, _, cuts = spy.call_args.args
         assert all(view[c].size <= 1 << 6 for c in cuts)
         assert all(view[c].flags.c_contiguous for c in cuts)
