@@ -33,7 +33,10 @@ register and its probabilities). A width's circuits share one binding of the
 prep when there are several; every circuit still applies every step to every
 amplitude, so the values are those of a fresh register per circuit.
 run_program binds and runs once; train_qaoa binds once per training (up to
-13-qubit registers) and each evaluation's prep as it runs. run_plan is
+13-qubit registers), and the prep too where qaoa.CompiledAnsatz.write holds it:
+after that, each run retakes its diagonals into their multipliers (one take
+each, through an intp spread), rebinds its one-target matrices and reads its
+Kronecker blocks in place; any other prep is bound as it runs. run_plan is
 run_program's adapter for a prep Circuit; estimate() compiles a plan and runs
 it. The public circuit builders use the same builder, so they return exactly
 the executed circuits; EstimatorPlan.resources reports their resource counts.
@@ -50,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import ClassVar
 
 import numpy as np
@@ -83,6 +87,7 @@ from .statevector import (
     _bind,
     _check_int,
     _chunk_qubits,
+    _diag_layout,
     _fused,
     _marginal,
     _marginal_view,
@@ -319,12 +324,14 @@ class _Runner:
     to it. With hold (a training's), on registers of at most log2(CHUNK) qubits,
     so each held multiplier is at most CHUNK entries, all are bound once, here;
     otherwise (run_program's, or wider, where the held multipliers can outgrow
-    the register) as each circuit runs, one multiplier and one register at a time."""
+    the register) as each circuit runs, one multiplier and one register at a time.
+    A held runner also holds a written prep (run), bound once per width."""
 
     def __init__(self, plan: EstimatorPlan, hold: bool = False):
         self.plan = plan
         hold = hold and plan.max_qubits <= _chunk_qubits()
         self.held = {w: self._width(w, list) for w in plan.widths} if hold else None
+        self.prep = None  # (the written prep, {width: its steps and writes}), once run
 
     def _width(self, width: int, into=iter) -> tuple:
         """(register, (k, suffix steps, readout view) of each circuit of the width):
@@ -336,18 +343,31 @@ class _Runner:
         )
         return state, into(circuits)
 
-    def run(self, prep: list[tuple], cfg: EstimatorConfig) -> EstimateResult:
+    def run(self, prep: list[tuple], cfg: EstimatorConfig, written: bool = False) -> EstimateResult:
         """Run every measurement of the plan from |0...0> after the prep's kernel
         program, whose qubits must lie in the plan's state register (unchecked):
         value = offset + the sum of each circuit's mean observable. In finite mode
         circuit k samples with derive_seed(cfg.seed, k). A width's circuits run in
         turn on its register; with several, the prep is bound once and shared,
-        holding one multiplier or block per fused run, else it is bound as it runs."""
+        holding one multiplier or block per fused run, else it is bound as it runs.
+        With written, on a held runner, prep is a program that _fused leaves as it
+        is and whose operands are rewritten in place between runs, the same list
+        each time (qaoa.CompiledAnsatz.write): it is bound to every width on its
+        first run, and after that only the steps that copied an operand are
+        rewritten (_rewrite)."""
         plan = self.plan
+        if written and (self.prep is None or self.prep[0] is not prep):
+            self.prep = prep, {w: _hold(state, prep) for w, (state, _) in self.held.items()}
+        elif written:
+            for width, (steps, writes) in self.prep[1].items():
+                _rewrite(self.held[width][0], steps, writes)
         reads = [None] * len(plan.measurements)
         for width, ks in plan.widths.items():
             state, circuits = self.held[width] if self.held else self._width(width)
-            shared = list(_bind(state, prep)) if len(ks) > 1 else None
+            if written:
+                shared = self.prep[1][width][0]
+            else:
+                shared = list(_bind(state, prep)) if len(ks) > 1 else None
             for i, (k, suffix, view) in enumerate(circuits):
                 if i or self.held:  # a held register holds the last run's state
                     state.amplitudes[:] = 0
@@ -363,6 +383,44 @@ class _Runner:
             variance += var
         shots = 0 if cfg.exact else len(reads) * int(cfg.shots)  # a numpy count would wrap at 2^63
         return EstimateResult(float(value), math.sqrt(variance), len(reads), shots, plan.max_qubits)
+
+
+def _hold(state: StateVector, prep: list[tuple]) -> tuple[list, list]:
+    """(steps, writes): prep bound to state once, unfused, and what _rewrite rewrites of
+    it, the steps that copied a writeable operand (a read-only one never changes):
+    each diagonal's multiplier, with its spread as intp, so each write is one take
+    with no index conversion, and each one-target matrix, whose step holds its
+    entries as scalars. A wider matrix's step holds its operand itself. ValueError
+    unless _fused leaves prep as it is, as run_program would bind it."""
+    n = state.num_qubits
+    if any(a is not b for a, b in zip_longest(_fused(n, prep), prep)):
+        raise ValueError("a written prep must be a program that fusion leaves as it is")
+    steps = list(_bind(state, prep, fuse=False))
+    spreads, writes = {}, []
+    for i, (operand, targets, controls) in enumerate(prep):
+        if not operand.flags.writeable:
+            continue
+        if operand.ndim == 1:
+            key = targets, controls
+            if key not in spreads:
+                spreads[key] = _diag_layout(n, targets, controls)[2].astype(np.intp)
+            writes.append((operand, spreads[key], steps[i][1]))
+        elif len(operand) == 2:
+            writes.append((i, prep[i]))
+    return steps, writes
+
+
+def _rewrite(state: StateVector, steps: list, writes: list) -> None:
+    """Rewrite a _hold's steps from their operands: a multiplier by one take into it
+    (mode clip, which takes no buffer; every index is in range), a one-target step
+    by binding it again."""
+    for write in writes:
+        if len(write) == 3:
+            operand, spread, multiplier = write
+            np.take(operand, spread, out=multiplier, mode="clip")
+        else:
+            i, triple = write
+            steps[i] = next(_bind(state, (triple,), fuse=False))
 
 
 def run_program(plan: EstimatorPlan, prep: list[tuple], cfg: EstimatorConfig) -> EstimateResult:

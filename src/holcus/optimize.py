@@ -1,6 +1,12 @@
 """Derivative-free training of QAOA angles against a chosen estimator. A
 training compiles its ansatz and plan and binds the plan's runner once; each
-evaluation runs the ansatz's program at its angles on the runner."""
+evaluation runs the ansatz's program at its angles on the runner. Where the
+runner holds its registers (up to 13 qubits) and the held-form rule allows (a
+cost vector and no beta = +-0, qaoa.CompiledAnsatz.write), an evaluation
+writes its angles into the ansatz's held program, which the runner bound on
+the first such evaluation and only rewrites after; any other (restart 0's
+all-zero start, n >= 14, a model with no terms) builds its program and binds
+it as it runs. Either way every value is bit for bit that of run_program."""
 
 from __future__ import annotations
 
@@ -136,9 +142,10 @@ def train_qaoa(
     restart's evaluations while the circuit/shot totals aggregate every
     restart. Deterministic for fixed seeds. The estimator's plan, the ansatz
     and the plan's runner are compiled and bound once, inside the caller's
-    timing, for every evaluation of every restart, which builds the ansatz's
-    kernel program at its angles (no Gate is built) and runs it on the runner,
-    bit for bit as run_program would.
+    timing, for every evaluation of every restart, which writes its angles
+    into the ansatz's held program or builds its kernel program (no Gate is
+    built either way) and runs it on the runner, bit for bit as run_program
+    would.
     """
     _check_int("p", p, 1)
     plan = compile_plan(model, estimator_cfg)
@@ -155,7 +162,8 @@ def train_qaoa(
             if not cfg.exact:
                 cfg = replace(cfg, seed=derive_seed(estimator_cfg.seed, r, len(evals)))
             t0 = time.perf_counter()
-            result = runner.run(ansatz.program(params), cfg)
+            held = ansatz.write(params) if runner.held else None
+            result = runner.run(ansatz.program(params), cfg) if held is None else runner.run(held, cfg, written=True)
             elapsed = time.perf_counter() - t0
             evals.append((np.array(vec, dtype=float), result.value, elapsed))
             return result.value

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,10 @@ from .circuit import CLOSED, Circuit, Gate, dense, h, swap
 from .statevector import _check_int
 
 LAYOUTS = ("dense", "shifted")
+
+# Bound on the letter patterns whose matrices _pattern_matrix keeps; an Ising
+# plan uses two ("Z", "ZZ").
+PATTERN_CACHE_SIZE = 256
 
 # How far a term's weight and phase may be from its coefficient group's first term.
 GROUPING_TOL = 1e-9
@@ -54,19 +59,27 @@ class PauliString:
 
     def local_matrix(self) -> np.ndarray:
         """Dense matrix over the support qubits (bit j of the row and column index is
-        support[j]): P|i> = i^(#Y) * (-1)^popcount(i & Y,Z bits) * |i ^ X,Y bits>."""
-        ops = [self.ops[q] for q in self.support]
-        flip = sum(1 << j for j, op in enumerate(ops) if op != "Z")
-        mask = sum(1 << j for j, op in enumerate(ops) if op != "X")
-        idx = np.arange(1 << len(ops))
-        mat = np.zeros((len(idx), len(idx)), dtype=np.complex128)
-        mat[idx ^ flip, idx] = 1j ** ops.count("Y") * (1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1))
-        return mat
+        support[j]), built once per letter pattern (_pattern_matrix) and read-only."""
+        return _pattern_matrix(tuple(self.ops[q] for q in self.support))
 
     def __str__(self) -> str:
         if not self.ops:
             return "I"
         return "*".join(f"{self.ops[q]}{q}" for q in self.support)
+
+
+@lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _pattern_matrix(ops: tuple[str, ...]) -> np.ndarray:
+    """The matrix of the Pauli letters ops, bit j of its index on ops[j], read-only, as
+    every string with this pattern shares it: P|i> = i^(#Y) * (-1)^popcount(i & Y,Z
+    bits) * |i ^ X,Y bits>."""
+    flip = sum(1 << j for j, op in enumerate(ops) if op != "Z")
+    mask = sum(1 << j for j, op in enumerate(ops) if op != "X")
+    idx = np.arange(1 << len(ops))
+    mat = np.zeros((len(idx), len(idx)), dtype=np.complex128)
+    mat[idx ^ flip, idx] = 1j ** ops.count("Y") * (1.0 - 2.0 * (np.bitwise_count(idx & mask) & 1))
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True)

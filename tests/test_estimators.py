@@ -1,5 +1,6 @@
 """Estimator strategies: circuits, exact/finite modes, resource accounting."""
 
+import gc
 import math
 from functools import cached_property
 from unittest import mock
@@ -30,6 +31,7 @@ from holcus.estimators import (
     EstimatorConfig,
     EstimatorPlan,
     Measurement,
+    _Runner,
     _readout,
     _readout_view,
     compile_plan,
@@ -543,7 +545,10 @@ class TestRunProgram:
         # hadamard runs M circuits of n + 1 qubits, so the prep is bound once and each
         # of its diagonal steps' multipliers is held. At n = 8 each phase layer's 8
         # EXP_Z and 28 EXP_ZZ gates fuse into one diagonal on the 8 state qubits,
-        # spread over all 2^9 amplitudes: 8 KiB per layer. All are freed on return.
+        # spread over all 2^9 amplitudes: 8 KiB per layer. The H and three EXP_X
+        # layers fuse into two 4-qubit Kronecker blocks each, 4 KiB a block. All are
+        # freed on return. The collection before tracing empties the free lists, so
+        # the peak does not depend on the tests run before.
         model = qubo_to_ising(random_qubo(8, 1))
         prep = build_ansatz(model, QaoaParams((0.3, 0.5, 0.2), (0.7, 0.2, 0.4))).program
         cfg = EstimatorConfig(method="hadamard")
@@ -552,9 +557,11 @@ class TestRunProgram:
         diagonals = sum(operand.ndim == 1 for operand, _, _ in prep)
         fused = [targets for operand, targets, _ in _fused(9, prep) if operand.ndim == 1]
         multipliers = len(fused) * (16 << 9)
+        blocks = [step[1].nbytes for step in _bind(new_basis_state(9), prep) if len(step) == 4]
+        gc.collect()
         _, peak, held = traced(lambda: run_program(plan, prep, cfg))
-        assert (diagonals, fused) == (3 * (8 + 28), [tuple(range(8))] * 3)
-        assert multipliers <= peak < multipliers + (64 << 10)
+        assert (diagonals, fused, blocks) == (3 * (8 + 28), [tuple(range(8))] * 3, [16 << 8] * 8)
+        assert multipliers + sum(blocks) <= peak < multipliers + sum(blocks) + (64 << 10)
         assert held < 4 << 10
 
     def test_a_width_frees_its_prep_before_the_next_width_binds(self):
@@ -645,6 +652,21 @@ class TestRunProgram:
             call()
             _, peak, _ = traced(call)
             assert peak < per_gate_peak * (16 << n)
+
+    @pytest.mark.parametrize("method", ["hadamard", "holcus"])
+    def test_a_written_prep_must_be_one_fusion_leaves_as_it_is(self, method):
+        # A held runner binds a written prep unfused, so a program that bind-time
+        # fusion would change is refused: at beta = 0 the mixer is diagonal and the
+        # phase layers fuse across it. A held-form program runs as run_program runs it.
+        model = qubo_to_ising(random_qubo(4, 2))
+        cfg = EstimatorConfig(method)
+        plan, ansatz = compile_plan(model, cfg), compile_ansatz(model)
+        runner = _Runner(plan, hold=True)
+        with pytest.raises(ValueError, match="fusion leaves as it is"):
+            runner.run(ansatz.program(QaoaParams((0.3, 0.2), (0.0, 0.5))), cfg, written=True)
+        for params in (QaoaParams((0.3, 0.2), (0.4, 0.5)), QaoaParams((-1.1, 0.7), (np.pi, -0.2))):
+            value = run_program(plan, ansatz.program(params), cfg).value
+            assert runner.run(ansatz.write(params), cfg, written=True).value.hex() == value.hex()
 
 
 class TestHolcusDiv:

@@ -25,6 +25,10 @@ from holcus.qubo_ising import IsingModel, qubo_to_ising, random_qubo
 from holcus.statevector import derive_seed
 
 
+# The bytes of a held EXP_X chain: its 2 x 2 to 16 x 16 complex blocks.
+_CHAIN = 16 * (4 + 16 + 64 + 256)
+
+
 class TestNelderMead:
     def test_convex_1d(self, monkeypatch):
         monkeypatch.setattr(OptimizerConfig, "convergence_tol", 1e-12)
@@ -191,10 +195,13 @@ class TestTrainQaoa:
                 return _real(*args)
 
             monkeypatch.setattr(module, name, counted)
-        plans, bound = [], []
+        plans, bound, programs, writes = [], [], [], []
         monkeypatch.setattr(holcus.optimize, "compile_plan", lambda *args: plans.append(compile_plan(*args)) or plans[-1])
         real_bind = holcus.estimators._bind
         monkeypatch.setattr(holcus.estimators, "_bind", lambda state, program, **kw: bound.append(program) or real_bind(state, program, **kw))
+        for name, into in [("program", programs), ("write", writes)]:
+            real = getattr(holcus.qaoa.CompiledAnsatz, name)
+            monkeypatch.setattr(holcus.qaoa.CompiledAnsatz, name, lambda self, params, _real=real, _into=into: _into.append(_real(self, params)) or _into[-1])
         est = EstimatorConfig(method=method)
         trace = train_qaoa(self.model, 1, est, OptimizerConfig(max_evals=10, restarts=2))
         (plan,) = plans
@@ -202,6 +209,12 @@ class TestTrainQaoa:
         assert len(trace.evaluations) > 1 and circuits == (1 if method == "holcus" else 6)
         assert calls == {"from_ising": 1, "build_prep_unitaries": prepares, "compile_ansatz": 1, "_readout_view": circuits}
         assert [any(program is s for s in plan.programs) for program in bound].count(True) == circuits
+        # Only restart 0's start, at beta = 0, builds its program; every other
+        # evaluation writes its angles into the one held prep, bound by its first run.
+        held = [program for program in writes if program is not None]
+        assert writes[0] is None and len(held) == len(writes) - 1 > 0 and all(program is held[0] for program in held)
+        (program,) = programs
+        assert [prep for prep in bound if not any(prep is s for s in plan.programs)] == [program, held[0]]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -214,10 +227,11 @@ class TestTrainQaoa:
     )
     def test_bound_training_evaluates_as_fresh_runs_bit_for_bit(self, method, shots, n, p, seed, data):
         # A training binds its plan's registers, suffixes and readouts once (up to
-        # 13-qubit registers) and each evaluation's prep as it runs. Over any
-        # sequence of points, zeros of either sign included, each evaluation is bit
-        # for bit a fresh run_program of the training program at its angles.
-        angle = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2 * np.pi, 2 * np.pi))
+        # 13-qubit registers), and its held prep by the first evaluation that the
+        # held-form rule allows; each later one writes its angles into it. Over any
+        # sequence of points, zeros of either sign and +-pi included, each evaluation
+        # is bit for bit a fresh run_program of the training program at its angles.
+        angle = st.one_of(st.sampled_from([0.0, -0.0, np.pi, -np.pi]), st.floats(-2 * np.pi, 2 * np.pi))
         points = data.draw(st.lists(st.lists(angle, min_size=2 * p, max_size=2 * p), min_size=1, max_size=6))
         _assert_bound_training_matches_fresh_runs(qubo_to_ising(random_qubo(n, seed)), p, method, shots, seed, points)
 
@@ -241,14 +255,20 @@ class TestTrainQaoa:
         assert (a.best_params, a.best_value, a.total_circuits, a.total_shots) == (b.best_params, b.best_value, b.total_circuits, b.total_shots)
 
     @pytest.mark.parametrize(
-        "model, method, held, slack",
+        "model, method, held, prep, slack",
         [
-            ("random", "hadamard", (16 << 13) + 78 * (16 << 12), 1 << 20),
-            ("random", "holcus", 16 << 20, 3 << 19),
-            ("repeated", "holcus_div", (16 << 11) + (16 << 12) + 2 * (16 << 10) + (16 << 11), 1 << 19),
+            ("random", "hadamard", (16 << 13) + 78 * (16 << 12), (24 << 13) + (16 << 12) + _CHAIN, 1 << 20),
+            ("random", "holcus", 16 << 20, 0, 3 << 19),
+            (
+                "repeated",
+                "holcus_div",
+                (16 << 11) + (16 << 12) + 2 * (16 << 10) + (16 << 11),
+                (24 << 11) + (24 << 12) + (16 << 7) + _CHAIN,
+                1 << 19,
+            ),
         ],
     )
-    def test_training_holds_its_registers_and_bound_suffixes(self, model, method, held, slack):
+    def test_training_holds_its_registers_and_bound_suffixes(self, model, method, held, prep, slack):
         # Up to 13-qubit registers a training holds, between its evaluations, the
         # register of each width of its plan and the multipliers its suffixes bind.
         # hadamard at n = 12: one 13-qubit register and the 78 controlled Z-strings,
@@ -257,9 +277,13 @@ class TestTrainQaoa:
         # three groups' select product, a multiplier on all but the top qubit. The
         # 20-qubit register of holcus at n = 12 binds each suffix as it runs, as
         # run_program does, so its training holds the register alone, where its 78
-        # unfused controlled Z-strings would add 9.75 MiB. The slack covers one
-        # evaluation's prep and temporaries and the plan (holcus's 2^7 x 2^7 prepare
-        # and unprepare, 512 KiB). Nothing is held after the training returns.
+        # unfused controlled Z-strings would add 9.75 MiB. With a held runner the
+        # training also holds its prep (p = 1): on each width, the phase layer's
+        # multiplier (16 B an amplitude) and its spread as intp (8 B); and in the
+        # ansatz, the 2^n phases and the EXP_X chain of 1- to 4-qubit blocks. The
+        # slack covers the first evaluation's prep (at beta = 0, bound as it runs)
+        # and temporaries, and the plan (holcus's 2^7 x 2^7 prepare and unprepare,
+        # 512 KiB). Nothing is held after the training returns.
         if model == "random":
             model = qubo_to_ising(random_qubo(12, 1))
         else:
@@ -269,7 +293,7 @@ class TestTrainQaoa:
         train_qaoa(model, 1, est, opt)  # every recipe warm
         _, peak, after = traced(lambda: train_qaoa(model, 1, est, opt))
         assert widths == {"hadamard": {13: 78}, "holcus": {20: 1}, "holcus_div": {11: 2, 12: 1}}[method]
-        assert held <= peak < held + slack
+        assert held + prep <= peak < held + prep + slack
         assert after < 4 << 10
 
     def test_all_zero_model_trains_with_raw(self):
@@ -311,17 +335,40 @@ class TestTrainQaoa:
 
 def _assert_bound_training_matches_fresh_runs(model, p, method, shots, seed, points):
     """train_qaoa's one restart, its optimizer evaluating points in turn, gives each
-    point bit for bit the value of a fresh run_program of the training program."""
+    point bit for bit the value and std_error of a fresh run_program of the training
+    program, and each write of the held prep leaves every operand byte for byte that
+    of program at the same angles."""
     est = EstimatorConfig(method, shots=shots, seed=seed)
+    results, held = [], []
+    real_run, real_write = holcus.estimators._Runner.run, holcus.qaoa.CompiledAnsatz.write
 
     def walk(objective, x0, cfg):  # nelder_mead's contract, over the given points
         values = [objective(np.array(x)) for x in points]
         return np.array(points[int(np.argmin(values))]), min(values)
 
-    with mock.patch.object(holcus.optimize, "nelder_mead", walk):
+    def run(self, *args, **kw):
+        results.append(real_run(self, *args, **kw))
+        return results[-1]
+
+    def write(self, params):
+        program = real_write(self, params)
+        if program is not None:
+            fresh = self.program(params)
+            assert [(op.shape, op.tobytes(), t, c) for op, t, c in program] == [(op.shape, op.tobytes(), t, c) for op, t, c in fresh]
+            held.append(params)
+        return program
+
+    with (
+        mock.patch.object(holcus.optimize, "nelder_mead", walk),
+        mock.patch.object(holcus.estimators._Runner, "run", run),
+        mock.patch.object(holcus.qaoa.CompiledAnsatz, "write", write),
+    ):
         trace = train_qaoa(model, p, est, OptimizerConfig(max_evals=len(points), restarts=1, seed=seed))
     assert [x.tobytes() for x, _, _ in trace.evaluations] == [np.array(x).tobytes() for x in points]
-    for k, (vec, value, _) in enumerate(trace.evaluations):
+    ansatz = compile_ansatz(model)
+    holds = compile_plan(model, est).max_qubits <= 13 and ansatz.cost is not None
+    assert held == [params for params in map(QaoaParams.from_vector, points) if holds and 0 not in params.betas]
+    for k, ((vec, value, _), result) in enumerate(zip(trace.evaluations, results, strict=True)):
         cfg = est if shots is EXACT else replace(est, seed=derive_seed(seed, 0, k))
-        fresh = run_program(compile_plan(model, cfg), compile_ansatz(model).program(QaoaParams.from_vector(vec)), cfg)
-        assert fresh.value.hex() == value.hex(), (k, vec)
+        fresh = run_program(compile_plan(model, cfg), ansatz.program(QaoaParams.from_vector(vec)), cfg)
+        assert (fresh.value.hex(), fresh.std_error.hex()) == (value.hex(), result.std_error.hex()), (k, vec)

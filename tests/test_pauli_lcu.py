@@ -1,5 +1,7 @@
 """LCU machinery: decompositions, prep unitaries, select circuits, grouping."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +41,18 @@ class TestPauliString:
         # Oracle: conftest's Kronecker product of the same letters on qubits 0..k-1.
         letters = dict(enumerate(ops[q] for q in sorted(ops)))
         assert np.array_equal(PauliString(ops).local_matrix(), pauli_full_matrix(letters, len(ops)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equal_letter_patterns_share_one_read_only_matrix(self, k):
+        # Each pattern's matrix is built once and handed to every string with it, on
+        # any qubits, so a write into it must raise rather than change them all.
+        for letters in product("XYZ", repeat=k):
+            a = PauliString(dict(zip(range(k), letters))).local_matrix()
+            b = PauliString(dict(zip(range(3, 3 + 2 * k, 2), letters))).local_matrix()
+            assert a is b
+            assert np.array_equal(a, pauli_full_matrix(dict(enumerate(letters)), k))
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 2.0
 
     @pytest.mark.parametrize(
         ("ops", "match"), [({0: "W"}, "X, Y or Z"), ({-1: "Z"}, r"qubit index -1 out of range")], ids=["letter", "negative"]
